@@ -8,6 +8,7 @@ returned as a certificate, None means infeasible.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from sphsys.budget import BudgetExceeded, max_states
 
@@ -66,20 +67,13 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
                     lo = bound
         y[var] = lo
     x = [v + s for v, s in zip(y, shift)]
-    scale = 1
-    for v in x:
-        scale = scale * v.denominator // _gcd(scale, v.denominator)
+    scale = lcm(*(v.denominator for v in x))
     return tuple(int(v * scale) for v in x)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _drop_redundant(rows, start, n_vars):
-    """Discard duplicate rows and rows implied coordinatewise by another."""
+    """Discard exact duplicates: rows equal on the variables not yet
+    eliminated and in the constant."""
     seen = set()
     out = []
     for coeffs, const in rows:

@@ -126,6 +126,11 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     subset = tuple(sorted(subset))
     if distinguished_witness(sys, subset) is None:
         raise ValueError("quotient by a non-distinguished subset")
+    return _quotient(sys, subset)
+
+
+def _quotient(sys, subset) -> QuotientResult:
+    """quotient() for a sorted subset already known to be distinguished."""
     # one equation per chosen colour, variables are root multiplicities
     rho = sys.rho_matrix
     rows = [tuple(rho[c]) for c in subset]
@@ -186,6 +191,12 @@ def decomposes(sys: SphericalSystem, s1, s2) -> bool:
         return False
     if _moved_roots(sys, s1) & _moved_roots(sys, s2):
         return False
+    return _splits(sys, s1, s2)
+
+
+def _splits(sys, s1, s2) -> bool:
+    """The rest of decomposes() for distinguished subsets moving disjoint
+    roots: orthogonal new parabolic nodes and a smooth quotient."""
     d = sys.diagram
     add1 = frozenset().union(*(sys.colours[c].nodes for c in s1)) - sys.sp
     add2 = frozenset().union(*(sys.colours[c].nodes for c in s2)) - sys.sp
@@ -208,25 +219,40 @@ def decomposes(sys: SphericalSystem, s1, s2) -> bool:
         if comp & add2:
             return False
         seen |= comp
-    return quotient(sys, s1).smooth or quotient(sys, s2).smooth
+    return (_quotient(sys, tuple(sorted(s1))).smooth
+            or _quotient(sys, tuple(sorted(s2))).smooth)
 
 
 def is_decomposable(sys: SphericalSystem):
-    """First pair of colour subsets decomposing the system, else None."""
+    """First pair of colour subsets decomposing the system, else None.
+
+    Pairs come in (size, indices) order of their subsets; the cheap
+    disjointness tests run first and each subset's distinguishedness is
+    decided at most once.
+    """
     n = len(sys.colours)
-    subsets = []
-    for mask in range(1, 1 << n):
-        s = frozenset(i for i in range(n) if mask >> i & 1)
-        subsets.append(tuple(sorted(s)))
-    subsets.sort(key=lambda s: (len(s), s))
-    dist = [s for s in subsets if is_distinguished(sys, s)]
-    for a in range(len(dist)):
-        for b in range(a + 1, len(dist)):
-            s1, s2 = dist[a], dist[b]
-            if set(s1) & set(s2):
+    subsets = sorted((tuple(i for i in range(n) if mask >> i & 1)
+                      for mask in range(1, 1 << n)),
+                     key=lambda s: (len(s), s))
+    masks = [sum(1 << i for i in s) for s in subsets]
+    moved = [sum(1 << j for j in _moved_roots(sys, s)) for s in subsets]
+    dist = {}
+
+    def distinguished(a):
+        if a not in dist:
+            dist[a] = is_distinguished(sys, subsets[a])
+        return dist[a]
+
+    for a in range(len(subsets)):
+        for b in range(a + 1, len(subsets)):
+            # Only necessary: factors must use disjoint colours and move
+            # disjoint roots, and _splits() still tests the rest.
+            if masks[a] & masks[b] or moved[a] & moved[b]:
                 continue
-            if decomposes(sys, s1, s2):
-                return (s1, s2)
+            if not distinguished(a):
+                break
+            if distinguished(b) and _splits(sys, subsets[a], subsets[b]):
+                return (subsets[a], subsets[b])
     return None
 
 

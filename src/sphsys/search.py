@@ -12,12 +12,12 @@ members the family catalog predicts on the same diagram.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import ops
 from .budget import BudgetExceeded, max_states
-from .dynkin import Diagram, parse_diagram
+from .dynkin import parse_diagram
 from .families import expand_catalog
 from .rankone import admissible_traces, rank1_embeddings
 from .system import SphericalSystem
@@ -25,7 +25,7 @@ from .system import SphericalSystem
 
 def candidate_roots(diagram) -> tuple:
     """Distinct weights admitting at least one rank-one realization."""
-    d = diagram if isinstance(diagram, Diagram) else parse_diagram(diagram)
+    d = parse_diagram(diagram)
     return tuple(sorted({w for _, w, _ in rank1_embeddings(d)}))
 
 
@@ -48,6 +48,7 @@ def _compatible(d, w1, w2) -> bool:
     """Pairwise necessary conditions: halved pairings against a doubled
     root stay nonpositive integers, and the two halves of an orthogonal
     pair root pair equally with everything."""
+    # Only necessary: it sees two roots at a time, validate() sees the set.
     for a, b in ((w1, w2), (w2, w1)):
         i = _doubled_node(a)
         if i is not None and b != a:
@@ -62,15 +63,19 @@ def _compatible(d, w1, w2) -> bool:
 
 
 def _try_extend(basis, w):
-    """Echelon step; returns the new basis or None if w is dependent."""
-    v = [Fraction(c) for c in w]
+    """Fraction-free echelon step; returns the new basis or None if w is
+    dependent.  Stored rows are divided by their content to stay small."""
+    # Only necessary: independence is one axiom, validate() checks the rest.
+    v = list(w)
     for pivot, row in basis:
-        if v[pivot]:
-            f = v[pivot] / row[pivot]
-            v = [a - f * b for a, b in zip(v, row)]
+        a = v[pivot]
+        if a:
+            b = row[pivot]
+            v = [b * x - a * y for x, y in zip(v, row)]
     for i, c in enumerate(v):
         if c:
-            return basis + [(i, v)]
+            g = gcd(*v)
+            return basis + [(i, [x // g for x in v])]
     return None
 
 
@@ -106,14 +111,18 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
     With cuspidal_only only root sets whose supports cover the whole
     diagram are kept, which cuts the walk down sharply.
     """
-    d = diagram if isinstance(diagram, Diagram) else parse_diagram(diagram)
+    d = parse_diagram(diagram)
     cands = candidate_roots(d)
     m = len(cands)
     compat = [[_compatible(d, cands[i], cands[j]) for j in range(m)]
               for i in range(m)]
     traces = {w: admissible_traces(d, w) for w in cands}
-    budget = max_states()
     n = d.n_nodes
+    supports = [frozenset(i for i, c in enumerate(w) if c) for w in cands]
+    paired = [frozenset(i for i in range(n)
+                        if i not in supports[k] and d.pairing_weight(i, w))
+              for k, w in enumerate(cands)]
+    budget = max_states()
     state = {"count": 0}
     out = []
 
@@ -123,24 +132,20 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
             raise BudgetExceeded(
                 f"enumeration on {d.spec()} exceeded {budget} states")
 
-    def emit(chosen):
-        sigma = tuple(cands[k] for k in chosen)
-        union_supp = set()
-        banned = set()
-        for w in sigma:
-            supp = {i for i, c in enumerate(w) if c}
-            union_supp |= supp
-            for i in range(n):
-                if i not in supp and i not in banned and d.pairing_weight(i, w):
-                    banned.add(i)
+    def emit(chosen, assignments):
+        union_supp = frozenset().union(*(supports[k] for k in chosen))
         outside = [i for i in range(n) if i not in union_supp]
         if cuspidal_only and outside:
             return
+        # Only necessary: sp must be orthogonal to every root, but a node
+        # left free may still fail another axiom in validate().
+        banned = frozenset().union(*(paired[k] for k in chosen))
         free = [i for i in outside if i not in banned]
         free_subsets = [frozenset(f for k, f in enumerate(free)
                                   if mask >> k & 1)
                         for mask in range(1 << len(free))]
-        for base in _trace_assignments(sigma, traces):
+        sigma = tuple(cands[k] for k in chosen)
+        for base in assignments:
             for extra in free_subsets:
                 tick()
                 sys = SphericalSystem(d, base | extra, sigma)
@@ -149,7 +154,14 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
 
     def walk(chosen, basis, start):
         tick()
-        emit(chosen)
+        assignments = _trace_assignments(tuple(cands[k] for k in chosen),
+                                         traces)
+        # Only necessary: every valid system has a consistent assignment and
+        # a superset of inconsistent roots stays inconsistent, so the whole
+        # subtree is dead; a nonempty result proves nothing.
+        if not assignments:
+            return
+        emit(chosen, assignments)
         for k in range(start, m):
             if not all(compat[j][k] for j in chosen):
                 continue
@@ -185,7 +197,7 @@ def verify_catalog(diagram) -> CatalogCheck:
     Systems are matched up to diagram automorphism, so one catalog entry
     accounts for its whole symmetry orbit.
     """
-    d = diagram if isinstance(diagram, Diagram) else parse_diagram(diagram)
+    d = parse_diagram(diagram)
     found = {}
     for s in enumerate_primitive(d):
         found.setdefault(s.canonical_key(), s)

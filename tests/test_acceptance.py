@@ -30,6 +30,13 @@ ENUMERATION_DIAGRAMS = (
     "A1,A1", "A1,A3", "B2,B2", "C3,C3", "G2,G2", "F4,F4",
 )
 
+# Second tier: E types, rank 8 and larger products, with the primitive
+# count the search finds on each.
+SECOND_TIER_COUNTS = {
+    "E6": 6, "E7": 5, "E8": 4, "A8": 6, "B8": 32, "C8": 19, "D8": 20,
+    "F4,G2": 0, "B3,B3": 1, "D4,D4": 1, "E6,A1": 0,
+}
+
 NON_STRICT_FAMILIES = frozenset(
     {"b(n)", "a(p)+b(q)", "ac*(p)+b(q)", "g(2)", "cc(p+q)"})
 
@@ -92,10 +99,26 @@ def test_2_primitive_enumeration_matches_catalog():
     assert counts["G2"] == 4
     assert counts["F4"] == 6
     elapsed = time.perf_counter() - start
-    assert elapsed < 600.0
+    assert elapsed < 60.0
     _report(2, f"exhaustive search equals catalog on all "
                f"{len(ENUMERATION_DIAGRAMS)} diagrams, "
                f"{sum(counts.values())} primitives ({elapsed:.1f}s)")
+
+
+def test_2b_second_tier_enumeration_matches_catalog():
+    start = time.perf_counter()
+    counts = {}
+    for spec in SECOND_TIER_COUNTS:
+        check = search.verify_catalog(spec)
+        assert check.ok, (spec, check.missing, check.extra)
+        assert check.found == check.expected
+        counts[spec] = check.found
+    assert counts == SECOND_TIER_COUNTS
+    elapsed = time.perf_counter() - start
+    _report("2b", f"exhaustive search equals catalog on "
+                  f"{len(SECOND_TIER_COUNTS)} more diagrams (E6-E8, rank 8, "
+                  f"products), {sum(counts.values())} primitives "
+                  f"({elapsed:.1f}s)")
 
 
 def test_3_strictness_partition():

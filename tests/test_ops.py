@@ -144,13 +144,13 @@ class TestDecompose:
 
     def test_product_system_decomposes(self):
         sys = make("A1,C3", {3}, [(2, 0, 0, 0), (0, 1, 2, 1)])
-        assert ops.is_decomposable(sys) is not None
+        assert ops.is_decomposable(sys) == ((0,), (1,))
         assert not ops.is_primitive(sys)
 
     def test_doubled_end_roots_split(self):
         sys = make("A3", set(), [(2, 0, 0), (0, 0, 2)])
         assert ops.decomposes(sys, {0}, {2})
-        assert ops.is_decomposable(sys) is not None
+        assert ops.is_decomposable(sys) == ((0,), (2,))
 
     def test_primitive_small_systems(self):
         assert ops.is_primitive(make("B2", set(), [(1, 1), (0, 2)]))

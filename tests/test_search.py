@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphsys import ops, search
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram
 from sphsys.families import instantiate
+from sphsys.system import SphericalSystem, _matrix_rank
 
 
 class TestCandidateRoots:
@@ -45,6 +50,58 @@ class TestCompatibility:
     def test_doubled_roots_far_apart_ok(self):
         d = parse_diagram("A3")
         assert search._compatible(d, (2, 0, 0), (0, 0, 2))
+
+
+def _vectors(n):
+    return st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def _echelon_case(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(_vectors(n), max_size=6)), draw(_vectors(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_echelon_case())
+def test_try_extend_accepts_exactly_rank_increases(case):
+    rows, w = case
+    basis, kept = [], []
+    for r in rows:
+        nb = search._try_extend(basis, r)
+        if nb is not None:
+            basis, kept = nb, kept + [r]
+    assert len(kept) == _matrix_rank(rows)
+    grows = _matrix_rank(kept + [w]) > _matrix_rank(kept)
+    assert (search._try_extend(basis, w) is not None) == grows
+
+
+class TestBruteForceOracle:
+    """The pruned walk against every root subset times every sp subset."""
+
+    @pytest.mark.parametrize("spec", [
+        "A1", "A2", "A3", "B2", "B3", "C3", "G2",
+        "A1,A1", "A1,A2", "A1,A1,A1", "A1,B2",
+    ])
+    def test_walk_equals_brute_force(self, spec):
+        d = parse_diagram(spec)
+        cands = search.candidate_roots(d)
+        n = d.n_nodes
+        sp_subsets = [frozenset(c) for k in range(n + 1)
+                      for c in itertools.combinations(range(n), k)]
+        oracle = set()
+        for k in range(n + 1):
+            for sigma in itertools.combinations(cands, k):
+                for sp in sp_subsets:
+                    if SphericalSystem(d, sp, sigma).validate().ok:
+                        oracle.add((sp, sigma))
+        found = [(s.sp, s.sigma) for s in search.enumerate_systems(d)]
+        assert len(found) == len(set(found))
+        assert set(found) == oracle
+
+    @pytest.mark.parametrize("spec,count", [("B3", 31), ("A1,B2", 36)])
+    def test_counts(self, spec, count):
+        assert len(search.enumerate_systems(spec)) == count
 
 
 class TestEnumerate:
