@@ -187,7 +187,11 @@ class Diagram:
         return len(self.nodes)
 
     def node_index(self, node) -> int:
-        """Index of a node given as (ci, pos) or a 'ci.pos' string."""
+        """Index of a node given as an index, (ci, pos) or a 'ci.pos' string."""
+        if isinstance(node, int):
+            if 0 <= node < len(self.nodes):
+                return node
+            raise DiagramError(f"no node {node} in {self.spec()}")
         if isinstance(node, str):
             ci, _, pos = node.partition(".")
             node = (int(ci), int(pos))

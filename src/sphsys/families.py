@@ -361,6 +361,7 @@ def _b_ed6():
         (1, 0, 1, 1, 1, 1), (0, 2, 1, 2, 1, 0)])
 
 
+# the two long weights of ef(n), shared with sphsys.tables
 _EF_ROOTS = ((2, 1, 2, 2, 1, 0), (0, 1, 1, 2, 2, 2))
 
 
@@ -685,9 +686,7 @@ def expand_catalog(diagram) -> tuple:
     Two recipes can coincide (a length-2 consecutive-sum head is the same
     root as a length-2 chain sum); the earlier family keeps the entry.
     """
-    if not isinstance(diagram, Diagram):
-        diagram = parse_diagram(diagram)
-    return _expand(diagram)
+    return _expand(parse_diagram(diagram))
 
 
 def classify(sys: SphericalSystem) -> str | None:

@@ -1,16 +1,44 @@
-"""Exact rational feasibility of 'Mx >= 0, x >= 0, some x_i >= 1' systems.
+"""Exact integer linear algebra: rank and the feasibility of
+'Mx >= 0, x >= 0, some x_i >= 1' systems.
 
-Fourier-Motzkin elimination over Fractions; a satisfying point is scaled to
-integers (the system is invariant under scaling by integers >= 1) and
-returned as a certificate, None means infeasible.
+Rank comes from a fraction-free echelon step.  Feasibility is Fourier-
+Motzkin elimination on integer rows, each new row divided by the gcd of its
+coefficients and constant; a satisfying point is found by rational
+back-substitution, scaled to integers (the system is invariant under
+scaling by integers >= 1) and returned as a certificate, None means
+infeasible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from sphsys.budget import BudgetExceeded, max_states
+
+
+def echelon_extend(basis, w):
+    """Fraction-free echelon step; returns the new basis or None if w is
+    dependent.  Stored rows are divided by their content to stay small."""
+    v = list(w)
+    for pivot, row in basis:
+        a = v[pivot]
+        if a:
+            b = row[pivot]
+            v = [b * x - a * y for x, y in zip(v, row)]
+    for i, c in enumerate(v):
+        if c:
+            g = gcd(*v)
+            return basis + [(i, [x // g for x in v])]
+    return None
+
+
+def rank(rows) -> int:
+    """Rank over Q of a sequence of integer vectors."""
+    basis = []
+    for r in rows:
+        basis = echelon_extend(basis, r) or basis
+    return len(basis)
 
 
 def feasible_nonneg(rows, n_vars: int, strict=()):
@@ -26,11 +54,9 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
     # substitute x = y + shift: rows become  row.y >= -row.shift,  y >= 0
     system = []
     for r in rows:
-        const = -sum(a * s for a, s in zip(r, shift))
-        system.append((tuple(Fraction(a) for a in r), Fraction(const)))
+        system.append((tuple(r), -sum(a * s for a, s in zip(r, shift))))
     for i in range(n_vars):
-        unit = tuple(Fraction(int(j == i)) for j in range(n_vars))
-        system.append((unit, Fraction(0)))
+        system.append((tuple(int(j == i) for j in range(n_vars)), 0))
 
     cap = max_states()
     stages = []
@@ -38,17 +64,23 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
         stages.append(system)
         pos = [row for row in system if row[0][var] > 0]
         neg = [row for row in system if row[0][var] < 0]
-        zero = [row for row in system if row[0][var] == 0]
-        new = list(zero)
+        new = [row for row in system if row[0][var] == 0]
+        # check before combining: the product can be the cap squared
+        size = len(new) + len(pos) * len(neg)
+        if size > cap:
+            raise BudgetExceeded(
+                f"elimination would produce {size} rows (cap {cap})")
         for pc, pb in pos:
             for nc, nb in neg:
                 mp, mn = -nc[var], pc[var]
-                coeffs = tuple(mp * a + mn * b for a, b in zip(pc, nc))
-                new.append((coeffs, mp * pb + mn * nb))
-        if len(new) > cap:
-            raise BudgetExceeded(
-                f"elimination produced {len(new)} rows (cap {cap})")
-        system = _drop_redundant(new, var + 1, n_vars)
+                coeffs = [mp * a + mn * b for a, b in zip(pc, nc)]
+                const = mp * pb + mn * nb
+                g = gcd(*coeffs, const)
+                if g > 1:
+                    coeffs = [a // g for a in coeffs]
+                    const //= g
+                new.append((tuple(coeffs), const))
+        system = _drop_redundant(new, var + 1)
 
     if any(b > 0 for _c, b in system):
         return None
@@ -62,7 +94,7 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
             if c > 0:
                 rest = sum(a * y[j] for j, a in enumerate(coeffs)
                            if j != var and a)
-                bound = (const - rest) / c
+                bound = Fraction(const - rest, c)
                 if bound > lo:
                     lo = bound
         y[var] = lo
@@ -71,9 +103,10 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
     return tuple(int(v * scale) for v in x)
 
 
-def _drop_redundant(rows, start, n_vars):
-    """Discard exact duplicates: rows equal on the variables not yet
-    eliminated and in the constant."""
+def _drop_redundant(rows, start):
+    """Discard duplicates: rows equal on the variables not yet eliminated
+    and in the constant.  Rows are gcd-normalised, so this also drops
+    positive multiples."""
     seen = set()
     out = []
     for coeffs, const in rows:

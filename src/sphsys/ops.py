@@ -1,8 +1,8 @@
 """Operations of the combinatorial dictionary on spherical systems.
 
-Everything here is exact: feasibility questions go through rational
-elimination and quotient monoids through Hilbert bases.  Quotient systems
-are constructed and validated, never assumed valid.
+Everything here is exact: feasibility questions go through integer
+Fourier-Motzkin elimination and quotient monoids through Hilbert bases.
+Quotient systems are constructed and validated, never assumed valid.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ def induced_diagram(d: Diagram, keep):
     The subset of a finite-type diagram is again one; its connected pieces
     are classified and relabelled in Bourbaki order.
     """
-    keep = sorted(d.node_index(a) if not isinstance(a, int) else a
-                  for a in keep)
+    keep = sorted(d.node_index(a) for a in keep)
     keepset = set(keep)
     pieces = []
     todo = set(keep)
@@ -53,8 +52,7 @@ def induced_diagram(d: Diagram, keep):
 def localize(sys: SphericalSystem, keep) -> SphericalSystem:
     """Restrict to the induced subdiagram, keeping roots supported inside."""
     d = sys.diagram
-    keep = frozenset(d.node_index(a) if not isinstance(a, int) else a
-                     for a in keep)
+    keep = frozenset(d.node_index(a) for a in keep)
     sub, node_map = induced_diagram(d, keep)
     sigma = []
     for g in sys.sigma:

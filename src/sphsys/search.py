@@ -12,13 +12,13 @@ members the family catalog predicts on the same diagram.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from . import ops
 from .budget import BudgetExceeded, max_states
 from .dynkin import parse_diagram
 from .families import expand_catalog
+from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
 from .system import SphericalSystem
 
@@ -60,23 +60,6 @@ def _compatible(d, w1, w2) -> bool:
             if d.pairing_weight(pair[0], b) != d.pairing_weight(pair[1], b):
                 return False
     return True
-
-
-def _try_extend(basis, w):
-    """Fraction-free echelon step; returns the new basis or None if w is
-    dependent.  Stored rows are divided by their content to stay small."""
-    # Only necessary: independence is one axiom, validate() checks the rest.
-    v = list(w)
-    for pivot, row in basis:
-        a = v[pivot]
-        if a:
-            b = row[pivot]
-            v = [b * x - a * y for x, y in zip(v, row)]
-    for i, c in enumerate(v):
-        if c:
-            g = gcd(*v)
-            return basis + [(i, [x // g for x in v])]
-    return None
 
 
 def _trace_assignments(sigma, traces):
@@ -165,7 +148,9 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
         for k in range(start, m):
             if not all(compat[j][k] for j in chosen):
                 continue
-            nb = _try_extend(basis, cands[k])
+            # Only necessary: independence is one axiom, validate() checks
+            # the rest.
+            nb = echelon_extend(basis, cands[k])
             if nb is None:
                 continue
             walk(chosen + [k], nb, k + 1)

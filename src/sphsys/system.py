@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 from sphsys import rankone
-from sphsys.dynkin import Diagram, support
+from sphsys.dynkin import Diagram, parse_diagram, support
+from sphsys.feasible import rank
 
 
 @dataclass(frozen=True)
@@ -59,37 +60,13 @@ class ValidationReport:
         }
 
 
-def _matrix_rank(rows) -> int:
-    """Rank over Q by fraction-free elimination."""
-    m = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(m) and col < cols:
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        a = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            b = m[r][col]
-            if b:
-                m[r] = [a * x - b * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 class SphericalSystem:
     __slots__ = ("diagram", "sp", "sigma", "_cache")
 
     def __init__(self, diagram, sp=(), sigma=(), check_independent=True):
-        if not isinstance(diagram, Diagram):
-            diagram = Diagram(diagram)
+        diagram = parse_diagram(diagram)
         object.__setattr__(self, "diagram", diagram)
-        spx = frozenset(diagram.node_index(a) if not isinstance(a, int) else a
-                        for a in sp)
+        spx = frozenset(diagram.node_index(a) for a in sp)
         object.__setattr__(self, "sp", spx)
         sig = []
         for w in sigma:
@@ -186,7 +163,7 @@ class SphericalSystem:
                      "nodes": [d.node_id(i) for i in bad]})
 
         if self._cache["check_independent"] and self.sigma:
-            rep.dependent = _matrix_rank(self.sigma) < len(self.sigma)
+            rep.dependent = rank(self.sigma) < len(self.sigma)
 
         self._cache["report"] = rep
         return rep
@@ -233,16 +210,22 @@ class SphericalSystem:
         return tuple(out)
 
     def rho(self, colour: Colour, gamma) -> int:
-        """Value of the colour's functional on a weight."""
+        """Value of the colour's functional on a weight.
+
+        Raises ValueError when it is not one integer: colour members pairing
+        unequally, or a doubled colour pairing oddly (only on systems that
+        break a pairwise axiom)."""
         d = self.diagram
         vals = set()
         for a in colour.nodes:
             v = d.pairing_weight(a, gamma)
             if colour.doubled:
-                assert v % 2 == 0, "half-pairing must be integral"
-                v //= 2
+                v = None if v % 2 else v // 2
             vals.add(v)
-        assert len(vals) == 1, "colour members must pair equally"
+        if len(vals) != 1 or None in vals:
+            nodes = ", ".join(d.node_id(i) for i in sorted(colour.nodes))
+            raise ValueError(f"colour {{{nodes}}} does not pair to one "
+                             f"integer with root {list(gamma)}")
         return vals.pop()
 
     @property

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 from .dynkin import Diagram, parse_diagram
 from . import rankone
+from .families import _EF_ROOTS, _need
 from .system import SphericalSystem, support
 
 
@@ -44,11 +45,6 @@ def _humps(n, count):
     """Weights 1,2,1 on (2k-1, 2k, 2k+1) for k = 1..count."""
     return [_w(n, {2 * k - 1: 1, 2 * k: 2, 2 * k + 1: 1})
             for k in range(1, count + 1)]
-
-
-def _need(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
 
 
 # -- restricted root bases of involutions -------------------------------------
@@ -198,13 +194,11 @@ _E6 = parse_diagram("E6")
 _E7 = parse_diagram("E7")
 _E8 = parse_diagram("E8")
 
-# The two long weights shared by the rank-2 restricted systems on E6 and,
-# zero-padded, by their extensions on E7 and E8.
-_E_LONG = ((2, 1, 2, 2, 1, 0), (0, 1, 1, 2, 2, 2))
-
 
 def _e_long(n):
-    return tuple(w + (0,) * (n - 6) for w in _E_LONG)
+    """The long weights shared by the rank-2 restricted systems on E6 and,
+    zero-padded, by their extensions on E7 and E8."""
+    return tuple(w + (0,) * (n - 6) for w in _EF_ROOTS)
 
 
 SYMMETRIC = (
@@ -396,7 +390,7 @@ class OrbitDims(NamedTuple):
 
 
 def _checked(diagram, characteristic):
-    d = diagram if isinstance(diagram, Diagram) else parse_diagram(diagram)
+    d = parse_diagram(diagram)
     char = tuple(int(c) for c in characteristic)
     if len(char) != d.n_nodes:
         raise ValueError(f"characteristic length {len(char)} != "

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import sys
 import pytest
 
 from sphsys import cli, families, render
+from sphsys.dynkin import parse_diagram
+from sphsys.system import SphericalSystem
 
 
 @pytest.fixture
@@ -47,6 +50,28 @@ class TestPlumbing:
         status, out = run_json(capsys, ["validate", "--system", str(path)])
         assert status == 1
         assert out["error"]["kind"] == "domain"
+
+    def test_unequal_colour_pairing_is_domain_error(self, capsys,
+                                                   monkeypatch):
+        # a1+a3 joins a1 and a3 in one colour, which pairs 1 and -1 with
+        # a1+a2: the orthogonal-pair axiom fails and rho is undefined
+        data = SphericalSystem(parse_diagram("A3"), (), [
+            (1, 1, 0), (0, 1, 1), (1, 0, 1)]).to_json()
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        status, out = run_json(capsys, ["colours"])
+        assert status == 1
+        assert out["error"]["kind"] == "domain"
+        assert "{0.1, 0.3}" in out["error"]["message"]
+        assert "[1, 1, 0]" in out["error"]["message"]
+
+    def test_out_of_range_node_is_domain_error(self, capsys, monkeypatch):
+        data = SphericalSystem(parse_diagram("B3")).to_json()
+        data["sp"] = [99]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        status, out = run_json(capsys, ["validate"])
+        assert status == 1
+        assert out["error"]["kind"] == "domain"
+        assert "99" in out["error"]["message"]
 
     def test_stdin_roundtrip(self, system_file):
         raw = open(system_file("aa(p,p)", p=1)).read()

@@ -1,7 +1,16 @@
-import pytest
+import itertools
+import random
+import tracemalloc
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sphsys import ops
 from sphsys.budget import BudgetExceeded
-from sphsys.feasible import feasible_nonneg
+from sphsys.families import expand_catalog
+from sphsys.feasible import echelon_extend, feasible_nonneg, rank
 
 
 def check(rows, n, strict=()):
@@ -58,17 +67,35 @@ def test_budget_fault(monkeypatch):
         feasible_nonneg(rows, 3, strict={0, 1, 2})
 
 
+def test_budget_trips_before_building_rows(monkeypatch):
+    # 600 x 600 row pairs on the first variable: the cap must stop the
+    # elimination before the 360 000 combinations exist
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "1000")
+    rows = [(s, k) for s in (1, -1) for k in range(600)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            feasible_nonneg(rows, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 def test_randomized_against_scan():
-    # tiny instances double-checked against a dense grid scan
-    import itertools
-    import random
+    # tiny instances double-checked against a dense grid scan; adding
+    # positive multiples of rows must not change the certificate
     rng = random.Random(7)
+    scale_rng = random.Random(8)
     for _ in range(300):
         n = rng.randint(1, 3)
         rows = [tuple(rng.randint(-3, 3) for _ in range(n))
                 for _ in range(rng.randint(1, 3))]
         strict = {i for i in range(n) if rng.random() < 0.5}
         got = check(rows, n, strict)
+        multiples = [tuple(k * a for a in scale_rng.choice(rows))
+                     for k in (scale_rng.randint(2, 4), 1)]
+        assert check(rows + multiples, n, strict) == got, (rows, multiples)
         grid_hit = None
         for pt in itertools.product(range(0, 7), repeat=n):
             if any(pt[i] < 1 for i in strict):
@@ -79,3 +106,69 @@ def test_randomized_against_scan():
         if got is None:
             # any grid point would certify feasibility
             assert grid_hit is None, (rows, strict, grid_hit)
+
+
+# Certificates of the former Fraction elimination, pinned so that a change
+# to the elimination that alters certificates fails: (diagram, catalog
+# label) -> ({colour subset: distinguished witness}, affine witness).
+PINNED_WITNESSES = {
+    ("B3", "bo(2+1)"): ({(0, 1, 2): (2, 3, 2)}, (5, 8, 9)),
+    ("B3", "bc*(3)"): ({(1, 2): (2, 1), (0,): None}, None),
+    ("F4", "fo(4)"): ({(0, 1, 2, 3): (2, 4, 3, 2)}, (8, 15, 21, 11)),
+    ("F4", "fc*(4)"): ({(1, 2, 3): (2, 1, 1), (0, 1, 2, 3): (1, 2, 1, 1)},
+                       None),
+    ("E6", "eo(6)"): ({(0, 1, 2, 3, 4, 5): (2, 2, 3, 4, 3, 2)},
+                      (8, 11, 15, 21, 15, 8)),
+    ("E6", "ec*(6)"): ({(0, 2, 3, 4, 5): (1, 1, 2, 1, 1),
+                        (0, 1, 2, 3, 4, 5): (1, 1, 1, 2, 1, 1)}, None),
+}
+
+
+@pytest.mark.parametrize("spec,label", sorted(PINNED_WITNESSES))
+def test_pinned_catalog_witnesses(spec, label):
+    sys = {e.label: e.system for e in expand_catalog(spec)}[label]
+    dist, affine = PINNED_WITNESSES[spec, label]
+    for subset, witness in dist.items():
+        assert ops.distinguished_witness(sys, subset) == witness, subset
+    assert ops.affine_witness(sys) == affine
+
+
+def _reference_rank(rows):
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col] / m[r][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _vectors(n):
+    return st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def _echelon_case(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(_vectors(n), max_size=6)), draw(_vectors(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_echelon_case())
+def test_echelon_extend_accepts_exactly_rank_increases(case):
+    rows, w = case
+    basis, kept = [], []
+    for r in rows:
+        nb = echelon_extend(basis, r)
+        if nb is not None:
+            basis, kept = nb, kept + [r]
+    assert rank(rows) == len(kept) == _reference_rank(rows)
+    grows = _reference_rank(kept + [w]) > len(kept)
+    assert (echelon_extend(basis, w) is not None) == grows

@@ -1,14 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sphsys import ops, search
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram
 from sphsys.families import instantiate
-from sphsys.system import SphericalSystem, _matrix_rank
+from sphsys.system import SphericalSystem
 
 
 class TestCandidateRoots:
@@ -50,30 +48,6 @@ class TestCompatibility:
     def test_doubled_roots_far_apart_ok(self):
         d = parse_diagram("A3")
         assert search._compatible(d, (2, 0, 0), (0, 0, 2))
-
-
-def _vectors(n):
-    return st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
-
-
-@st.composite
-def _echelon_case(draw):
-    n = draw(st.integers(1, 5))
-    return draw(st.lists(_vectors(n), max_size=6)), draw(_vectors(n))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_echelon_case())
-def test_try_extend_accepts_exactly_rank_increases(case):
-    rows, w = case
-    basis, kept = [], []
-    for r in rows:
-        nb = search._try_extend(basis, r)
-        if nb is not None:
-            basis, kept = nb, kept + [r]
-    assert len(kept) == _matrix_rank(rows)
-    grows = _matrix_rank(kept + [w]) > _matrix_rank(kept)
-    assert (search._try_extend(basis, w) is not None) == grows
 
 
 class TestBruteForceOracle:
