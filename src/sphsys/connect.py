@@ -3,16 +3,16 @@
 A spherical root sees another through the colours sitting on its support;
 chains of mutual visibility cut the root set into components.  How such a
 component can be quotiented away (smoothly, validly, or by splitting the
-underlying diagram) is what the enumeration uses to discard glueings that
-can only produce decomposable systems.
+underlying diagram) singles out glueings that can only produce
+decomposable systems.  The CLI's ``components`` subcommand reports this
+analysis; the exhaustive search in sphsys.search does not use it.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .dynkin import support
-from .ops import decomposes, distinguished_witness, induced_diagram, quotient
-from .system import SphericalSystem
+from .dynkin import pieces, support
+from .ops import decomposes, distinguished_witness, localize, quotient
 
 __all__ = [
     "ComponentAnalysis",
@@ -41,21 +41,9 @@ def strongly_adjacent(sys, gamma1, gamma2) -> bool:
 def components(sys) -> tuple:
     """Partition of the spherical roots by chains of strong adjacency."""
     sigma = sys.sigma
-    parent = list(range(len(sigma)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in combinations(range(len(sigma)), 2):
-        if strongly_adjacent(sys, sigma[i], sigma[j]):
-            parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(sigma)):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sigma[i] for i in g) for g in sorted(groups.values()))
+    groups = pieces(range(len(sigma)),
+                    lambda i, j: strongly_adjacent(sys, sigma[i], sigma[j]))
+    return tuple(tuple(sigma[i] for i in sorted(g)) for g in groups)
 
 
 def delta_of(sys, roots) -> tuple:
@@ -82,25 +70,12 @@ class ComponentAnalysis:
 def _isolated(sys, roots):
     # the two support halves must carve the colours in two, and the halves
     # must decompose the system localized at the whole spherical support
-    supp_all = sys.sigma_support
-    supp1 = set()
-    for g in roots:
-        supp1 |= support(g)
-    supp2 = supp_all - supp1
-    if not supp1 or not supp2:
+    core = localize(sys, sys.sigma_support)
+    side1 = frozenset().union(*(support(h) for g, h in
+                                zip(sys.sigma, core.sigma) if g in roots))
+    side2 = core.sigma_support - side1
+    if not side1 or not side2:
         return False
-    sub, node_map = induced_diagram(sys.diagram, supp_all)
-    sigma = []
-    for g in sys.sigma:
-        w = [0] * sub.n_nodes
-        for i, c in enumerate(g):
-            if c:
-                w[node_map[i]] = c
-        sigma.append(tuple(w))
-    core = SphericalSystem(sub, {node_map[i] for i in sys.sp & supp_all},
-                           sigma)
-    side1 = {node_map[i] for i in supp1}
-    side2 = {node_map[i] for i in supp2}
     d1, d2 = [], []
     for i, c in enumerate(core.colours):
         if c.nodes <= side1:
@@ -115,8 +90,13 @@ def _isolated(sys, roots):
 
 
 def classify_component(sys, roots) -> ComponentAnalysis:
-    """Erasability flags of a subset of spherical roots within the system."""
+    """Erasability flags of a subset of spherical roots within the system.
+
+    Raises ValueError on a weight that is not one of the system's roots."""
     roots = tuple(tuple(g) for g in roots)
+    stray = [list(g) for g in roots if g not in sys.sigma]
+    if stray:
+        raise ValueError(f"not spherical roots of the system: {stray}")
     dlt = delta_of(sys, roots)
     erasable = quasi = False
     for r in range(1, len(dlt) + 1):
@@ -136,7 +116,8 @@ def lemma_erasable_prunes(sys, roots1, roots2) -> bool:
     """Disjoint subsets, both quasi-erasable, at least one erasable.
 
     When this holds the whole system decomposes along the two colour
-    subsets, so a search for indecomposable systems may skip it.
+    subsets, so a search for indecomposable systems could skip it;
+    sphsys.search does not call it.
     """
     r1 = tuple(tuple(g) for g in roots1)
     r2 = tuple(tuple(g) for g in roots2)

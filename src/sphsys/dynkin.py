@@ -245,9 +245,6 @@ class Diagram:
     def orthogonal(self, i: int, j: int) -> bool:
         return i != j and self.cartan[i][j] == 0
 
-    def simple_weight(self, i: int) -> tuple[int, ...]:
-        return tuple(int(k == i) for k in range(self.n_nodes))
-
     @property
     def symmetrizers(self) -> tuple[Fraction, ...]:
         """Positive weights d_i making (d_i * cartan[i][j]) symmetric.
@@ -364,12 +361,21 @@ def support(w) -> frozenset:
     return frozenset(i for i, c in enumerate(w) if c)
 
 
-def add_weights(a, b) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale_weight(k: int, w) -> tuple[int, ...]:
-    return tuple(k * x for x in w)
+def pieces(items, linked) -> list[set]:
+    """Connected pieces of items under a symmetric relation linked(a, b),
+    as sets in the order of their first item."""
+    left, out = list(items), []
+    while left:
+        piece, todo = {left[0]}, [left[0]]
+        while todo:
+            a = todo.pop()
+            for b in left:
+                if b not in piece and linked(a, b):
+                    piece.add(b)
+                    todo.append(b)
+        left = [b for b in left if b not in piece]
+        out.append(piece)
+    return out
 
 
 @lru_cache(maxsize=None)

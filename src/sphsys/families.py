@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .dynkin import Diagram, parse_diagram
+from .dynkin import Diagram, DiagramError, parse_diagram
 from .system import SphericalSystem
 
 
@@ -670,7 +670,9 @@ def _expand(d: Diagram) -> tuple:
     for fam in CATALOG:
         for params in fam.space(d):
             sys = fam.build(**params)
-            assert sys.diagram == d, fam.name
+            if sys.diagram != d:
+                raise DiagramError(f"family {fam.name} built a system on "
+                                   f"{sys.diagram.spec()}, not {d.spec()}")
             key = sys.canonical_key()
             if key in seen:
                 continue

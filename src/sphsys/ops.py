@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from sphsys import rankone
-from sphsys.dynkin import Diagram, support
+from sphsys.dynkin import Diagram, DiagramError, pieces, support
 from sphsys.feasible import feasible_nonneg
 from sphsys.hilbert import hilbert_basis
 from sphsys.system import SphericalSystem
@@ -23,27 +23,17 @@ def induced_diagram(d: Diagram, keep):
     are classified and relabelled in Bourbaki order.
     """
     keep = sorted(d.node_index(a) for a in keep)
-    keepset = set(keep)
-    pieces = []
-    todo = set(keep)
-    while todo:
-        comp = {todo.pop()}
-        grew = True
-        while grew:
-            grew = False
-            for i in list(comp):
-                for j in keepset:
-                    if j not in comp and d.adjacent(i, j):
-                        comp.add(j)
-                        grew = True
-        todo -= comp
-        shapes = rankone._classify_segment(d, frozenset(comp))
-        assert shapes, "subset of a Dynkin diagram must classify"
-        pieces.append(shapes[0])
-    pieces.sort(key=lambda s: (s[0], s[1], s[2]))
-    sub = Diagram([(fam, rank) for fam, rank, _ in pieces])
+    shapes = []
+    for comp in pieces(keep, d.adjacent):
+        found = rankone._classify_segment(d, frozenset(comp))
+        if not found:
+            raise DiagramError(f"nodes {sorted(comp)} of {d.spec()} "
+                               "do not form a Dynkin diagram")
+        shapes.append(found[0])
+    shapes.sort(key=lambda s: (s[0], s[1], s[2]))
+    sub = Diagram([(fam, rank) for fam, rank, _ in shapes])
     node_map = {}
-    for ci, (_f, _r, order) in enumerate(pieces):
+    for ci, (_f, _r, order) in enumerate(shapes):
         for pos, old in enumerate(order, start=1):
             node_map[old] = sub.node_index((ci, pos))
     return sub, node_map
@@ -82,8 +72,13 @@ def _subset_rows(sys, subset):
 
 def distinguished_witness(sys: SphericalSystem, subset):
     """Positive integer colour multiplicities phi with <rho(phi), gamma> >= 0
-    for every spherical root, or None."""
+    for every spherical root, or None.  Raises ValueError on a colour index
+    the system does not have."""
     subset = tuple(sorted(subset))
+    n = len(sys.colours)
+    for c in subset:
+        if not 0 <= c < n:
+            raise ValueError(f"no colour D{c}: the system has {n} colour(s)")
     if not subset:
         return ()
     rows = _subset_rows(sys, subset)
@@ -201,22 +196,9 @@ def _splits(sys, s1, s2) -> bool:
     # Each connected piece of the subdiagram spanned by the two enlarged
     # parabolic sets must lie on one side: a chain through shared sp nodes
     # couples the factors just as a direct edge would.
-    union = sys.sp | add1 | add2
-    seen = set()
-    for start in add1:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in union:
-                if j not in comp and d.adjacent(i, j):
-                    comp.add(j)
-                    queue.append(j)
-        if comp & add2:
-            return False
-        seen |= comp
+    if any(p & add1 and p & add2
+           for p in pieces(sorted(sys.sp | add1 | add2), d.adjacent)):
+        return False
     return (_quotient(sys, tuple(sorted(s1))).smooth
             or _quotient(sys, tuple(sorted(s2))).smooth)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from sphsys.dynkin import Diagram, support
-from sphsys.system import SphericalSystem
+from sphsys.system import SphericalSystem, doubled_node
 
 __all__ = ["DiagramScene", "build_scene", "render_text", "render_svg",
            "render_diagram_text", "render_diagram_svg"]
@@ -124,10 +124,7 @@ def _layout(d: Diagram):
 def build_scene(sys: SphericalSystem) -> DiagramScene:
     d = sys.diagram
     nodes, edges = _layout(d)
-    sigma = set(sys.sigma)
-    doubled_nodes = {i for i in range(d.n_nodes)
-                     if tuple(2 * int(k == i) for k in range(d.n_nodes))
-                     in sigma}
+    doubled_nodes = {doubled_node(g) for g in sys.sigma}
 
     colour_at = {}
     for c_idx, col in enumerate(sys.colours):

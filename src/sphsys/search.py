@@ -20,7 +20,7 @@ from .dynkin import parse_diagram
 from .families import expand_catalog
 from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
-from .system import SphericalSystem
+from .system import SphericalSystem, doubled_node, orthogonal_pair
 
 
 def candidate_roots(diagram) -> tuple:
@@ -29,33 +29,18 @@ def candidate_roots(diagram) -> tuple:
     return tuple(sorted({w for _, w, _ in rank1_embeddings(d)}))
 
 
-def _doubled_node(w):
-    supp = [i for i, c in enumerate(w) if c]
-    if len(supp) == 1 and w[supp[0]] == 2:
-        return supp[0]
-    return None
-
-
-def _orthogonal_pair(d, w):
-    supp = [i for i, c in enumerate(w) if c]
-    if (len(supp) == 2 and w[supp[0]] == 1 and w[supp[1]] == 1
-            and d.orthogonal(supp[0], supp[1])):
-        return supp
-    return None
-
-
 def _compatible(d, w1, w2) -> bool:
     """Pairwise necessary conditions: halved pairings against a doubled
     root stay nonpositive integers, and the two halves of an orthogonal
     pair root pair equally with everything."""
     # Only necessary: it sees two roots at a time, validate() sees the set.
     for a, b in ((w1, w2), (w2, w1)):
-        i = _doubled_node(a)
+        i = doubled_node(a)
         if i is not None and b != a:
             s = d.pairing_weight(i, b)
             if s > 0 or s % 2:
                 return False
-        pair = _orthogonal_pair(d, a)
+        pair = orthogonal_pair(d, a)
         if pair is not None:
             if d.pairing_weight(pair[0], b) != d.pairing_weight(pair[1], b):
                 return False

@@ -4,7 +4,11 @@ A system is a triple (diagram, sp, sigma) where sp is a set of nodes and
 sigma a sequence of weights.  Validation checks the two pairwise axioms on
 sigma, rank-one realizability of every root against the table in
 sphsys.rankone, that no root is simple, that roots are distinct, and linear
-independence (on by default, opt out per call site via check_independent).
+independence.
+
+The axioms single out three root shapes: a simple root alpha_i, a doubled
+root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
+doubled_node and orthogonal_pair recognise them for the whole package.
 """
 
 from __future__ import annotations
@@ -13,8 +17,35 @@ import json
 from dataclasses import dataclass, field
 
 from sphsys import rankone
-from sphsys.dynkin import Diagram, parse_diagram, support
+from sphsys.dynkin import Diagram, parse_diagram, pieces, support
 from sphsys.feasible import rank
+
+
+def _lone_node(w, coefficient):
+    supp = [i for i, c in enumerate(w) if c]
+    if len(supp) == 1 and w[supp[0]] == coefficient:
+        return supp[0]
+    return None
+
+
+def simple_node(w):
+    """i when w is the simple root alpha_i, else None."""
+    return _lone_node(w, 1)
+
+
+def doubled_node(w):
+    """i when w is the doubled root 2*alpha_i, else None."""
+    return _lone_node(w, 2)
+
+
+def orthogonal_pair(d: Diagram, w):
+    """(i, j), i < j, when w is alpha_i + alpha_j for orthogonal nodes,
+    else None."""
+    supp = [i for i, c in enumerate(w) if c]
+    if (len(supp) == 2 and w[supp[0]] == 1 and w[supp[1]] == 1
+            and d.orthogonal(*supp)):
+        return tuple(supp)
+    return None
 
 
 @dataclass(frozen=True)
@@ -39,7 +70,6 @@ class ValidationReport:
     simple_roots: list = field(default_factory=list)
     duplicates: list = field(default_factory=list)
     dependent: bool = False
-    independence_checked: bool = True
 
     @property
     def ok(self) -> bool:
@@ -56,14 +86,13 @@ class ValidationReport:
             "simple_roots": self.simple_roots,
             "duplicates": self.duplicates,
             "dependent": self.dependent,
-            "independence_checked": self.independence_checked,
         }
 
 
 class SphericalSystem:
     __slots__ = ("diagram", "sp", "sigma", "_cache")
 
-    def __init__(self, diagram, sp=(), sigma=(), check_independent=True):
+    def __init__(self, diagram, sp=(), sigma=()):
         diagram = parse_diagram(diagram)
         object.__setattr__(self, "diagram", diagram)
         spx = frozenset(diagram.node_index(a) for a in sp)
@@ -76,10 +105,14 @@ class SphericalSystem:
                     t[diagram.node_index(nd)] = int(c)
                 sig.append(tuple(t))
             else:
-                sig.append(tuple(int(c) for c in w))
+                t = tuple(int(c) for c in w)
+                if len(t) != diagram.n_nodes:
+                    raise ValueError(
+                        f"root {list(t)} has {len(t)} coefficients, but "
+                        f"{diagram.spec()} has {diagram.n_nodes} nodes")
+                sig.append(t)
         object.__setattr__(self, "sigma", tuple(sig))
-        object.__setattr__(self, "_cache",
-                           {"check_independent": bool(check_independent)})
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SphericalSystem is immutable")
@@ -104,8 +137,7 @@ class SphericalSystem:
         if "report" in self._cache:
             return self._cache["report"]
         d = self.diagram
-        rep = ValidationReport(
-            independence_checked=self._cache["check_independent"])
+        rep = ValidationReport()
 
         seen = {}
         for k, g in enumerate(self.sigma):
@@ -114,18 +146,14 @@ class SphericalSystem:
                                        [seen[g], k]})
             seen.setdefault(g, k)
 
-        simples = {d.simple_weight(i) for i in range(d.n_nodes)}
         for g in self.sigma:
-            if g in simples:
+            if simple_node(g) is not None:
                 rep.simple_roots.append({"gamma": list(g)})
 
-        doubled = [i for i in range(d.n_nodes)
-                   if tuple(2 * int(k == i) for k in range(d.n_nodes))
-                   in seen]
-        for i in doubled:
-            two_ai = tuple(2 * int(k == i) for k in range(d.n_nodes))
-            for g in self.sigma:
-                if g == two_ai:
+        doubled = [doubled_node(g) for g in self.sigma]
+        for i in sorted(set(doubled) - {None}):
+            for g, j in zip(self.sigma, doubled):
+                if j == i:
                     continue
                 v = d.pairing_weight(i, g)
                 if v % 2 or v > 0:
@@ -134,10 +162,9 @@ class SphericalSystem:
                          "pairing": v})
 
         for g in self.sigma:
-            sup = sorted(support(g))
-            if (len(sup) == 2 and g[sup[0]] == 1 and g[sup[1]] == 1
-                    and d.orthogonal(*sup)):
-                i, j = sup
+            pair = orthogonal_pair(d, g)
+            if pair is not None:
+                i, j = pair
                 for h in self.sigma:
                     vi, vj = d.pairing_weight(i, h), d.pairing_weight(j, h)
                     if vi != vj:
@@ -162,7 +189,7 @@ class SphericalSystem:
                     {"gamma": list(g), "reason": "parabolic-pairing",
                      "nodes": [d.node_id(i) for i in bad]})
 
-        if self._cache["check_independent"] and self.sigma:
+        if self.sigma:
             rep.dependent = rank(self.sigma) < len(self.sigma)
 
         self._cache["report"] = rep
@@ -182,32 +209,12 @@ class SphericalSystem:
 
     def _build_colours(self):
         d = self.diagram
+        joined = {orthogonal_pair(d, g) for g in self.sigma}
+        doubled = {doubled_node(g) for g in self.sigma}
         active = [i for i in range(d.n_nodes) if i not in self.sp]
-        parent = {i: i for i in active}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        sig = set(self.sigma)
-        for i in active:
-            for j in active:
-                if j > i and d.orthogonal(i, j):
-                    w = tuple(int(k in (i, j)) for k in range(d.n_nodes))
-                    if w in sig:
-                        parent[find(i)] = find(j)
-        classes: dict[int, set] = {}
-        for i in active:
-            classes.setdefault(find(i), set()).add(i)
-        out = []
-        for members in classes.values():
-            rep0 = min(members)
-            w2 = tuple(2 * int(k == rep0) for k in range(d.n_nodes))
-            out.append(Colour(frozenset(members), w2 in sig))
-        out.sort(key=lambda c: c.rep())
-        return tuple(out)
+        classes = pieces(active,
+                         lambda i, j: (min(i, j), max(i, j)) in joined)
+        return tuple(Colour(frozenset(c), min(c) in doubled) for c in classes)
 
     def rho(self, colour: Colour, gamma) -> int:
         """Value of the colour's functional on a weight.
@@ -271,8 +278,7 @@ class SphericalSystem:
         d = self.diagram
         return SphericalSystem(
             d, frozenset(perm[i] for i in self.sp),
-            tuple(d.permute_weight(perm, g) for g in self.sigma),
-            check_independent=self._cache["check_independent"])
+            tuple(d.permute_weight(perm, g) for g in self.sigma))
 
     def canonical_key(self):
         """Smallest (sp, sigma) over all diagram automorphisms."""
@@ -303,5 +309,8 @@ class SphericalSystem:
     def from_json(cls, data) -> "SphericalSystem":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict) or "diagram" not in data:
+            raise ValueError('a system must be a JSON object with a '
+                             '"diagram" key')
         d = Diagram.from_json(data["diagram"])
         return cls(d, data.get("sp", ()), data.get("sigma", ()))

@@ -73,6 +73,23 @@ class TestPlumbing:
         assert out["error"]["kind"] == "domain"
         assert "99" in out["error"]["message"]
 
+    def test_top_level_list_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2]"))
+        status, out = run_json(capsys, ["validate"])
+        assert status == 1
+        assert out["error"]["kind"] == "domain"
+        assert "diagram" in out["error"]["message"]
+
+    def test_wrong_length_weight_is_domain_error(self, capsys, monkeypatch):
+        data = SphericalSystem(parse_diagram("B3")).to_json()
+        data["sigma"] = [[1, 1]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        status, out = run_json(capsys, ["validate"])
+        assert status == 1
+        assert out["error"]["kind"] == "domain"
+        assert "[1, 1]" in out["error"]["message"]
+        assert "3 nodes" in out["error"]["message"]
+
     def test_stdin_roundtrip(self, system_file):
         raw = open(system_file("aa(p,p)", p=1)).read()
         proc = subprocess.run(
@@ -129,6 +146,15 @@ class TestOperations:
             capsys, ["quotient", "--system", path, "--colours", "D0"])
         assert status == 1
         assert "distinguished" in out["error"]["message"]
+
+    def test_quotient_rejects_unknown_colour(self, capsys, system_file):
+        status, out = run_json(
+            capsys, ["quotient", "--system", system_file("b(n)", n=3),
+                     "--colours", "D7"])
+        assert status == 1
+        assert out["error"]["kind"] == "domain"
+        assert "D7" in out["error"]["message"]
+        assert "1 colour(s)" in out["error"]["message"]
 
     def test_localize(self, capsys, system_file):
         status, out = run_json(

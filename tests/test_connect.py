@@ -116,6 +116,12 @@ class TestClassify:
         assert a.erasable
         assert not a.isolated
 
+    def test_rejects_foreign_roots(self):
+        # (0, 2, 0) lies inside the spherical support, (5, 5, 5) does not
+        for roots in ([(0, 2, 0)], [CHAIN3.sigma[0], (5, 5, 5)]):
+            with pytest.raises(ValueError, match="not spherical roots"):
+                connect.classify_component(CHAIN3, roots)
+
     def test_bare_tail_component(self):
         a = connect.classify_component(GLUED6, GLUED6.sigma[3:])
         assert a.delta_of == ()

@@ -1,6 +1,7 @@
 import pytest
 
-from sphsys.dynkin import Diagram, DiagramError, parse_diagram, support
+from sphsys.dynkin import (Diagram, DiagramError, parse_diagram, pieces,
+                           support)
 
 
 def test_parse_and_canonicalize():
@@ -130,3 +131,10 @@ def test_json_roundtrip():
 
 def test_support():
     assert support((0, 2, 1, 0)) == {1, 2}
+
+
+def test_pieces_in_order_of_first_item():
+    d = parse_diagram("A5")
+    assert pieces([4, 0, 1, 3], d.adjacent) == [{3, 4}, {0, 1}]
+    assert pieces([0, 2, 4], d.adjacent) == [{0}, {2}, {4}]
+    assert pieces([], d.adjacent) == []

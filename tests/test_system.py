@@ -1,11 +1,25 @@
+import json
+
 import pytest
 
 from sphsys.dynkin import parse_diagram
-from sphsys.system import SphericalSystem
+from sphsys.system import (SphericalSystem, doubled_node, orthogonal_pair,
+                           simple_node)
 
 
-def make(spec, sp, sigma, **kw):
-    return SphericalSystem(parse_diagram(spec), sp, sigma, **kw)
+def make(spec, sp, sigma):
+    return SphericalSystem(parse_diagram(spec), sp, sigma)
+
+
+def test_root_shapes():
+    d = parse_diagram("A1,A2")
+    assert simple_node((0, 1, 0)) == 1
+    assert simple_node((0, 2, 0)) is None
+    assert doubled_node((0, 0, 2)) == 2
+    assert doubled_node((0, 2, 2)) is None
+    assert orthogonal_pair(d, (1, 0, 1)) == (0, 2)
+    assert orthogonal_pair(d, (0, 1, 1)) is None    # adjacent nodes
+    assert orthogonal_pair(d, (1, 0, 2)) is None
 
 
 class TestValidation:
@@ -54,15 +68,81 @@ class TestValidation:
     def test_independence_flag(self):
         dep = make("A2", set(), [(1, 1), (2, 2)])
         assert dep.validate().dependent
-        loose = make("A2", set(), [(1, 1), (2, 2)], check_independent=False)
-        rep = loose.validate()
-        assert not rep.independence_checked
-        # 2(a1+a2) has no rank-one row on A2
-        assert not rep.ok and rep.rank_one
 
     def test_report_cached(self):
         sys = make("B3", {1, 2}, [(1, 1, 1)])
         assert sys.validate() is sys.validate()
+
+
+def _report(doubled=(), orthogonal=(), rank_one=(), simple=(),
+            duplicates=(), dependent=False):
+    return {"valid": False, "pairwise_doubled": list(doubled),
+            "pairwise_orthogonal": list(orthogonal),
+            "rank_one": list(rank_one), "simple_roots": list(simple),
+            "duplicates": list(duplicates), "dependent": dependent}
+
+
+def _no_trace(gamma, actual=(), admissible=()):
+    return {"gamma": gamma, "reason": "trace", "actual_trace": list(actual),
+            "admissible_traces": list(admissible)}
+
+
+# Reports and colours of invalid systems, recorded before the root-shape
+# tests moved into sphsys.system; they fix the order of every report list.
+PINNED = [
+    # a repeated 2*alpha_1 is reported once, doubled nodes in node order
+    (("A3", [], [(2, 0, 0), (1, 1, 0), (2, 0, 0), (0, 0, 2)]),
+     _report(doubled=[
+         {"alpha": "0.1", "gamma": [1, 1, 0], "pairing": 1},
+         {"alpha": "0.3", "gamma": [1, 1, 0], "pairing": -1}],
+         duplicates=[{"gamma": [2, 0, 0], "positions": [0, 2]}],
+         dependent=True),
+     [([0], True), ([1], False), ([2], True)]),
+    (("B3", [2], [(1, 0, 0), (0, 1, 1), (0, 1, 0)]),
+     _report(rank_one=[_no_trace([1, 0, 0]), _no_trace([0, 1, 0])],
+             simple=[{"gamma": [1, 0, 0]}, {"gamma": [0, 1, 0]}]),
+     [([0], False), ([1], False)]),
+    (("A3", [], [(1, -1, 0), (0, -2, 0), (-1, 0, -1)]),
+     _report(rank_one=[_no_trace([1, -1, 0]), _no_trace([0, -2, 0]),
+                       _no_trace([-1, 0, -1])]),
+     [([0], False), ([1], False), ([2], False)]),
+    (("G2", [1], [(2, 0), (2, 1)]),
+     _report(doubled=[{"alpha": "0.1", "gamma": [2, 1], "pairing": 1}],
+             rank_one=[{"gamma": [2, 0], "reason": "parabolic-pairing",
+                        "nodes": ["0.2"]}]),
+     [([0], True)]),
+    (("B3", [], [(0, 0, 2), (2, 0, 0), (1, 1, 0), (0, 1, 1)]),
+     _report(doubled=[
+         {"alpha": "0.1", "gamma": [1, 1, 0], "pairing": 1},
+         {"alpha": "0.1", "gamma": [0, 1, 1], "pairing": -1}],
+         dependent=True),
+     [([0], True), ([1], False), ([2], True)]),
+    (("A3", [], [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+     _report(orthogonal=[
+         {"pair": ["0.1", "0.3"], "gamma": [1, 1, 0], "pairings": [1, -1]},
+         {"pair": ["0.1", "0.3"], "gamma": [0, 1, 1], "pairings": [-1, 1]}]),
+     [([0, 2], False), ([1], False)]),
+    # alpha_1 + alpha_3 joins no colour: node 1.2 is parabolic
+    (("A1,A2", [2], [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+     _report(orthogonal=[
+         {"pair": ["0.1", "1.1"], "gamma": [0, 1, 1], "pairings": [0, 1]},
+         {"pair": ["0.1", "1.1"], "gamma": [1, 0, 1], "pairings": [2, -1]},
+         {"pair": ["0.1", "1.2"], "gamma": [1, 1, 0], "pairings": [2, -1]},
+         {"pair": ["0.1", "1.2"], "gamma": [0, 1, 1], "pairings": [0, 1]}],
+         rank_one=[
+             {"gamma": [1, 1, 0], "reason": "parabolic-pairing",
+              "nodes": ["1.2"]},
+             _no_trace([0, 1, 1], ["1.2"], [[]]),
+             _no_trace([1, 0, 1], ["1.2"], [[]])]),
+     [([0, 1], False)]),
+]
+
+
+@pytest.mark.parametrize("args, report, colours", PINNED)
+def test_pinned_reports_of_invalid_systems(args, report, colours):
+    sys = make(*args)
+    assert json.dumps(sys.validate().to_json()) == json.dumps(report)
+    assert [(sorted(c.nodes), c.doubled) for c in sys.colours] == colours
 
 
 class TestColours:
