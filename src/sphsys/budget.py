@@ -1,7 +1,8 @@
 """Search budget shared by the combinatorial kernels.
 
 SPHSYS_MAX_STATES bounds state explosion in the Hilbert basis completion and
-the inequality elimination; both fault loudly instead of degrading.
+the inequality elimination; both fault loudly instead of degrading.  Unset
+or empty it means 1 000 000; any other value must be a decimal count.
 """
 
 import os
@@ -11,7 +12,12 @@ _DEFAULT = 1_000_000
 
 def max_states() -> int:
     raw = os.environ.get("SPHSYS_MAX_STATES", "")
-    return int(raw) if raw.isdigit() else _DEFAULT
+    if not raw:
+        return _DEFAULT
+    if not raw.isdecimal():
+        raise ValueError(f"SPHSYS_MAX_STATES={raw!r} is not a decimal count "
+                         "of states")
+    return int(raw)
 
 
 class BudgetExceeded(RuntimeError):

@@ -99,27 +99,68 @@ def _component_cartan(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-# per-component automorphisms as permutations of 1-based positions
-def _component_automorphisms(family: str, rank: int) -> list[dict[int, int]]:
-    ident = {p: p for p in range(1, rank + 1)}
-    auts = [ident]
-    if family == "A" and rank >= 2:
-        auts.append({p: rank + 1 - p for p in range(1, rank + 1)})
-    elif family == "D":
-        if rank == 4:
-            auts = []
-            for perm in itertools.permutations((1, 3, 4)):
-                m = {2: 2}
-                for src, dst in zip((1, 3, 4), perm):
-                    m[src] = dst
-                auts.append(m)
-        else:
-            swap = dict(ident)
-            swap[rank - 1], swap[rank] = rank, rank - 1
-            auts.append(swap)
-    elif family == "E" and rank == 6:
-        auts.append({1: 6, 6: 1, 3: 5, 5: 3, 4: 4, 2: 2})
-    return auts
+def _profiles(a, nodes):
+    """Per node, the sorted bonds (a[i][j], a[j][i]) to the other nodes and
+    the list of those it is bonded to."""
+    adj = {i: [j for j in nodes if j != i and a[i][j]] for i in nodes}
+    return {i: tuple(sorted((a[i][j], a[j][i]) for j in adj[i]))
+            for i in nodes}, adj
+
+
+@lru_cache(maxsize=None)
+def _types(n: int):
+    """Per type of rank n in _RANK_RANGE: its family, Cartan matrix,
+    positions' profiles, their sorted list, and for each position the
+    first earlier one it is bonded to."""
+    out = []
+    for family, (lo, hi) in _RANK_RANGE.items():
+        if lo <= n and (hi is None or n <= hi):
+            a = _component_cartan(family, n)
+            profiles = list(_profiles(a, range(n))[0].values())
+            back = [next((q for q in range(p) if a[p][q]), None)
+                    for p in range(n)]
+            out.append((family, a, profiles, sorted(profiles), back))
+    return out
+
+
+def bourbaki_orders(d: "Diagram", nodes) -> list:
+    """Every Bourbaki numbering of a connected node set of d.
+
+    Sorted (family, rank, order) triples with
+    d.cartan[order[i]][order[j]] == _component_cartan(family, rank)[i][j],
+    one per automorphism of the type; empty when the nodes form no type of
+    _RANK_RANGE.  So B2 is found and C2 is not, and E stops at rank 8.
+    """
+    nodes = sorted(nodes)
+    n = len(nodes)
+    a = d.cartan
+    profiles, adj = _profiles(a, nodes)
+    shape = sorted(profiles.values())
+    out = []
+    for family, std, std_profiles, std_shape, back in _types(n):
+        # Only necessary: a numbering pairs each node's profile with its
+        # position's, and the walk below checks every pairing.
+        if std_shape != shape:
+            continue
+        # depth-first over positions; stack[p] yields the nodes to try at
+        # position p: all of them, or the neighbours of a bonded earlier one
+        order, stack = [], [iter(nodes)]
+        while stack:
+            v = next(stack[-1], None)
+            p = len(order)
+            if v is None:
+                stack.pop()
+                del order[-1:]
+            elif not (v in order or profiles[v] != std_profiles[p] or any(
+                    a[v][order[q]] != std[p][q] or a[order[q]][v] != std[q][p]
+                    for q in range(p))):
+                if p + 1 == n:
+                    out.append((family, n, (*order, v)))
+                else:
+                    order.append(v)
+                    q = back[p + 1]
+                    stack.append(iter(nodes if q is None else adj[order[q]]))
+    return sorted(out)
 
 
 def parse_diagram(spec) -> "Diagram":
@@ -199,7 +240,7 @@ class Diagram:
             self._cache["index"] = {nd: i for i, nd in enumerate(self.nodes)}
         try:
             return self._cache["index"][tuple(node)]
-        except KeyError:
+        except (KeyError, TypeError):
             raise DiagramError(f"no node {node} in {self.spec()}") from None
 
     def node_id(self, i: int) -> str:
@@ -209,9 +250,6 @@ class Diagram:
     def component_nodes(self, ci: int) -> range:
         start = sum(r for _f, r in self.components[:ci])
         return range(start, start + self.components[ci][1])
-
-    def component_of(self, i: int) -> int:
-        return self.nodes[i][0]
 
     # -- Cartan pairings ---------------------------------------------------
 
@@ -309,34 +347,27 @@ class Diagram:
         """All diagram automorphisms as node-index permutations.
 
         Includes swaps of isomorphic components composed with the symmetry
-        of each component (A_n flip, D_n fork swap, D4 triality, E6 flip).
+        of each component (A_n flip, D_n fork swap, D4 triality, E6 flip),
+        read off the Bourbaki orders of the components.
         """
         if "auts" not in self._cache:
             self._cache["auts"] = self._build_automorphisms()
         return self._cache["auts"]
 
     def _build_automorphisms(self):
-        comps = self.components
-        groups: dict[tuple[str, int], list[int]] = {}
-        for ci, key in enumerate(comps):
-            groups.setdefault(key, []).append(ci)
-        swap_choices = []
-        for key, members in sorted(groups.items()):
-            swap_choices.append([dict(zip(members, perm))
-                                 for perm in itertools.permutations(members)])
-        aut_choices = [_component_automorphisms(f, r) for f, r in comps]
-        index = {nd: i for i, nd in enumerate(self.nodes)}
+        # Each component goes onto one of the same type, numbered there in
+        # one of that component's Bourbaki orders.
+        orders = [[o for _f, _r, o in
+                   bourbaki_orders(self, self.component_nodes(ci))]
+                  for ci in range(len(self.components))]
+        runs = [list(g) for _k, g in itertools.groupby(
+            range(len(self.components)), key=self.components.__getitem__)]
         perms = []
-        for swaps in itertools.product(*swap_choices):
-            cmap = {}
-            for d in swaps:
-                cmap.update(d)
-            for pick in itertools.product(*aut_choices):
-                perm = [0] * self.n_nodes
-                for i, (ci, pos) in enumerate(self.nodes):
-                    perm[i] = index[(cmap[ci], pick[ci][pos])]
-                perms.append(tuple(perm))
-        return tuple(sorted(set(perms)))
+        for targets in itertools.product(*map(itertools.permutations, runs)):
+            for pick in itertools.product(
+                    *(orders[t] for t in itertools.chain(*targets))):
+                perms.append(tuple(itertools.chain(*pick)))
+        return tuple(sorted(perms))
 
     def permute_weight(self, perm, w) -> tuple[int, ...]:
         out = [0] * len(w)
@@ -354,7 +385,19 @@ class Diagram:
     def from_json(cls, data) -> "Diagram":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls([(c["family"], c["rank"]) for c in data["components"]])
+        if not isinstance(data, dict) or not isinstance(
+                data.get("components"), list):
+            raise DiagramError('a diagram must be an object with a '
+                               f'"components" list, not {data!r}')
+        comps = []
+        for c in data["components"]:
+            if not (isinstance(c, dict) and isinstance(c.get("family"), str)
+                    and isinstance(c.get("rank"), int)):
+                raise DiagramError('a component must be an object with a '
+                                   '"family" string and a "rank" integer, '
+                                   f'not {c!r}')
+            comps.append((c["family"], c["rank"]))
+        return cls(comps)
 
 
 def support(w) -> frozenset:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sphsys import rankone
-from sphsys.dynkin import Diagram, DiagramError, pieces, support
+from sphsys.dynkin import (Diagram, DiagramError, bourbaki_orders, pieces,
+                           support)
 from sphsys.feasible import feasible_nonneg
 from sphsys.hilbert import hilbert_basis
 from sphsys.system import SphericalSystem
@@ -25,7 +25,7 @@ def induced_diagram(d: Diagram, keep):
     keep = sorted(d.node_index(a) for a in keep)
     shapes = []
     for comp in pieces(keep, d.adjacent):
-        found = rankone._classify_segment(d, frozenset(comp))
+        found = bourbaki_orders(d, comp)
         if not found:
             raise DiagramError(f"nodes {sorted(comp)} of {d.spec()} "
                                "do not form a Dynkin diagram")

@@ -3,17 +3,17 @@
 Each row describes one admissible weight on a connected support of a fixed
 type, together with the exact set of support nodes that must sit inside the
 parabolic part (its trace).  Embedding a row means choosing an induced
-subdiagram of the ambient diagram isomorphic to the row's support type and
-transporting weight and trace along the identification.
+subdiagram of the ambient diagram isomorphic to the row's support type,
+numbered by sphsys.dynkin.bourbaki_orders, and transporting weight and trace
+along the identification.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from sphsys.dynkin import Diagram
+from sphsys.dynkin import Diagram, bourbaki_orders
 
 Row = namedtuple("Row", "base family min_rank max_rank coeffs trace")
 
@@ -76,117 +76,11 @@ def _connected_subsets(d: Diagram):
     return found
 
 
-def _path_order(d: Diagram, subset):
-    """Nodes of a branchless connected subset, ordered end to end."""
-    nodes = sorted(subset)
-    if len(nodes) == 1:
-        return nodes
-    deg = {i: sum(1 for j in nodes if d.adjacent(i, j)) for i in nodes}
-    ends = [i for i in nodes if deg[i] == 1]
-    cur, prev = min(ends), None
-    path = [cur]
-    while len(path) < len(nodes):
-        nxt = [j for j in nodes if d.adjacent(cur, j) and j != prev]
-        prev, cur = cur, nxt[0]
-        path.append(cur)
-    return path
-
-
-def _classify_segment(d: Diagram, subset):
-    """Bourbaki orderings (family, rank, node tuple) of an induced subdiagram.
-
-    Symmetric shapes yield several orderings; callers dedupe after
-    instantiating rows.  C2 is reported as B2.
-    """
-    nodes = sorted(subset)
-    n = len(nodes)
-    if n == 1:
-        return [("A", 1, tuple(nodes))]
-    pairs = [(i, j) for k, i in enumerate(nodes) for j in nodes[k + 1:]
-             if d.adjacent(i, j)]
-    multi = [(i, j) for i, j in pairs
-             if d.cartan[i][j] * d.cartan[j][i] > 1]
-    deg = {i: sum(1 for j in nodes if d.adjacent(i, j)) for i in nodes}
-    if len(multi) > 1 or max(deg.values()) > 3:
-        return []
-
-    if multi:
-        i, j = multi[0]
-        m = d.cartan[i][j] * d.cartan[j][i]
-        # the short root's coroot pairs -2 or -3 against the long one
-        short = i if d.cartan[i][j] <= -2 else j
-        long_ = j if short == i else i
-        if m == 3:
-            return [("G", 2, (short, long_))]
-        if max(deg.values()) == 3:
-            return []
-        path = _path_order(d, subset)
-        if {path[0], path[1]} == {i, j} and n > 2:
-            path.reverse()
-        if {path[-2], path[-1]} == {i, j}:
-            if path[-1] == short:
-                return [("B", n, tuple(path))]
-            if n == 2:
-                return [("B", 2, (long_, short))]
-            return [("C", n, tuple(path))]
-        # double bond strictly inside: only the F4 shape remains
-        if n == 4 and {path[1], path[2]} == {i, j}:
-            if path[1] != long_:
-                path.reverse()
-            return [("F", 4, tuple(path))]
-        return []
-
-    if max(deg.values()) <= 2:
-        path = _path_order(d, subset)
-        if n == 1:
-            return [("A", 1, tuple(path))]
-        return [("A", n, tuple(path)), ("A", n, tuple(reversed(path)))]
-
-    branch = [i for i in nodes if deg[i] == 3][0]
-    arms = []
-    for first in (j for j in nodes if d.adjacent(branch, j)):
-        arm = [first]
-        prev = branch
-        while True:
-            ext = [j for j in nodes
-                   if d.adjacent(arm[-1], j) and j not in (prev, *arm)]
-            if not ext:
-                break
-            prev = arm[-1]
-            arm.append(ext[0])
-        arms.append(arm)
-    arms.sort(key=len)
-    lens = tuple(len(a) for a in arms)
-    if lens[:2] == (1, 1):
-        k = lens[2]
-        if k == 1:
-            out = []
-            for p in itertools.permutations([a[0] for a in arms]):
-                out.append(("D", 4, (p[0], branch, p[1], p[2])))
-            return out
-        # long arm runs from the far end into the branch node
-        long_arm = list(reversed(arms[2]))
-        u, v = arms[0][0], arms[1][0]
-        return [("D", k + 3, tuple(long_arm) + (branch, u, v)),
-                ("D", k + 3, tuple(long_arm) + (branch, v, u))]
-    if lens == (1, 2, 2):
-        a, b = arms[1], arms[2]
-        out = []
-        for p, q in ((a, b), (b, a)):
-            out.append(("E", 6, (p[1], arms[0][0], p[0], branch, q[0], q[1])))
-        return out
-    if lens in ((1, 2, 3), (1, 2, 4)):
-        two, tail = arms[1], arms[2]
-        order = (two[1], arms[0][0], two[0], branch) + tuple(tail)
-        return [("E", 3 + lens[2], order)]
-    return []
-
-
 @lru_cache(maxsize=None)
 def _segments(d: Diagram):
     segs: dict[tuple[str, int], list[tuple[int, ...]]] = {}
     for subset in sorted(_connected_subsets(d), key=sorted):
-        for fam, rank, order in _classify_segment(d, subset):
+        for fam, rank, order in bourbaki_orders(d, subset):
             segs.setdefault((fam, rank), []).append(order)
     return {k: tuple(v) for k, v in segs.items()}
 

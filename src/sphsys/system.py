@@ -14,6 +14,7 @@ doubled_node and orthogonal_pair recognise them for the whole package.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from sphsys import rankone
@@ -46,6 +47,13 @@ def orthogonal_pair(d: Diagram, w):
             and d.orthogonal(*supp)):
         return tuple(supp)
     return None
+
+
+def _listed(value, message) -> list:
+    """value as a list; ValueError naming it when it is no list."""
+    if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+        raise ValueError(f"{message}, not {value!r}")
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -95,22 +103,27 @@ class SphericalSystem:
     def __init__(self, diagram, sp=(), sigma=()):
         diagram = parse_diagram(diagram)
         object.__setattr__(self, "diagram", diagram)
-        spx = frozenset(diagram.node_index(a) for a in sp)
+        spx = frozenset(diagram.node_index(a)
+                        for a in _listed(sp, "sp must be a list of nodes"))
         object.__setattr__(self, "sp", spx)
         sig = []
-        for w in sigma:
+        for w in _listed(sigma, "sigma must be a list of roots"):
             if isinstance(w, dict):
                 t = [0] * diagram.n_nodes
                 for nd, c in w.items():
-                    t[diagram.node_index(nd)] = int(c)
-                sig.append(tuple(t))
+                    t[diagram.node_index(nd)] = c
             else:
-                t = tuple(int(c) for c in w)
+                t = _listed(w, "a root must be a list of coefficients or an "
+                               "object of node: coefficient")
                 if len(t) != diagram.n_nodes:
                     raise ValueError(
-                        f"root {list(t)} has {len(t)} coefficients, but "
+                        f"root {t} has {len(t)} coefficients, but "
                         f"{diagram.spec()} has {diagram.n_nodes} nodes")
-                sig.append(t)
+            try:
+                sig.append(tuple(map(operator.index, t)))
+            except TypeError:
+                raise ValueError(f"root {w!r} has a coefficient that is not "
+                                 "an integer") from None
         object.__setattr__(self, "sigma", tuple(sig))
         object.__setattr__(self, "_cache", {})
 

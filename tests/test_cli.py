@@ -10,6 +10,9 @@ from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
 
 
+B3_JSON = {"components": [{"family": "B", "rank": 3}]}
+
+
 @pytest.fixture
 def system_file(tmp_path):
     def write(name, **params):
@@ -89,6 +92,22 @@ class TestPlumbing:
         assert out["error"]["kind"] == "domain"
         assert "[1, 1]" in out["error"]["message"]
         assert "3 nodes" in out["error"]["message"]
+
+    @pytest.mark.parametrize("data", [
+        {"diagram": {"components": [1]}},
+        {"diagram": []},
+        {"diagram": B3_JSON, "sigma": [5]},
+        {"diagram": B3_JSON, "sp": 5},
+        {"diagram": B3_JSON, "sigma": [{"0.1": None}]},
+    ])
+    def test_malformed_nested_schema_is_domain_error(self, capsys,
+                                                     monkeypatch, data):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        status = cli.run(["validate"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert json.loads(captured.out)["error"]["kind"] == "domain"
+        assert "Traceback" not in captured.err
 
     def test_stdin_roundtrip(self, system_file):
         raw = open(system_file("aa(p,p)", p=1)).read()
@@ -170,6 +189,20 @@ class TestOperations:
                      "--nodes", "0.1,0.2"])
         assert status == 0
         assert out["diagram"]["components"] == [{"family": "A", "rank": 2}]
+
+    def test_localize_e7(self, capsys, system_file):
+        status, out = run_json(
+            capsys, ["localize", "--system", system_file("ec(7)"),
+                     "--nodes", "0,1,2,3,4,5,6"])
+        assert status == 0
+        assert out["diagram"]["components"] == [{"family": "E", "rank": 7}]
+
+    def test_components_classify_e7(self, capsys, system_file):
+        status, out = run_json(
+            capsys, ["components", "--system", system_file("ec(7)"),
+                     "--classify"])
+        assert status == 0
+        assert out
 
     def test_components_classify(self, capsys, system_file):
         status, out = run_json(

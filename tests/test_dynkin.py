@@ -1,7 +1,7 @@
 import pytest
 
-from sphsys.dynkin import (Diagram, DiagramError, parse_diagram, pieces,
-                           support)
+from sphsys.dynkin import (Diagram, DiagramError, bourbaki_orders,
+                           parse_diagram, pieces, support)
 
 
 def test_parse_and_canonicalize():
@@ -103,10 +103,15 @@ def test_automorphism_counts():
     assert len(parse_diagram("E7").automorphisms) == 1
     assert len(parse_diagram("A2,A2").automorphisms) == 8
     assert len(parse_diagram("A1,A1").automorphisms) == 2
+    assert len(parse_diagram("E8").automorphisms) == 1
+    assert len(parse_diagram("D8").automorphisms) == 2
+    assert len(parse_diagram("D4,D4").automorphisms) == 72
+    assert len(parse_diagram("F4,F4").automorphisms) == 2
+    assert len(parse_diagram("G2,G2,G2").automorphisms) == 6
 
 
 def test_automorphisms_preserve_cartan():
-    for spec in ("A3", "D4", "E6", "A2,A2", "A1,C3"):
+    for spec in ("A3", "D4", "E6", "E7", "A2,A2", "A1,C3", "D4,D4"):
         d = parse_diagram(spec)
         n = d.n_nodes
         for perm in d.automorphisms:
@@ -138,3 +143,41 @@ def test_pieces_in_order_of_first_item():
     assert pieces([4, 0, 1, 3], d.adjacent) == [{3, 4}, {0, 1}]
     assert pieces([0, 2, 4], d.adjacent) == [{0}, {2}, {4}]
     assert pieces([], d.adjacent) == []
+
+
+def test_bourbaki_orders_of_subdiagrams():
+    e8 = parse_diagram("E8")
+    assert bourbaki_orders(e8, range(7)) == [("E", 7, tuple(range(7)))]
+    assert bourbaki_orders(e8, range(8)) == [("E", 8, tuple(range(8)))]
+    # E6 inside E8 and its flip
+    assert bourbaki_orders(e8, range(6)) == [
+        ("E", 6, (0, 1, 2, 3, 4, 5)), ("E", 6, (5, 1, 4, 3, 2, 0))]
+    # a tail of C4 is B2 numbered from its long node, never C2
+    c4 = parse_diagram("C4")
+    assert bourbaki_orders(c4, {2, 3}) == [("B", 2, (3, 2))]
+    assert bourbaki_orders(c4, {1, 2, 3}) == [("C", 3, (1, 2, 3))]
+    # F4's nodes 2,3,4 form C3 numbered from node 4
+    f4 = parse_diagram("F4")
+    assert bourbaki_orders(f4, {1, 2, 3}) == [("C", 3, (3, 2, 1))]
+    assert bourbaki_orders(parse_diagram("A3"), {0, 1, 2}) == [
+        ("A", 3, (0, 1, 2)), ("A", 3, (2, 1, 0))]
+    assert len(bourbaki_orders(parse_diagram("D4"), range(4))) == 6
+    assert bourbaki_orders(parse_diagram("G2"), {0, 1}) == [
+        ("G", 2, (0, 1))]
+
+
+@pytest.mark.parametrize("data", [
+    {"components": [1]}, [], {"components": {}}, {"components": None},
+    {"components": [{"family": 3, "rank": 3}]},
+    {"components": [{"family": "B"}]},
+    {"components": [{"family": "B", "rank": None}]},
+])
+def test_from_json_rejects_malformed(data):
+    with pytest.raises(DiagramError):
+        Diagram.from_json(data)
+
+
+@pytest.mark.parametrize("node", [None, 1.5, [[0, 1]], "0.9", (0, 0), 3])
+def test_node_index_rejects_bad_references(node):
+    with pytest.raises(DiagramError, match="no node"):
+        parse_diagram("B3").node_index(node)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphsys import ops
-from sphsys.budget import BudgetExceeded
+from sphsys.budget import BudgetExceeded, max_states
 from sphsys.families import expand_catalog
 from sphsys.feasible import echelon_extend, feasible_nonneg, rank
 
@@ -65,6 +65,23 @@ def test_budget_fault(monkeypatch):
     rows = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
     with pytest.raises(BudgetExceeded):
         feasible_nonneg(rows, 3, strict={0, 1, 2})
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e3", "-5", " 10"])
+def test_malformed_budget_fails_loudly(monkeypatch, raw):
+    monkeypatch.setenv("SPHSYS_MAX_STATES", raw)
+    with pytest.raises(ValueError, match="SPHSYS_MAX_STATES") as err:
+        max_states()
+    assert repr(raw) in str(err.value)
+
+
+def test_budget_values(monkeypatch):
+    monkeypatch.delenv("SPHSYS_MAX_STATES", raising=False)
+    assert max_states() == 1_000_000
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "")
+    assert max_states() == 1_000_000
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "1000")
+    assert max_states() == 1000
 
 
 def test_budget_trips_before_building_rows(monkeypatch):

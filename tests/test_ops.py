@@ -1,6 +1,7 @@
 import pytest
 
 from sphsys import ops
+from sphsys.families import expand_catalog
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
 
@@ -21,6 +22,19 @@ class TestLocalize:
         sub, node_map = ops.induced_diagram(d, {2, 3})
         assert sub.components == (("B", 2),)
         assert node_map == {2: 0, 3: 1}
+
+    def test_induced_e7_in_e8(self):
+        sub, node_map = ops.induced_diagram(parse_diagram("E8"), range(7))
+        assert sub == parse_diagram("E7")
+        assert node_map == {i: i for i in range(7)}
+
+    @pytest.mark.parametrize("spec", ["E6", "E7", "E8"])
+    def test_decuspidalize_fixes_cuspidal_e_members(self, spec):
+        cuspidal = [e.system for e in expand_catalog(spec)
+                    if e.system.is_cuspidal]
+        assert cuspidal
+        for sys in cuspidal:
+            assert ops.decuspidalize(sys) == sys
 
     def test_localize_drops_outside_roots(self):
         sys = make("B3", {1, 2}, [(1, 1, 1)])

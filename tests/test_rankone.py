@@ -1,3 +1,5 @@
+import pytest
+
 from sphsys.dynkin import parse_diagram, support
 from sphsys.rankone import (ALIASES, admissible_traces, rank1_embeddings,
                             rank1_label, row_catalog)
@@ -48,6 +50,15 @@ def test_b3_embedding_count_and_key_rows():
     assert rank1_label(d, (2, 2, 2), {1, 2}) == "b'(3)"
     assert rank1_label(d, (1, 0, 1), set()) == "aa(1,1)"
     assert rank1_label(d, (1, 1, 1), set()) is None
+
+
+# recorded before the subdiagram numbering moved into sphsys.dynkin
+@pytest.mark.parametrize("spec,count", [
+    ("E6", 41), ("E7", 55), ("E8", 71), ("D8", 71), ("B8", 77), ("C8", 70),
+    ("F4,F4", 54),
+])
+def test_embedding_counts(spec, count):
+    assert len(embeddings(spec)) == count
 
 
 def test_c3_orientation():
