@@ -228,8 +228,9 @@ class Diagram:
         return len(self.nodes)
 
     def node_index(self, node) -> int:
-        """Index of a node given as an index, (ci, pos) or a 'ci.pos' string."""
-        if isinstance(node, int):
+        """Index of a node given as an index, (ci, pos) or a 'ci.pos' string.
+        A bool is no node, though Python counts it as an int."""
+        if type(node) is int:
             if 0 <= node < len(self.nodes):
                 return node
             raise DiagramError(f"no node {node} in {self.spec()}")
@@ -239,6 +240,8 @@ class Diagram:
         if "index" not in self._cache:
             self._cache["index"] = {nd: i for i, nd in enumerate(self.nodes)}
         try:
+            if bool in map(type, node):
+                raise TypeError
             return self._cache["index"][tuple(node)]
         except (KeyError, TypeError):
             raise DiagramError(f"no node {node} in {self.spec()}") from None
@@ -392,7 +395,7 @@ class Diagram:
         comps = []
         for c in data["components"]:
             if not (isinstance(c, dict) and isinstance(c.get("family"), str)
-                    and isinstance(c.get("rank"), int)):
+                    and type(c.get("rank")) is int):
                 raise DiagramError('a component must be an object with a '
                                    '"family" string and a "rank" integer, '
                                    f'not {c!r}')

@@ -11,15 +11,14 @@ from __future__ import annotations
 from sphsys.budget import BudgetExceeded, max_states
 
 
-def hilbert_basis(rows, n_vars: int, cap: int | None = None):
+def hilbert_basis(rows, n_vars: int):
     """Minimal nonzero solutions of rows.x == 0 over nonnegative integers.
 
     rows: iterable of length-n_vars integer tuples.  Returns a sorted tuple
     of integer tuples.
     """
     a = [tuple(r) for r in rows]
-    if cap is None:
-        cap = max_states()
+    cap = max_states()
 
     def image(x):
         return tuple(sum(ai * xi for ai, xi in zip(row, x) if xi)

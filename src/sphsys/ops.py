@@ -161,10 +161,11 @@ def support_colour_set(sys: SphericalSystem) -> tuple:
 # -- decompositions ----------------------------------------------------------
 
 
-def _moved_roots(sys, subset):
+def _moved_roots(sys, subset) -> int:
+    """Bitmask of the spherical roots some colour of the subset pairs with."""
     rho = sys.rho_matrix
-    return frozenset(j for j in range(len(sys.sigma))
-                     if any(rho[c][j] for c in subset))
+    return sum(1 << j for j in range(len(sys.sigma))
+               if any(rho[c][j] for c in subset))
 
 
 def decomposes(sys: SphericalSystem, s1, s2) -> bool:
@@ -215,7 +216,11 @@ def is_decomposable(sys: SphericalSystem):
                       for mask in range(1, 1 << n)),
                      key=lambda s: (len(s), s))
     masks = [sum(1 << i for i in s) for s in subsets]
-    moved = [sum(1 << j for j in _moved_roots(sys, s)) for s in subsets]
+    by_colour = [_moved_roots(sys, (c,)) for c in range(n)]
+    moved = [0] * len(subsets)
+    for a, s in enumerate(subsets):
+        for c in s:
+            moved[a] |= by_colour[c]
     dist = {}
 
     def distinguished(a):

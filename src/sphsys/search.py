@@ -47,32 +47,6 @@ def _compatible(d, w1, w2) -> bool:
     return True
 
 
-def _trace_assignments(sigma, traces):
-    """All ways to pick one admissible trace per root that agree on shared
-    support nodes; each result is the sp-part living on the root supports."""
-    out = set()
-    decided = {}
-
-    def rec(k):
-        if k == len(sigma):
-            out.add(frozenset(i for i, v in decided.items() if v))
-            return
-        w = sigma[k]
-        supp = [i for i, c in enumerate(w) if c]
-        for t in traces[w]:
-            if any(i in decided and decided[i] != (i in t) for i in supp):
-                continue
-            fresh = [i for i in supp if i not in decided]
-            for i in fresh:
-                decided[i] = i in t
-            rec(k + 1)
-            for i in fresh:
-                del decided[i]
-
-    rec(0)
-    return out
-
-
 def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
     """Every valid spherical system on the diagram.
 
@@ -84,7 +58,7 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
     m = len(cands)
     compat = [[_compatible(d, cands[i], cands[j]) for j in range(m)]
               for i in range(m)]
-    traces = {w: admissible_traces(d, w) for w in cands}
+    traces = [admissible_traces(d, w) for w in cands]
     n = d.n_nodes
     supports = [frozenset(i for i, c in enumerate(w) if c) for w in cands]
     paired = [frozenset(i for i in range(n)
@@ -100,9 +74,8 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
             raise BudgetExceeded(
                 f"enumeration on {d.spec()} exceeded {budget} states")
 
-    def emit(chosen, assignments):
-        union_supp = frozenset().union(*(supports[k] for k in chosen))
-        outside = [i for i in range(n) if i not in union_supp]
+    def emit(chosen, covered, assignments):
+        outside = [i for i in range(n) if i not in covered]
         if cuspidal_only and outside:
             return
         # Only necessary: sp must be orthogonal to every root, but a node
@@ -113,23 +86,25 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
                                   if mask >> k & 1)
                         for mask in range(1 << len(free))]
         sigma = tuple(cands[k] for k in chosen)
-        for base in assignments:
+        # sorted, so the output order does not hang on set hashing
+        for base in sorted(assignments, key=sorted):
             for extra in free_subsets:
                 tick()
                 sys = SphericalSystem(d, base | extra, sigma)
                 if sys.validate().ok:
                     out.append(sys)
 
-    def walk(chosen, basis, start):
+    def walk(chosen, basis, start, covered, assignments):
+        """`assignments` holds the sp-part on `covered`, the union of the
+        chosen supports, of each choice of one admissible trace per chosen
+        root that agrees on shared nodes."""
         tick()
-        assignments = _trace_assignments(tuple(cands[k] for k in chosen),
-                                         traces)
         # Only necessary: every valid system has a consistent assignment and
         # a superset of inconsistent roots stays inconsistent, so the whole
-        # subtree is dead; a nonempty result proves nothing.
+        # subtree is dead; a nonempty set proves nothing.
         if not assignments:
             return
-        emit(chosen, assignments)
+        emit(chosen, covered, assignments)
         for k in range(start, m):
             if not all(compat[j][k] for j in chosen):
                 continue
@@ -138,9 +113,12 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
             nb = echelon_extend(basis, cands[k])
             if nb is None:
                 continue
-            walk(chosen + [k], nb, k + 1)
+            supp = supports[k]
+            walk(chosen + [k], nb, k + 1, covered | supp,
+                 {a | t for a in assignments for t in traces[k]
+                  if a & supp == t & covered})
 
-    walk([], [], 0)
+    walk([], [], 0, frozenset(), {frozenset()})
     return tuple(out)
 
 

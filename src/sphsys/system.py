@@ -120,6 +120,8 @@ class SphericalSystem:
                         f"root {t} has {len(t)} coefficients, but "
                         f"{diagram.spec()} has {diagram.n_nodes} nodes")
             try:
+                if bool in map(type, t):    # JSON true is no coefficient
+                    raise TypeError
                 sig.append(tuple(map(operator.index, t)))
             except TypeError:
                 raise ValueError(f"root {w!r} has a coefficient that is not "

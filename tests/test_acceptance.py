@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from sphsys import families, ops, render, search, tables
-from sphsys.dynkin import parse_diagram
+from sphsys.dynkin import _RANK_RANGE, parse_diagram
 from sphsys.hilbert import hilbert_basis
 from sphsys.rankone import ALIASES, rank1_label, row_catalog
 from sphsys.system import SphericalSystem
@@ -121,6 +121,34 @@ def test_2b_second_tier_enumeration_matches_catalog():
                   f"({elapsed:.1f}s)")
 
 
+def diagrams_up_to_rank(top):
+    """Every diagram of rank at most top, connected or not, one spec per
+    multiset of components."""
+    types = [(fam, r) for fam, (lo, hi) in sorted(_RANK_RANGE.items())
+             for r in range(lo, min(hi or top, top) + 1)]
+    return [",".join(f"{fam}{r}" for fam, r in combo)
+            for k in range(1, top + 1)
+            for combo in itertools.combinations_with_replacement(types, k)
+            if sum(r for _fam, r in combo) <= top]
+
+
+def test_2c_every_diagram_up_to_rank_six_matches_catalog():
+    start = time.perf_counter()
+    specs = diagrams_up_to_rank(6)
+    connected = [spec for spec in specs if "," not in spec]
+    assert (len(connected), len(specs)) == (21, 128)
+    primitives = 0
+    for spec in specs:
+        check = search.verify_catalog(spec)
+        assert check.ok, (spec, check.missing, check.extra)
+        assert check.found == check.expected, spec
+        primitives += check.found
+    elapsed = time.perf_counter() - start
+    _report("2c", f"exhaustive search equals catalog on all {len(specs)} "
+                  f"diagrams of rank <= 6 ({len(connected)} connected), "
+                  f"{primitives} primitives ({elapsed:.1f}s)")
+
+
 def test_3_strictness_partition():
     checked = non_strict = 0
     seen_families = set()
@@ -202,7 +230,7 @@ def test_6_nilpotent_heights():
                f"({elapsed:.2f}s)")
 
 
-def test_7_dictionary_property_suite():
+def test_7_dictionary_property_suite(monkeypatch):
     rng = random.Random(20260816)
 
     # quotient by the empty colour set changes nothing
@@ -214,14 +242,16 @@ def test_7_dictionary_property_suite():
 
     # Hilbert bases agree with a grid-scan oracle
     hilbert_cases = 0
-    for _ in range(520):
-        n = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-4, 4) for _ in range(n))
-                for _ in range(rng.randint(1, 3))]
-        basis = hilbert_basis(rows, n, cap=200000)
-        expect = box_minimal(rows, n, bound=6)
-        assert {x for x in basis if max(x) <= 6} == expect, rows
-        hilbert_cases += 1
+    with monkeypatch.context() as m:
+        m.setenv("SPHSYS_MAX_STATES", "200000")
+        for _ in range(520):
+            n = rng.randint(1, 4)
+            rows = [tuple(rng.randint(-4, 4) for _ in range(n))
+                    for _ in range(rng.randint(1, 3))]
+            basis = hilbert_basis(rows, n)
+            expect = box_minimal(rows, n, bound=6)
+            assert {x for x in basis if max(x) <= 6} == expect, rows
+            hilbert_cases += 1
     assert hilbert_cases >= 500
 
     # localising at the union of root supports keeps every root

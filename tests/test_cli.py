@@ -109,6 +109,22 @@ class TestPlumbing:
         assert json.loads(captured.out)["error"]["kind"] == "domain"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("data", [
+        {"diagram": B3_JSON, "sp": [True]},
+        {"diagram": {"components": [{"family": "A", "rank": True}]}},
+        {"diagram": B3_JSON, "sigma": [[1, True, 0]]},
+    ])
+    def test_boolean_is_domain_error(self, capsys, monkeypatch, data):
+        # JSON true is a Python int; it must not pass as 1
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        status = cli.run(["validate"])
+        captured = capsys.readouterr()
+        assert status == 1
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "domain"
+        assert "True" in error["message"]
+        assert "Traceback" not in captured.err
+
     def test_stdin_roundtrip(self, system_file):
         raw = open(system_file("aa(p,p)", p=1)).read()
         proc = subprocess.run(

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from sphsys import ops
+from sphsys import ops, search
 from sphsys.families import expand_catalog
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
@@ -165,6 +167,21 @@ class TestDecompose:
         sys = make("A3", set(), [(2, 0, 0), (0, 0, 2)])
         assert ops.decomposes(sys, {0}, {2})
         assert ops.is_decomposable(sys) == ((0,), (2,))
+
+    @pytest.mark.parametrize("spec", ["B3", "C3", "D4", "A1,A3", "B2,B2",
+                                      "G2,G2"])
+    def test_first_pair_matches_public_decomposes(self, spec):
+        # Oracle: the first pair in (len, indices) order for which the
+        # public decomposes() holds, each pair tested in full.
+        for sys in search.enumerate_systems(spec, cuspidal_only=True):
+            n = len(sys.colours)
+            subsets = [s for r in range(1, n + 1)
+                       for s in itertools.combinations(range(n), r)]
+            expect = next(((s1, s2) for a, s1 in enumerate(subsets)
+                           for s2 in subsets[a + 1:]
+                           if not set(s1) & set(s2)
+                           and ops.decomposes(sys, s1, s2)), None)
+            assert ops.is_decomposable(sys) == expect, sys
 
     def test_primitive_small_systems(self):
         assert ops.is_primitive(make("B2", set(), [(1, 1), (0, 2)]))
