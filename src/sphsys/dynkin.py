@@ -191,7 +191,10 @@ class Diagram:
     def __init__(self, components):
         flat: list[tuple[str, int]] = []
         for fam, rank in components:
-            flat.extend(canonicalize_component(fam, int(rank)))
+            if type(rank) is not int:     # no bool, float or numeral string
+                raise DiagramError(f"rank {rank!r} of component {fam!r} "
+                                   "is not an integer")
+            flat.extend(canonicalize_component(fam, rank))
         flat.sort()
         object.__setattr__(self, "components", tuple(flat))
         object.__setattr__(self, "_cache", {})

@@ -8,8 +8,7 @@ member, ``expand_catalog`` lists all members living on a diagram (deduped,
 earliest family wins when two recipes coincide), and ``classify`` is the
 reverse lookup used to name enumerated systems.
 
-Families whose generic member admits a doubled sibling with the same trace
-are collected in the non-strict predicate ``is_non_strict``.
+Strictness is not listed: ``CatalogEntry.strict`` asks the member itself.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .dynkin import Diagram, DiagramError, parse_diagram
+from .dynkin import _RANK_RANGE, Diagram, DiagramError, parse_diagram
 from .system import SphericalSystem
 
 
@@ -83,7 +82,16 @@ def _need(cond: bool, msg: str):
 
 # -- builders, one per family ------------------------------------------------
 
+def _need_rank(fam, n, name):
+    # outside its family's range a chain is another type (C2 is B2, D3 is
+    # A3), and the recipe would build a member of another family
+    lo, hi = _RANK_RANGE[fam]
+    _need(lo <= n <= (hi or n), f"{name} needs rank {lo}"
+          + (f" to {hi}" if hi else " or more") + f", not {n}")
+
+
 def _b_group_pair(fam, p):
+    _need_rank(fam, p, f"{fam.lower() * 2}(p,p)")
     d = _diag(f"{fam}{p},{fam}{p}")
     a, b = d.component_nodes(0), d.component_nodes(1)
     sigma = [_wt(d.n_nodes, {a[i]: 1, b[i]: 1}) for i in range(p)]
@@ -91,18 +99,9 @@ def _b_group_pair(fam, p):
 
 
 def _b_all_doubled(fam, n):
+    _need_rank(fam, n, f"{fam.lower()}o(n)")
     return SphericalSystem(_diag(f"{fam}{n}"), (),
                            [_wt(n, {i: 2}) for i in range(n)])
-
-
-def _b_ao(n):
-    _need(n >= 1, "ao(n) needs n >= 1")
-    return _b_all_doubled("A", n)
-
-
-def _b_aa_pp(p):
-    _need(p >= 1, "aa(p,p) needs p >= 1")
-    return _b_group_pair("A", p)
 
 
 def _b_ac(n):
@@ -301,6 +300,12 @@ def _b_d(n):
 
 def _b_dcprime(n):
     _need(n >= 6 and n % 2 == 0, "dc'(n) needs even n >= 6")
+    return _dc_prime(n)
+
+
+def _dc_prime(n):
+    # unchecked: at n = 4 this is the fork swap of do(1+3), the D III
+    # involution of so(8)
     sigma = _short_chain(n, 0, (n - 2) // 2) + [_wt(n, {n - 1: 2})]
     return SphericalSystem(_diag(f"D{n}"), range(0, n - 1, 2), sigma)
 
@@ -338,16 +343,6 @@ def _b_a_d(p, q, head_pairs=False):
     if q != 2:
         sp |= set(range(p + 1, n))
     return SphericalSystem(_diag(f"D{n}"), sp, sigma)
-
-
-def _b_ee(p):
-    _need(p in (6, 7, 8), "ee(p,p) needs p in {6,7,8}")
-    return _b_group_pair("E", p)
-
-
-def _b_eo(n):
-    _need(n in (6, 7, 8), "eo(n) needs n in {6,7,8}")
-    return _b_all_doubled("E", n)
 
 
 def _b_ea6():
@@ -533,8 +528,10 @@ def _space_aa11_cstar2(d):
 
 
 CATALOG = (
-    Family("aa(p,p)", "aa({p},{p})", _b_aa_pp, _pair_space("A", 1)),
-    Family("ao(n)", "ao({n})", _b_ao, _single("A", 1)),
+    Family("aa(p,p)", "aa({p},{p})",
+           lambda p: _b_group_pair("A", p), _pair_space("A", 1)),
+    Family("ao(n)", "ao({n})",
+           lambda n: _b_all_doubled("A", n), _single("A", 1)),
     Family("ac(n)", "ac({n})", _b_ac, _single("A", 3, step=2)),
     Family("aa(p+q+p)", "aa({p}+{q}+{p})", _b_aa_pqp, _space_aa_pqp),
     Family("aa'(p+1+p)", "aa'({p}+1+{p})", _b_aa_p1p,
@@ -602,8 +599,10 @@ CATALOG = (
            lambda p, q: _b_a_d(p, q, head_pairs=True),
            _split("D", 2, 2, nmin=4)),
 
-    Family("ee(p,p)", "ee({p},{p})", _b_ee, _pair_space("E", 6)),
-    Family("eo(n)", "eo({n})", _b_eo, _single("E", 6)),
+    Family("ee(p,p)", "ee({p},{p})",
+           lambda p: _b_group_pair("E", p), _pair_space("E", 6)),
+    Family("eo(n)", "eo({n})",
+           lambda n: _b_all_doubled("E", n), _single("E", 6)),
     Family("ea(6)", "ea(6)", _b_ea6, _fixed("E6")),
     Family("ed(6)", "ed(6)", _b_ed6, _fixed("E6")),
     Family("ef(6)", "ef(6)", lambda: _b_ef(6), _fixed("E6")),
@@ -633,17 +632,6 @@ CATALOG = (
 
 _BY_NAME = {f.name: f for f in CATALOG}
 
-_NON_STRICT_ALWAYS = frozenset(
-    {"b(n)", "a(p)+b(q)", "ac*(p)+b(q)", "g(2)"})
-
-
-def is_non_strict(name: str, params=None) -> bool:
-    """Whether a family member admits a doubled sibling (same trace)."""
-    if name in _NON_STRICT_ALWAYS:
-        return True
-    return name == "cc(p+q)" and (params or {}).get("q") == 2
-
-
 def family_names() -> tuple:
     return tuple(f.name for f in CATALOG)
 
@@ -658,7 +646,16 @@ class CatalogEntry(NamedTuple):
     params: dict
     label: str
     system: SphericalSystem
-    strict: bool
+
+    @property
+    def strict(self) -> bool:
+        # asked lazily: is_strict builds the rank-one tables of the diagram
+        return self.system.is_strict
+
+    def __repr__(self):
+        return (f"CatalogEntry(family={self.family!r}, params={self.params!r}"
+                f", label={self.label!r}, system={self.system!r}, "
+                f"strict={self.strict!r})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -677,8 +674,7 @@ def _expand(d: Diagram) -> tuple:
             if key in seen:
                 continue
             seen.add(key)
-            out.append(CatalogEntry(fam.name, params, fam.label(params),
-                                    sys, not is_non_strict(fam.name, params)))
+            out.append(CatalogEntry(fam.name, params, fam.label(params), sys))
     return tuple(out)
 
 

@@ -66,9 +66,6 @@ class Colour:
     nodes: frozenset
     doubled: bool
 
-    def rep(self) -> int:
-        return min(self.nodes)
-
 
 @dataclass
 class ValidationReport:

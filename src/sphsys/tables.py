@@ -3,48 +3,27 @@
 Three bodies of fixture data with their derived computations:
 
 * restricted root bases attached to the involutions of the simple groups,
-  turned into validated spherical systems by ``symmetric_system``;
+  turned into spherical systems by ``symmetric_system``;
 * integer gradings of a simple Lie algebra cut out by a characteristic
   vector, with the height filter for spherical orbits and the table of
   height-3 cases;
 * the model homogeneous spaces and the catalog families naming them.
 
-Row data uses 1-based node positions (converted to weight tuples on the
-way out).  Subalgebra and module descriptions are opaque strings kept
+Each involution row builds the catalog member of ``sphsys.families`` whose
+spherical roots are its restricted basis, and takes its parabolic set from
+that member.  Subalgebra and module descriptions are opaque strings kept
 for documentation; nothing interprets them.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Callable, NamedTuple
 
+from . import families
 from .dynkin import Diagram, parse_diagram
-from . import rankone
-from .families import _EF_ROOTS, _need
-from .system import SphericalSystem, support
-
-
-def _w(n, coeffs) -> tuple:
-    v = [0] * n
-    for pos, c in coeffs.items():
-        v[pos - 1] += c
-    return tuple(v)
-
-
-def _doubles(n, positions):
-    return [_w(n, {p: 2}) for p in positions]
-
-
-def _span(n, lo, hi, coeff=1):
-    return _w(n, {p: coeff for p in range(lo, hi + 1)})
-
-
-def _humps(n, count):
-    """Weights 1,2,1 on (2k-1, 2k, 2k+1) for k = 1..count."""
-    return [_w(n, {2 * k - 1: 1, 2 * k: 2, 2 * k + 1: 1})
-            for k in range(1, count + 1)]
+from .families import _need, _wt
+from .system import SphericalSystem
 
 
 # -- restricted root bases of involutions -------------------------------------
@@ -53,6 +32,7 @@ class SymmetricInstance(NamedTuple):
     diagram: Diagram
     basis: tuple
     restricted: tuple  # (family, rank) of the restricted root system
+    system: SphericalSystem  # catalog member with the basis as its roots
 
 
 class SymmetricDatum(NamedTuple):
@@ -66,200 +46,100 @@ class SymmetricDatum(NamedTuple):
         return self.recipe(**params)
 
 
-def _sym_doubled(family, n, rank=None):
-    d = parse_diagram(f"{family}{n}")
-    return SymmetricInstance(d, tuple(_doubles(n, range(1, n + 1))),
-                             (family, rank if rank is not None else n))
+def _sym(system, family, rank) -> SymmetricInstance:
+    return SymmetricInstance(system.diagram, system.sigma, (family, rank),
+                             system)
 
 
-def _sym_a2(n):
-    _need(n >= 3 and n % 2 == 1, "needs odd n >= 3")
-    d = parse_diagram(f"A{n}")
-    return SymmetricInstance(d, tuple(_humps(n, (n - 1) // 2)),
-                             ("A", (n - 1) // 2))
+def _a3q1(p, q=1):
+    _need(q == 1, "needs q = 1")
+    return _sym(families._b_aa_p1p(p), "C", p + 1)
 
 
-def _sym_a3(p, q):
-    _need(p >= 1 and q >= 2, "needs p >= 1, q >= 2")
-    n = 2 * p + q
-    basis = [_w(n, {i: 1, n + 1 - i: 1}) for i in range(1, p + 1)]
-    basis.append(_span(n, p + 1, p + q))
-    return SymmetricInstance(parse_diagram(f"A{n}"), tuple(basis),
-                             ("BC", p + 1))
-
-
-def _sym_a3q1(p, q=1):
-    _need(p >= 1 and q == 1, "needs p >= 1, q = 1")
-    n = 2 * p + 1
-    basis = [_w(n, {i: 1, n + 1 - i: 1}) for i in range(1, p + 1)]
-    basis.append(_w(n, {p + 1: 2}))
-    return SymmetricInstance(parse_diagram(f"A{n}"), tuple(basis),
-                             ("C", p + 1))
-
-
-def _sym_a4(n):
-    _need(n >= 2, "needs n >= 2")
-    return SymmetricInstance(parse_diagram(f"A{n}"), (_span(n, 1, n),),
-                             ("A", 1))
-
-
-def _sym_a4n1(n=1):
+def _a4n1(n=1):
     _need(n == 1, "needs n = 1")
-    return _sym_doubled("A", 1)
+    return _sym(families._b_all_doubled("A", 1), "A", 1)
 
 
-def _sym_c1(n):
-    _need(n >= 3, "needs n >= 3")
-    return _sym_doubled("C", n)
-
-
-def _sym_b1(p, q):
-    _need(p >= 1 and q >= 1, "needs p, q >= 1")
-    n = p + q
-    basis = _doubles(n, range(1, p + 1)) + [_span(n, p + 1, n, 2)]
-    return SymmetricInstance(parse_diagram(f"B{n}"), tuple(basis),
-                             ("B", p + 1))
-
-
-def _sym_b2(n):
-    _need(n >= 2, "needs n >= 2")
-    return SymmetricInstance(parse_diagram(f"B{n}"), (_span(n, 1, n, 2),),
-                             ("A", 1))
-
-
-def _sym_c2(p, q):
+def _c2(p, q):
     _need(p >= 0 and p % 2 == 0 and q >= 3, "needs even p >= 0, q >= 3")
-    n = p + q
-    tail = {i: 2 for i in range(p + 2, n)}
-    tail[p + 1] = 1
-    tail[n] = 1
-    basis = _humps(n, p // 2) + [_w(n, tail)]
-    return SymmetricInstance(parse_diagram(f"C{n}"), tuple(basis),
-                             ("BC", p // 2 + 1))
+    member = families._b_c(q) if p == 0 else families._b_cc_pq(p, q)
+    return _sym(member, "BC", p // 2 + 1)
 
 
-def _sym_c2q2(p, q=2):
-    _need(p >= 2 and p % 2 == 0 and q == 2, "needs even p >= 2, q = 2")
-    n = p + 2
-    basis = _humps(n, p // 2) + [_w(n, {n - 1: 2, n: 2})]
-    return SymmetricInstance(parse_diagram(f"C{n}"), tuple(basis),
-                             ("C", p // 2 + 1))
+def _c2q2(p, q=2):
+    _need(q == 2, "needs q = 2")
+    return _sym(families._b_ccprime(p), "C", p // 2 + 1)
 
 
-def _sym_d1(p, q):
-    _need(p >= 1 and q >= 2 and p + q >= 4, "needs p >= 1, q >= 2, p+q >= 4")
-    n = p + q
-    tail = {i: 2 for i in range(p + 1, n - 1)}
-    tail[n - 1] = 1
-    tail[n] = 1
-    basis = _doubles(n, range(1, p + 1)) + [_w(n, tail)]
-    return SymmetricInstance(parse_diagram(f"D{n}"), tuple(basis),
-                             ("B", p + 1))
+def _d1q0(p, q=0):
+    _need(q == 0, "needs q = 0")
+    return _sym(families._b_all_doubled("D", p), "D", p)
 
 
-def _sym_d1q0(p, q=0):
-    _need(p >= 4 and q == 0, "needs p >= 4, q = 0")
-    return _sym_doubled("D", p)
-
-
-def _sym_d2(n):
-    _need(n >= 4, "needs n >= 4")
-    tail = {i: 2 for i in range(1, n - 1)}
-    tail[n - 1] = 1
-    tail[n] = 1
-    return SymmetricInstance(parse_diagram(f"D{n}"), (_w(n, tail),),
-                             ("A", 1))
-
-
-def _sym_d3even(n):
+def _d3even(n):
     _need(n >= 4 and n % 2 == 0, "needs even n >= 4")
-    basis = _humps(n, (n - 2) // 2) + [_w(n, {n: 2})]
-    return SymmetricInstance(parse_diagram(f"D{n}"), tuple(basis),
-                             ("C", n // 2))
+    return _sym(families._dc_prime(n), "C", n // 2)
 
 
-def _sym_d3odd(n):
-    _need(n >= 5 and n % 2 == 1, "needs odd n >= 5")
-    basis = _humps(n, (n - 3) // 2) + [_w(n, {n - 2: 1, n - 1: 1, n: 1})]
-    return SymmetricInstance(parse_diagram(f"D{n}"), tuple(basis),
-                             ("BC", (n - 1) // 2))
-
-
-def _fixed(maker):
-    # rank-specific rows take no parameters
-    return lambda: maker
-
-
-_E6 = parse_diagram("E6")
-_E7 = parse_diagram("E7")
-_E8 = parse_diagram("E8")
-
-
-def _e_long(n):
-    """The long weights shared by the rank-2 restricted systems on E6 and,
-    zero-padded, by their extensions on E7 and E8."""
-    return tuple(w + (0,) * (n - 6) for w in _EF_ROOTS)
+def _doubled(family, n):
+    return lambda: _sym(families._b_all_doubled(family, n), family, n)
 
 
 SYMMETRIC = (
     SymmetricDatum("A I", "n >= 1", "so(n+1)", ("n",),
-                   lambda n: _sym_doubled("A", n)),
-    SymmetricDatum("A II", "odd n >= 3", "sp(n+1)", ("n",), _sym_a2),
+                   lambda n: _sym(families._b_all_doubled("A", n), "A", n)),
+    SymmetricDatum("A II", "odd n >= 3", "sp(n+1)", ("n",),
+                   lambda n: _sym(families._b_ac(n), "A", (n - 1) // 2)),
     SymmetricDatum("A III (q >= 2)", "n = 2p+q, p >= 1, q >= 2",
-                   "sl(p+1) + sl(p+q) + gl(1)", ("p", "q"), _sym_a3),
+                   "sl(p+1) + sl(p+q) + gl(1)", ("p", "q"),
+                   lambda p, q: _sym(families._b_aa_pqp(p, q), "BC", p + 1)),
     SymmetricDatum("A III (q = 1)", "n = 2p+1, p >= 1",
-                   "sl(p+1) + sl(p+1) + gl(1)", ("p",), _sym_a3q1),
-    SymmetricDatum("A IV (n >= 2)", "n >= 2", "gl(n)", ("n",), _sym_a4),
-    SymmetricDatum("A IV (n = 1)", "n = 1", "gl(1)", ("n",), _sym_a4n1),
+                   "sl(p+1) + sl(p+1) + gl(1)", ("p",), _a3q1),
+    SymmetricDatum("A IV (n >= 2)", "n >= 2", "gl(n)", ("n",),
+                   lambda n: _sym(families._b_a(n), "A", 1)),
+    SymmetricDatum("A IV (n = 1)", "n = 1", "gl(1)", ("n",), _a4n1),
     SymmetricDatum("B I", "n = p+q, p, q >= 1", "so(p+1) + so(2n-p)",
-                   ("p", "q"), _sym_b1),
-    SymmetricDatum("B II", "n >= 2", "so(2n)", ("n",), _sym_b2),
-    SymmetricDatum("C I", "n >= 3", "gl(n)", ("n",), _sym_c1),
+                   ("p", "q"),
+                   lambda p, q: _sym(families._b_bo(p, q), "B", p + 1)),
+    SymmetricDatum("B II", "n >= 2", "so(2n)", ("n",),
+                   lambda n: _sym(families._b_b(n, coeff=2), "A", 1)),
+    SymmetricDatum("C I", "n >= 3", "gl(n)", ("n",),
+                   lambda n: _sym(families._b_all_doubled("C", n), "C", n)),
     SymmetricDatum("C II (q >= 3)", "n = p+q, even p >= 0, q >= 3",
-                   "sp(p+2) + sp(2n-p-2)", ("p", "q"), _sym_c2),
+                   "sp(p+2) + sp(2n-p-2)", ("p", "q"), _c2),
     SymmetricDatum("C II (q = 2)", "n = p+2, even p >= 2",
-                   "sp(n) + sp(n)", ("p",), _sym_c2q2),
+                   "sp(n) + sp(n)", ("p",), _c2q2),
     SymmetricDatum("D I (q >= 2)", "n = p+q, p >= 1, q >= 2",
-                   "so(p+1) + so(2n-p-1)", ("p", "q"), _sym_d1),
+                   "so(p+1) + so(2n-p-1)", ("p", "q"),
+                   lambda p, q: _sym(families._b_do_pq(p, q), "B", p + 1)),
     SymmetricDatum("D I (q = 0)", "n = p >= 4", "so(n) + so(n)",
-                   ("p",), _sym_d1q0),
-    SymmetricDatum("D II", "n >= 4", "so(2n-1)", ("n",), _sym_d2),
+                   ("p",), _d1q0),
+    SymmetricDatum("D II", "n >= 4", "so(2n-1)", ("n",),
+                   lambda n: _sym(families._b_d(n), "A", 1)),
     SymmetricDatum("D III (n even)", "even n >= 4", "gl(n)", ("n",),
-                   _sym_d3even),
+                   _d3even),
     SymmetricDatum("D III (n odd)", "odd n >= 5", "gl(n)", ("n",),
-                   _sym_d3odd),
-    SymmetricDatum("E I", "", "sp(8)", (),
-                   _fixed(_sym_doubled("E", 6))),
-    SymmetricDatum("E II", "", "sl(6) + sl(2)", (), _fixed(
-        SymmetricInstance(_E6, ((1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0),
-                                (0, 2, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0)),
-                          ("F", 4)))),
-    SymmetricDatum("E III", "", "so(10) + gl(1)", (), _fixed(
-        SymmetricInstance(_E6, ((1, 0, 1, 1, 1, 1), (0, 2, 1, 2, 1, 0)),
-                          ("BC", 2)))),
-    SymmetricDatum("E IV", "", "f4", (), _fixed(
-        SymmetricInstance(_E6, _e_long(6), ("A", 2)))),
-    SymmetricDatum("E V", "", "sl(8)", (),
-                   _fixed(_sym_doubled("E", 7))),
-    SymmetricDatum("E VI", "", "so(12) + sl(2)", (), _fixed(
-        SymmetricInstance(_E7, ((2, 0, 0, 0, 0, 0, 0),
-                                (0, 0, 2, 0, 0, 0, 0),
-                                (0, 1, 0, 2, 1, 0, 0),
-                                (0, 0, 0, 0, 1, 2, 1)), ("F", 4)))),
-    SymmetricDatum("E VII", "", "e6 + gl(1)", (), _fixed(
-        SymmetricInstance(_E7, _e_long(7) + (_w(7, {7: 2}),), ("C", 3)))),
-    SymmetricDatum("E VIII", "", "so(16)", (),
-                   _fixed(_sym_doubled("E", 8))),
-    SymmetricDatum("E IX", "", "e7 + sl(2)", (), _fixed(
-        SymmetricInstance(_E8, _e_long(8) + (_w(8, {7: 2}), _w(8, {8: 2})),
-                          ("F", 4)))),
-    SymmetricDatum("F I", "", "sp(6) + sl(2)", (),
-                   _fixed(_sym_doubled("F", 4))),
-    SymmetricDatum("F II", "", "so(9)", (), _fixed(
-        SymmetricInstance(parse_diagram("F4"), ((1, 2, 3, 2),),
-                          ("BC", 1)))),
-    SymmetricDatum("G", "", "sl(2) + sl(2)", (),
-                   _fixed(_sym_doubled("G", 2))),
+                   lambda n: _sym(families._b_dc(n), "BC", (n - 1) // 2)),
+    SymmetricDatum("E I", "", "sp(8)", (), _doubled("E", 6)),
+    SymmetricDatum("E II", "", "sl(6) + sl(2)", (),
+                   lambda: _sym(families._b_ea6(), "F", 4)),
+    SymmetricDatum("E III", "", "so(10) + gl(1)", (),
+                   lambda: _sym(families._b_ed6(), "BC", 2)),
+    SymmetricDatum("E IV", "", "f4", (),
+                   lambda: _sym(families._b_ef(6), "A", 2)),
+    SymmetricDatum("E V", "", "sl(8)", (), _doubled("E", 7)),
+    SymmetricDatum("E VI", "", "so(12) + sl(2)", (),
+                   lambda: _sym(families._b_ec7(), "F", 4)),
+    SymmetricDatum("E VII", "", "e6 + gl(1)", (),
+                   lambda: _sym(families._b_ef(7), "C", 3)),
+    SymmetricDatum("E VIII", "", "so(16)", (), _doubled("E", 8)),
+    SymmetricDatum("E IX", "", "e7 + sl(2)", (),
+                   lambda: _sym(families._b_ef(8), "F", 4)),
+    SymmetricDatum("F I", "", "sp(6) + sl(2)", (), _doubled("F", 4)),
+    SymmetricDatum("F II", "", "so(9)", (),
+                   lambda: _sym(families._b_f4(), "BC", 1)),
+    SymmetricDatum("G", "", "sl(2) + sl(2)", (), _doubled("G", 2)),
 )
 
 # Rows whose fixed-point subgroup is wonderful on its own, next to the
@@ -308,47 +188,22 @@ def symmetric_system(label: str, selfnormalising: bool = True,
                      **params) -> SphericalSystem:
     """Spherical system of the wonderful symmetric subgroup of a row.
 
-    The spherical roots are exactly the restricted basis elements.  The
-    parabolic set is not part of the table; it is recovered by trying
-    every combination of admissible per-root traces and keeping the one
-    whose union contains all the others.  A row with no valid choice, or
-    with incomparable maximal choices, is a transcription bug and raises.
+    The spherical roots are exactly the restricted basis elements, and the
+    parabolic set is that of the catalog member built from them.
 
     With ``selfnormalising=False`` the doubled basis element is halved,
-    giving the system of the plain fixed-point subgroup; only the rows
-    with the so(2n) and sp(n)+sp(n) fixed subalgebras admit this.
+    giving the system of the plain fixed-point subgroup on the same
+    parabolic set; only the rows with the so(2n) and sp(n)+sp(n) fixed
+    subalgebras admit this.
     """
     row, inst = symmetric_instance(label, **params)
-    sigma = list(inst.basis)
-    if not selfnormalising:
-        if row.label not in _TWO_VARIANTS:
-            raise ValueError(f"{row.label} has a single wonderful variant")
-        sigma = [tuple(c // 2 for c in g) if all(c % 2 == 0 for c in g)
-                 else g for g in sigma]
-    d = inst.diagram
-    covered = frozenset().union(*(support(g) for g in sigma))
-    if covered != frozenset(range(d.n_nodes)):
-        raise ValueError(f"{row.label}: basis does not span the diagram")
-    options = []
-    for g in sigma:
-        traces = sorted(rankone.admissible_traces(d, g), key=sorted)
-        if not traces:
-            raise ValueError(f"{row.label}: {list(g)} is not a rank-one "
-                             "weight on its support")
-        options.append(traces)
-    valid = set()
-    for combo in itertools.product(*options):
-        sp = frozenset().union(*combo)
-        if SphericalSystem(d, sp, sigma).validate().ok:
-            valid.add(sp)
-    if not valid:
-        raise ValueError(f"{row.label}: no parabolic set completes the "
-                         "restricted basis")
-    best = max(valid, key=len)
-    if any(not sp <= best for sp in valid):
-        raise ValueError(f"{row.label}: incomparable parabolic sets "
-                         f"{sorted(map(sorted, valid))}")
-    return SphericalSystem(d, best, sigma)
+    if selfnormalising:
+        return inst.system
+    if row.label not in _TWO_VARIANTS:
+        raise ValueError(f"{row.label} has a single wonderful variant")
+    sigma = [tuple(c // 2 for c in g) if all(c % 2 == 0 for c in g)
+             else g for g in inst.basis]
+    return SphericalSystem(inst.diagram, inst.system.sp, sigma)
 
 
 def restricted_cartan(diagram: Diagram, basis) -> tuple:
@@ -461,14 +316,14 @@ class OrbitDatum(NamedTuple):
 def _orb_b_tall(r):
     _need(r >= 1, "needs r >= 1")
     n = 2 * r + 1
-    return OrbitInstance(parse_diagram(f"B{n}"), _w(n, {1: 1, n: 1}),
+    return OrbitInstance(parse_diagram(f"B{n}"), _wt(n, {0: 1, n - 1: 1}),
                          (3,) + (2,) * (2 * r))
 
 
 def _orb_b(r, s):
     _need(r >= 1 and s >= 1, "needs r, s >= 1")
     n = 2 * r + s + 1
-    return OrbitInstance(parse_diagram(f"B{n}"), _w(n, {1: 1, 2 * r + 1: 1}),
+    return OrbitInstance(parse_diagram(f"B{n}"), _wt(n, {0: 1, 2 * r: 1}),
                          (3,) + (2,) * (2 * r) + (1,) * (2 * s))
 
 
@@ -476,14 +331,14 @@ def _orb_d_tall(r):
     _need(r >= 1, "needs r >= 1")
     n = 2 * r + 2
     return OrbitInstance(parse_diagram(f"D{n}"),
-                         _w(n, {1: 1, n - 1: 1, n: 1}),
+                         _wt(n, {0: 1, n - 2: 1, n - 1: 1}),
                          (3,) + (2,) * (2 * r) + (1,))
 
 
 def _orb_d(r, s):
     _need(r >= 1 and s >= 1, "needs r, s >= 1")
     n = 2 * r + s + 2
-    return OrbitInstance(parse_diagram(f"D{n}"), _w(n, {1: 1, 2 * r + 1: 1}),
+    return OrbitInstance(parse_diagram(f"D{n}"), _wt(n, {0: 1, 2 * r: 1}),
                          (3,) + (2,) * (2 * r) + (1,) * (2 * s + 1))
 
 
@@ -531,7 +386,6 @@ class ModelDatum(NamedTuple):
     characteristic: Callable | None = None  # rank -> orbit characteristic
 
     def instantiate(self, n: int = 0) -> SphericalSystem:
-        from . import families
         return families.instantiate(self.system, **self.system_params(n))
 
 
@@ -550,7 +404,7 @@ MODEL = (
     ModelDatum("B", "odd",
                "normaliser of the centraliser of a nilpotent element",
                "bc*(n)", _n,
-               lambda n: _w(n, {1: 1, n: 1})),
+               lambda n: _wt(n, {0: 1, n - 1: 1})),
     ModelDatum("C", "even",
                "parabolic of semisimple type C(n/2-1) x C(n/2) in the "
                "row C II (q = 2) subgroup", "ac*(p)+c*(q)",
@@ -562,7 +416,7 @@ MODEL = (
     ModelDatum("D", "even",
                "normaliser of the centraliser of a nilpotent element",
                "dc*(n)", _n,
-               lambda n: _w(n, {1: 1, n - 1: 1, n: 1})),
+               lambda n: _wt(n, {0: 1, n - 2: 1, n - 1: 1})),
     ModelDatum("D", "odd",
                "inside the type-A(n-2) parabolic of the row D II subgroup, "
                "same radical, semisimple type C((n-1)/2)", "dc*(n)", _n),

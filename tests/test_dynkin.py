@@ -177,6 +177,14 @@ def test_from_json_rejects_malformed(data):
         Diagram.from_json(data)
 
 
+@pytest.mark.parametrize("family,rank", [("A", True), ("A", 2.7),
+                                         ("B", "3")])
+def test_constructor_rejects_non_integer_rank(family, rank):
+    # the JSON boundary already refuses these; API callers must not slip by
+    with pytest.raises(DiagramError, match=repr(rank)):
+        Diagram([(family, rank)])
+
+
 @pytest.mark.parametrize("node", [None, 1.5, [[0, 1]], "0.9", (0, 0), 3])
 def test_node_index_rejects_bad_references(node):
     with pytest.raises(DiagramError, match="no node"):

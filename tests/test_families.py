@@ -94,6 +94,19 @@ def test_bad_parameters_rejected(name, params):
         families.instantiate(name, **params)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("co(n)", {"n": 2}),       # C2 is B2: would build bo(1+1)
+    ("do(n)", {"n": 3}),       # D3 is A3: would build ao(3)
+    ("cc(p,p)", {"p": 2}),     # would build bb(2,2)
+    ("bb(p,p)", {"p": 1}),     # would build aa(1,1)
+    ("dd(p,p)", {"p": 2}),     # D2 is A1,A1: no pair of D chains
+    ("dc'(n)", {"n": 4}),      # the unchecked recipe serves D III at n = 4
+])
+def test_rank_below_family_range_rejected(name, params):
+    with pytest.raises(ValueError, match="needs"):
+        families.instantiate(name, **params)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(KeyError):
         families.instantiate("z(9)")
@@ -162,7 +175,6 @@ def test_non_strict_members():
         ("g(2)", {}),
     ]
     for name, params in non_strict:
-        assert families.is_non_strict(name, params), name
         assert not families.instantiate(name, **params).is_strict, name
 
 
@@ -174,7 +186,6 @@ def test_strict_members():
         ("a(p)+b'(q)", {"p": 2, "q": 1}), ("c(n)", {"n": 3}),
     ]
     for name, params in strict:
-        assert not families.is_non_strict(name, params), name
         assert families.instantiate(name, **params).is_strict, name
 
 

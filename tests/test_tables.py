@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from sphsys import families, ops, tables
+from sphsys import families, ops, rankone, tables
 from sphsys.dynkin import parse_diagram
+from sphsys.system import SphericalSystem
 
 # involution rows: (label, params, catalog name of the selfnormalising
 # system), at the smallest admissible parameters and one larger choice
@@ -164,6 +165,39 @@ class TestSymmetricSystem:
     def test_full_sweep_is_fast(self):
         for label, params, _ in SYMMETRIC_CASES:
             assert tables.symmetric_system(label, **params).validate().ok
+
+
+def _maximal_parabolic(sys):
+    """Reference oracle for the parabolic set of a restricted basis.
+
+    Tries every combination of admissible per-root traces and keeps the
+    unions that validate.  Returns the largest one, or None when some
+    valid union is not contained in it.
+    """
+    d, sigma = sys.diagram, sys.sigma
+    options = [rankone.admissible_traces(d, g) for g in sigma]
+    assert all(options), f"a root of {sys!r} has no admissible trace"
+    valid = set()
+    for combo in itertools.product(*options):
+        sp = frozenset().union(*combo)
+        if SphericalSystem(d, sp, sigma).validate().ok:
+            valid.add(sp)
+    assert valid, f"no parabolic set completes {sys!r}"
+    best = max(valid, key=len)
+    return best if all(sp <= best for sp in valid) else None
+
+
+@pytest.mark.parametrize(
+    "label,params,selfnormalising",
+    [(label, params, True) for label, params, _ in SYMMETRIC_CASES]
+    + [(label, params, False) for label, params, _ in HALVED_CASES])
+def test_parabolic_is_the_largest_valid_trace_union(label, params,
+                                                    selfnormalising):
+    sys = tables.symmetric_system(label, selfnormalising=selfnormalising,
+                                  **params)
+    best = _maximal_parabolic(sys)
+    assert best is not None, "incomparable parabolic sets"
+    assert sys.sp == best
 
 
 class TestRestrictedCartan:
