@@ -1,12 +1,12 @@
-"""Exact integer linear algebra: rank and the feasibility of
-'Mx >= 0, x >= 0, some x_i >= 1' systems.
+"""Exact integer linear algebra: rank, a kernel line, and the feasibility
+of 'Mx >= 0, x >= 0, some x_i >= 1' systems.
 
-Rank comes from a fraction-free echelon step.  Feasibility is Fourier-
-Motzkin elimination on integer rows, each new row divided by the gcd of its
-coefficients and constant; a satisfying point is found by rational
-back-substitution, scaled to integers (the system is invariant under
-scaling by integers >= 1) and returned as a certificate, None means
-infeasible.
+Rank and the kernel line come from a fraction-free echelon step.
+Feasibility is Fourier-Motzkin elimination on integer rows, each new row
+divided by the gcd of its coefficients and constant; a satisfying point is
+found by rational back-substitution, scaled to integers (the system is
+invariant under scaling by integers >= 1) and returned as a certificate,
+None means infeasible.
 """
 
 from __future__ import annotations
@@ -33,12 +33,42 @@ def echelon_extend(basis, w):
     return None
 
 
-def rank(rows) -> int:
-    """Rank over Q of a sequence of integer vectors."""
+def _echelon(rows):
     basis = []
     for r in rows:
         basis = echelon_extend(basis, r) or basis
-    return len(basis)
+    return basis
+
+
+def rank(rows) -> int:
+    """Rank over Q of a sequence of integer vectors."""
+    return len(_echelon(rows))
+
+
+def kernel_vector(rows, n_vars: int):
+    """Primitive integer vector spanning {x : row.x == 0 for all rows} when
+    that kernel is a line, with its first nonzero entry positive; else None.
+
+    Back-substitution through the echelon rows, last pivot first, in
+    integers: each step rescales x so that the new pivot entry is integral.
+    """
+    basis = _echelon(rows)
+    if len(basis) != n_vars - 1:
+        return None
+    pivots = {p for p, _row in basis}
+    x = [int(i not in pivots) for i in range(n_vars)]
+    # an echelon row is zero on earlier pivots, so it only meets the free
+    # column and pivots already solved
+    for p, row in reversed(basis):
+        s = sum(a * v for a, v in zip(row, x))
+        g = gcd(row[p], s)
+        m = row[p] // g
+        x = [m * v for v in x]
+        x[p] = -s // g
+    g = gcd(*x)
+    if next(v for v in x if v) < 0:
+        g = -g
+    return tuple(v // g for v in x)
 
 
 def feasible_nonneg(rows, n_vars: int, strict=()):

@@ -1,14 +1,27 @@
 """Hilbert bases of lattice kernels intersected with the positive orthant.
 
-Completion procedure of Contejean and Devie: breadth-first growth from the
-unit vectors, extending t by e_i only while A.t and A.e_i point into
-opposite half-spaces.  The procedure is complete for minimal solutions of
-A x = 0, x >= 0; the state cap guards against runaway instances.
+The basis of a pointed cone is unique, so it may be assembled from exact
+pieces before any search:
+
+- a column every row kills gives a unit vector of the basis, and the rest
+  of the basis lives on the other ("live") columns, since a minimal
+  solution with a dead entry is that unit alone;
+- live columns of full rank leave the kernel {0}, so they add nothing;
+- live columns of rank one less leave a line spanned by a primitive integer
+  vector v, whose lattice points are the multiples of v: they add v if v is
+  nonnegative and nothing if v has mixed signs.
+
+Larger kernels go to the completion procedure of Contejean and Devie:
+breadth-first growth from the unit vectors, extending t by e_i only while
+A.t and A.e_i point into opposite half-spaces.  The procedure is complete
+for minimal solutions of A x = 0, x >= 0; the state cap guards against
+runaway instances.
 """
 
 from __future__ import annotations
 
 from sphsys.budget import BudgetExceeded, max_states
+from sphsys.feasible import kernel_vector, rank
 
 
 def hilbert_basis(rows, n_vars: int):
@@ -18,6 +31,28 @@ def hilbert_basis(rows, n_vars: int):
     of integer tuples.
     """
     a = [tuple(r) for r in rows]
+    live = [i for i in range(n_vars) if any(r[i] for r in a)]
+    sub = [tuple(r[i] for i in live) for r in a]
+    found = ()
+    k = rank(sub)
+    if k == len(live) - 1:
+        v = kernel_vector(sub, len(live))
+        if min(v) >= 0:     # v leads with a positive entry: -v is never >= 0
+            found = (v,)
+    elif k < len(live) - 1:
+        found = _completion(sub, len(live))
+    out = [tuple(int(j == i) for j in range(n_vars))
+           for i in range(n_vars) if i not in live]
+    for x in found:
+        y = [0] * n_vars
+        for i, c in zip(live, x):
+            y[i] = c
+        out.append(tuple(y))
+    return tuple(sorted(out))
+
+
+def _completion(a, n_vars):
+    """Contejean-Devie completion; the minimal solutions, in any order."""
     cap = max_states()
 
     def image(x):
@@ -65,4 +100,4 @@ def hilbert_basis(rows, n_vars: int):
         if not any(all(b <= xi for b, xi in zip(bb, x))
                    for bb in out):
             out.append(x)
-    return tuple(out)
+    return out

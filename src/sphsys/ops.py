@@ -119,24 +119,7 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     subset = tuple(sorted(subset))
     if distinguished_witness(sys, subset) is None:
         raise ValueError("quotient by a non-distinguished subset")
-    return _quotient(sys, subset)
-
-
-def _quotient(sys, subset) -> QuotientResult:
-    """quotient() for a sorted subset already known to be distinguished."""
-    # one equation per chosen colour, variables are root multiplicities
-    rho = sys.rho_matrix
-    rows = [tuple(rho[c]) for c in subset]
-    coeffs = hilbert_basis(rows, len(sys.sigma))
-    sigma_out = []
-    for x in coeffs:
-        w = [0] * sys.diagram.n_nodes
-        for c, g in zip(x, sys.sigma):
-            if c:
-                for i, v in enumerate(g):
-                    w[i] += c * v
-        sigma_out.append(tuple(w))
-    sigma_out.sort()
+    coeffs, sigma_out = _new_roots(sys, subset)
     sp_out = frozenset(sys.sp)
     for c in subset:
         sp_out |= sys.colours[c].nodes
@@ -144,12 +127,25 @@ def _quotient(sys, subset) -> QuotientResult:
     return QuotientResult(
         system=out,
         sp=sp_out,
-        sigma=tuple(sigma_out),
+        sigma=sigma_out,
         coefficients=coeffs,
         smooth=set(sigma_out) <= set(sys.sigma),
         homogeneous=not sigma_out,
         is_valid_system=out.is_valid,
     )
+
+
+def _new_roots(sys, subset):
+    """The quotient's Hilbert basis in sigma coordinates, and the sorted
+    weights of its elements: the new spherical roots."""
+    # one equation per chosen colour, variables are root multiplicities
+    rho = sys.rho_matrix
+    coeffs = hilbert_basis([tuple(rho[c]) for c in sorted(subset)],
+                           len(sys.sigma))
+    roots = sorted(tuple(sum(c * g[i] for c, g in zip(x, sys.sigma))
+                         for i in range(sys.diagram.n_nodes))
+                   for x in coeffs)
+    return coeffs, tuple(roots)
 
 
 def support_colour_set(sys: SphericalSystem) -> tuple:
@@ -200,8 +196,9 @@ def _splits(sys, s1, s2) -> bool:
     if any(p & add1 and p & add2
            for p in pieces(sorted(sys.sp | add1 | add2), d.adjacent)):
         return False
-    return (_quotient(sys, tuple(sorted(s1))).smooth
-            or _quotient(sys, tuple(sorted(s2))).smooth)
+    # a smooth quotient: every new root is an old one
+    return any(set(_new_roots(sys, s)[1]) <= set(sys.sigma)
+               for s in (s1, s2))
 
 
 def is_decomposable(sys: SphericalSystem):

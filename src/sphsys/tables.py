@@ -17,6 +17,7 @@ for documentation; nothing interprets them.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import Callable, NamedTuple
 
@@ -246,7 +247,16 @@ class OrbitDims(NamedTuple):
 
 def _checked(diagram, characteristic):
     d = parse_diagram(diagram)
-    char = tuple(int(c) for c in characteristic)
+    char = []
+    for c in characteristic:
+        try:
+            if type(c) is bool:     # True is no characteristic entry
+                raise TypeError
+            char.append(operator.index(c))
+        except TypeError:
+            raise ValueError(f"characteristic entry {c!r} is not an "
+                             "integer") from None
+    char = tuple(char)
     if len(char) != d.n_nodes:
         raise ValueError(f"characteristic length {len(char)} != "
                          f"{d.n_nodes} nodes")

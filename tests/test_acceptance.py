@@ -310,6 +310,50 @@ def test_7_dictionary_property_suite(monkeypatch):
                f"decompositions, {invariance_cases} relabelling checks")
 
 
+def test_7b_quotient_sweep_every_connected_member_up_to_rank_eight():
+    # Every colour subset of every catalog member: distinguished? then
+    # the quotient, checked against invariants re-derived here.
+    start = time.perf_counter()
+    specs = [f"{fam}{r}" for fam, (lo, hi) in sorted(_RANK_RANGE.items())
+             for r in range(lo, min(hi or 8, 8) + 1)]
+    members = subsets = quotients = 0
+    for spec in specs:
+        for entry in families.expand_catalog(parse_diagram(spec)):
+            sys = entry.system
+            rho, k = sys.rho_matrix, len(sys.sigma)
+            members += 1
+            for r in range(1, len(sys.colours) + 1):
+                for subset in itertools.combinations(range(len(rho)), r):
+                    subsets += 1
+                    phi = ops.distinguished_witness(sys, subset)
+                    if phi is None:
+                        assert any(sum(rho[c][j] for c in subset) < 0
+                                   for j in range(k)), (entry.label, subset)
+                        continue
+                    assert min(phi) > 0 and all(
+                        sum(f * rho[c][j] for f, c in zip(phi, subset)) >= 0
+                        for j in range(k)), (entry.label, subset)
+                    q = ops.quotient(sys, subset)
+                    quotients += 1
+                    for x in q.coefficients:
+                        assert len(x) == k and min(x) >= 0 and any(x)
+                        assert not any(sum(a * v for a, v in zip(rho[c], x))
+                                       for c in subset), (entry.label, x)
+                    for a, b in itertools.permutations(q.coefficients, 2):
+                        assert not all(u <= v for u, v in zip(a, b))
+                    assert list(q.sigma) == sorted(
+                        tuple(sum(c * g[i] for c, g in zip(x, sys.sigma))
+                              for i in range(sys.diagram.n_nodes))
+                        for x in q.coefficients)
+                    assert q.sp == sys.sp.union(
+                        *(sys.colours[c].nodes for c in subset))
+    assert (len(specs), members, subsets) == (31, 328, 9566)
+    elapsed = time.perf_counter() - start
+    _report("7b", f"quotient sweep: {subsets} colour subsets of {members} "
+                  f"catalog members on {len(specs)} connected diagrams of "
+                  f"rank <= 8, {quotients} quotients ({elapsed:.1f}s)")
+
+
 def test_8_dimension_identities():
     # group dimensions computed from the classical formulas, not the library
     def so(m):

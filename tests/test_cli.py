@@ -220,6 +220,15 @@ class TestOperations:
         assert status == 0
         assert out
 
+    def test_components_classify_eo7_within_budget(self, capsys, monkeypatch,
+                                                    system_file):
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "200000")
+        status, out = run_json(
+            capsys, ["components", "--system", system_file("eo(n)", n=7),
+                     "--classify"])
+        assert status == 0
+        assert [c["erasable"] for c in out] == [True]
+
     def test_components_classify(self, capsys, system_file):
         status, out = run_json(
             capsys, ["components", "--system",

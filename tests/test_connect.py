@@ -4,6 +4,7 @@ import pytest
 
 from sphsys import connect
 from sphsys.dynkin import parse_diagram
+from sphsys.families import instantiate
 from sphsys.system import SphericalSystem
 
 
@@ -142,6 +143,18 @@ class TestClassify:
             a = connect.classify_component(PAIRS, comp)
             assert a.isolated
             assert a.erasable
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_all_doubled_e_type_needs_no_search(self, monkeypatch, n):
+        # eo(n) is one component moved by every colour; the quotient by all
+        # of them has kernel {0}, so it is erasable without a Hilbert search
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "200000")
+        sys = instantiate("eo(n)", n=n)
+        (comp,) = connect.components(sys)
+        a = connect.classify_component(sys, comp)
+        assert a.delta_of == tuple(range(n))
+        assert (a.isolated, a.erasable, a.quasi_erasable) \
+            == (False, True, True)
 
     def test_isolated_implies_erasable(self):
         for sys in (CHAIN3, FORK5, GLUED6, GLUED5, PAIRS):

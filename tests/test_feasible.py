@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from sphsys import ops
 from sphsys.budget import BudgetExceeded, max_states
 from sphsys.families import expand_catalog
-from sphsys.feasible import echelon_extend, feasible_nonneg, rank
+from sphsys.feasible import (echelon_extend, feasible_nonneg, kernel_vector,
+                             rank)
 
 
 def check(rows, n, strict=()):
@@ -189,3 +191,23 @@ def test_echelon_extend_accepts_exactly_rank_increases(case):
     assert rank(rows) == len(kept) == _reference_rank(rows)
     grows = _reference_rank(kept + [w]) > len(kept)
     assert (echelon_extend(basis, w) is not None) == grows
+
+
+@st.composite
+def _line_case(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(_vectors(n), min_size=n - 1, max_size=n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_case())
+def test_kernel_vector_is_a_primitive_kernel_line(case):
+    n, rows = case
+    v = kernel_vector(rows, n)
+    if _reference_rank(rows) != n - 1:
+        assert v is None
+        return
+    assert len(v) == n and gcd(*v) == 1
+    assert next(x for x in v if x) > 0
+    for r in rows:
+        assert sum(a * x for a, x in zip(r, v)) == 0

@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from sphsys.budget import BudgetExceeded
+from sphsys.feasible import rank
 from sphsys.hilbert import hilbert_basis
 
 
@@ -64,8 +66,10 @@ def test_elements_are_solutions_and_incomparable():
 
 def test_cap_faults(monkeypatch):
     monkeypatch.setenv("SPHSYS_MAX_STATES", "3")
+    # a kernel line is answered in closed form, without spending states
+    assert hilbert_basis([(6, -1)], 2) == ((1, 6),)
     with pytest.raises(BudgetExceeded):
-        hilbert_basis([(6, -1)], 2)
+        hilbert_basis([(6, -1, -1)], 3)
 
 
 def test_against_box_oracle_randomized(monkeypatch):
@@ -83,3 +87,25 @@ def test_against_box_oracle_randomized(monkeypatch):
         assert got_in_box == expect, (rows, sorted(basis), sorted(expect))
         checked += 1
     assert checked >= 500
+    # closed-form stratum, its own seed: forced zero columns and live
+    # columns whose kernel has dimension 0 or 1
+    rng = random.Random(20261018)
+    bound = 4
+    lines = Counter()
+    while sum(lines.values()) < 300:
+        live = rng.randint(1, 3)
+        n = live + rng.randint(1, min(2, 4 - live))
+        cols = sorted(rng.sample(range(n), live))
+        dim = rng.randint(0, min(1, live - 1))
+        sub = [tuple(rng.randint(-3, 3) for _ in range(live))
+               for _ in range(live - dim)]
+        if rank(sub) != live - dim or not all(map(any, zip(*sub))):
+            continue
+        rows = [tuple(r[cols.index(i)] if i in cols else 0
+                      for i in range(n)) for r in sub]
+        basis = hilbert_basis(rows, n)
+        expect = box_minimal(rows, n, bound)
+        assert {x for x in basis if max(x) <= bound} == expect, rows
+        lines[dim, len(basis) > n - live] += 1
+    # both dimensions, and lines inside and outside the orthant, occur
+    assert len(lines) == 3 and min(lines.values()) >= 30, lines

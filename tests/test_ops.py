@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from sphsys import ops, search
-from sphsys.families import expand_catalog
+from sphsys.families import expand_catalog, instantiate
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
 
@@ -135,6 +135,16 @@ class TestQuotient:
             sub = ops.support_colour_set(sys)
             res = ops.quotient(sys, sub)
             assert res.homogeneous
+
+    @pytest.mark.parametrize("name,n", [("co(n)", 6), ("co(n)", 7),
+                                        ("eo(n)", 7), ("eo(n)", 8)])
+    def test_trivial_kernel_needs_no_search(self, monkeypatch, name, n):
+        # rho is square of full rank: the kernel is {0} and the quotient by
+        # every colour is homogeneous, well inside a small state budget
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "200000")
+        sys = instantiate(name, n=n)
+        res = ops.quotient(sys, range(len(sys.colours)))
+        assert res.homogeneous and res.smooth and res.coefficients == ()
 
 
 class TestDecompose:

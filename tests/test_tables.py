@@ -250,6 +250,14 @@ class TestGrading:
         with pytest.raises(ValueError):
             tables.grading_dims("A2", (1, 0, 0))
 
+    @pytest.mark.parametrize("char", [(1.9, 0), (True, False), (1, "0"),
+                                      (1.0, 0)])
+    def test_non_integer_entries_rejected(self, char):
+        with pytest.raises(ValueError, match="characteristic entry"):
+            tables.grading_dims("G2", char)
+        with pytest.raises(ValueError, match="characteristic entry"):
+            tables.height("G2", char)
+
     def test_conservation(self):
         for spec in ["A4", "B4", "C4", "D4", "F4", "E6"]:
             d = parse_diagram(spec)
