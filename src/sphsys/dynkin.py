@@ -26,6 +26,11 @@ _RANK_RANGE = {
     "G": (2, 2),
 }
 
+# The largest total node count a diagram may have.  The rank-one table, which
+# validation, colours and the search all build, grows about as n^4 on A_n:
+# A50 builds in under a second, A100 in about ten.
+MAX_RANK = 50
+
 
 class DiagramError(ValueError):
     """Component spec outside the simple families, or a bad node reference."""
@@ -183,7 +188,8 @@ class Diagram:
     """An immutable finite-type Dynkin diagram, possibly with several components.
 
     Components are canonicalized (see canonicalize_component) and sorted, so
-    two diagrams with the same content compare equal.
+    two diagrams with the same content compare equal.  At most MAX_RANK
+    nodes in all.
     """
 
     __slots__ = ("components", "_cache")
@@ -196,6 +202,10 @@ class Diagram:
                                    "is not an integer")
             flat.extend(canonicalize_component(fam, rank))
         flat.sort()
+        rank = sum(r for _f, r in flat)
+        if rank > MAX_RANK:
+            raise DiagramError(f"a diagram of rank {rank} exceeds the cap of "
+                               f"{MAX_RANK} nodes")
         object.__setattr__(self, "components", tuple(flat))
         object.__setattr__(self, "_cache", {})
 

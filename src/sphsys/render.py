@@ -265,7 +265,7 @@ def render_text(sys: SphericalSystem) -> str:
         right, left = _EDGE_TOKENS[e.bond]
         tok = right if e.arrow_to in (None, e.b) else left
         node_parts.append((min(col_of[e.a], col_of[e.b]) + 2, tok))
-    rows.append(line(node_parts))
+    rows.append(line(node_parts) or "")     # no nodes on a rank-0 diagram
 
     out = line([(col_of[i], m) for i, m in sorted(marker.items())
                 if i not in riser_set])
@@ -439,7 +439,7 @@ def render_svg(sys: SphericalSystem) -> str:
         body.append(_fmt("polyline", id=eid, points=pts,
                          fill="none", stroke="#000", stroke_width="1.2"))
 
-    width = max(x.values()) + 42
+    width = max(x.values(), default=0) + 42
     height = _Y_SPINE + 52 + 12 * n_lanes + 16
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="0 0 {width} {height}" width="{width}" '

@@ -20,7 +20,7 @@ from .dynkin import parse_diagram
 from .families import expand_catalog
 from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
-from .system import SphericalSystem, doubled_node, orthogonal_pair
+from .system import SphericalSystem, root_facts
 
 
 def candidate_roots(diagram) -> tuple:
@@ -34,15 +34,16 @@ def _compatible(d, w1, w2) -> bool:
     root stay nonpositive integers, and the two halves of an orthogonal
     pair root pair equally with everything."""
     # Only necessary: it sees two roots at a time, validate() sees the set.
-    for a, b in ((w1, w2), (w2, w1)):
-        i = doubled_node(a)
+    f1, f2 = root_facts(d, w1), root_facts(d, w2)
+    for a, b, fa, fb in ((w1, w2, f1, f2), (w2, w1, f2, f1)):
+        i = fa.doubled
         if i is not None and b != a:
-            s = d.pairing_weight(i, b)
+            s = fb.pairings[i]
             if s > 0 or s % 2:
                 return False
-        pair = orthogonal_pair(d, a)
-        if pair is not None:
-            if d.pairing_weight(pair[0], b) != d.pairing_weight(pair[1], b):
+        if fa.pair is not None:
+            i, j = fa.pair
+            if fb.pairings[i] != fb.pairings[j]:
                 return False
     return True
 
@@ -59,11 +60,8 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
     compat = [[_compatible(d, cands[i], cands[j]) for j in range(m)]
               for i in range(m)]
     traces = [admissible_traces(d, w) for w in cands]
+    facts = [root_facts(d, w) for w in cands]
     n = d.n_nodes
-    supports = [frozenset(i for i, c in enumerate(w) if c) for w in cands]
-    paired = [frozenset(i for i in range(n)
-                        if i not in supports[k] and d.pairing_weight(i, w))
-              for k, w in enumerate(cands)]
     budget = max_states()
     state = {"count": 0}
     out = []
@@ -80,7 +78,7 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
             return
         # Only necessary: sp must be orthogonal to every root, but a node
         # left free may still fail another axiom in validate().
-        banned = frozenset().union(*(paired[k] for k in chosen))
+        banned = frozenset().union(*(facts[k].paired for k in chosen))
         free = [i for i in outside if i not in banned]
         free_subsets = [frozenset(f for k, f in enumerate(free)
                                   if mask >> k & 1)
@@ -113,7 +111,7 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
             nb = echelon_extend(basis, cands[k])
             if nb is None:
                 continue
-            supp = supports[k]
+            supp = facts[k].support
             walk(chosen + [k], nb, k + 1, covered | supp,
                  {a | t for a in assignments for t in traces[k]
                   if a & supp == t & covered})

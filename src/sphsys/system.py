@@ -9,6 +9,12 @@ independence.
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
 doubled_node and orthogonal_pair recognise them for the whole package.
+
+Everything the axioms ask of a single root (its support, its pairing with
+each node, its admissible traces and its shape) is a RootFacts record,
+read through root_facts from a per-diagram table, so validate, the colour
+pairing and the search compute it once per root rather than once per
+system.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from sphsys import rankone
 from sphsys.dynkin import Diagram, parse_diagram, pieces, support
@@ -47,6 +55,44 @@ def orthogonal_pair(d: Diagram, w):
             and d.orthogonal(*supp)):
         return tuple(supp)
     return None
+
+
+class RootFacts(NamedTuple):
+    """What the axioms ask of one weight g on a diagram."""
+    support: frozenset
+    pairings: tuple      # <alpha_i^vee, g> for every node i
+    paired: frozenset    # nodes off the support that pair nonzero with g
+    traces: frozenset    # rankone.admissible_traces(d, g)
+    simple: int | None   # simple_node(g)
+    doubled: int | None  # doubled_node(g)
+    pair: tuple | None   # orthogonal_pair(d, g)
+
+
+@lru_cache(maxsize=None)
+def _root_table(d: Diagram) -> dict:
+    """The RootFacts of the realizable weights looked up so far on d."""
+    return {}
+
+
+def root_facts(d: Diagram, g) -> RootFacts:
+    """The RootFacts of weight g on d, from the diagram's table."""
+    g = tuple(g)
+    table = _root_table(d)
+    facts = table.get(g)
+    if facts is None:
+        supp = support(g)
+        pairings = tuple(sum(row[j] * g[j] for j in supp) for row in d.cartan)
+        facts = RootFacts(
+            supp, pairings,
+            frozenset(i for i, v in enumerate(pairings)
+                      if v and i not in supp),
+            rankone.admissible_traces(d, g),
+            simple_node(g), doubled_node(g), orthogonal_pair(d, g))
+        # stray weights (no admissible trace) stay out, so the table holds
+        # at most the candidate roots
+        if facts.traces:
+            table[g] = facts
+    return facts
 
 
 def _listed(value, message) -> list:
@@ -123,6 +169,8 @@ class SphericalSystem:
             except TypeError:
                 raise ValueError(f"root {w!r} has a coefficient that is not "
                                  "an integer") from None
+            if not any(sig[-1]):
+                raise ValueError(f"root {w!r} is zero")
         object.__setattr__(self, "sigma", tuple(sig))
         object.__setattr__(self, "_cache", {})
 
@@ -149,7 +197,10 @@ class SphericalSystem:
         if "report" in self._cache:
             return self._cache["report"]
         d = self.diagram
+        sp = self.sp
         rep = ValidationReport()
+
+        roots = [root_facts(d, g) for g in self.sigma]
 
         seen = {}
         for k, g in enumerate(self.sigma):
@@ -158,48 +209,44 @@ class SphericalSystem:
                                        [seen[g], k]})
             seen.setdefault(g, k)
 
-        for g in self.sigma:
-            if simple_node(g) is not None:
+        for g, f in zip(self.sigma, roots):
+            if f.simple is not None:
                 rep.simple_roots.append({"gamma": list(g)})
 
-        doubled = [doubled_node(g) for g in self.sigma]
-        for i in sorted(set(doubled) - {None}):
-            for g, j in zip(self.sigma, doubled):
-                if j == i:
+        for i in sorted({f.doubled for f in roots} - {None}):
+            for g, f in zip(self.sigma, roots):
+                if f.doubled == i:
                     continue
-                v = d.pairing_weight(i, g)
+                v = f.pairings[i]
                 if v % 2 or v > 0:
                     rep.pairwise_doubled.append(
                         {"alpha": d.node_id(i), "gamma": list(g),
                          "pairing": v})
 
-        for g in self.sigma:
-            pair = orthogonal_pair(d, g)
-            if pair is not None:
-                i, j = pair
-                for h in self.sigma:
-                    vi, vj = d.pairing_weight(i, h), d.pairing_weight(j, h)
+        for f in roots:
+            if f.pair is not None:
+                i, j = f.pair
+                for h, fh in zip(self.sigma, roots):
+                    vi, vj = fh.pairings[i], fh.pairings[j]
                     if vi != vj:
                         rep.pairwise_orthogonal.append(
                             {"pair": [d.node_id(i), d.node_id(j)],
                              "gamma": list(h), "pairings": [vi, vj]})
 
-        for g in self.sigma:
-            sup = support(g)
-            trace = frozenset(self.sp & sup)
-            options = rankone.admissible_traces(d, g)
-            if trace not in options:
+        for g, f in zip(self.sigma, roots):
+            trace = sp & f.support
+            if trace not in f.traces:
                 rep.rank_one.append(
                     {"gamma": list(g), "reason": "trace",
                      "actual_trace": sorted(d.node_id(i) for i in trace),
                      "admissible_traces": [sorted(d.node_id(i) for i in t)
-                                           for t in sorted(options, key=sorted)]})
-                continue
-            bad = [i for i in self.sp - sup if d.pairing_weight(i, g)]
-            if bad:
+                                           for t in sorted(f.traces,
+                                                           key=sorted)]})
+            elif sp & f.paired:
                 rep.rank_one.append(
                     {"gamma": list(g), "reason": "parabolic-pairing",
-                     "nodes": [d.node_id(i) for i in bad]})
+                     "nodes": [d.node_id(i) for i in sp - f.support
+                               if f.pairings[i]]})
 
         if self.sigma:
             rep.dependent = rank(self.sigma) < len(self.sigma)
@@ -234,14 +281,15 @@ class SphericalSystem:
         Raises ValueError when it is not one integer: colour members pairing
         unequally, or a doubled colour pairing oddly (only on systems that
         break a pairwise axiom)."""
-        d = self.diagram
+        pairings = root_facts(self.diagram, gamma).pairings
         vals = set()
         for a in colour.nodes:
-            v = d.pairing_weight(a, gamma)
+            v = pairings[a]
             if colour.doubled:
                 v = None if v % 2 else v // 2
             vals.add(v)
         if len(vals) != 1 or None in vals:
+            d = self.diagram
             nodes = ", ".join(d.node_id(i) for i in sorted(colour.nodes))
             raise ValueError(f"colour {{{nodes}}} does not pair to one "
                              f"integer with root {list(gamma)}")

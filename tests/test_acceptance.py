@@ -149,6 +149,24 @@ def test_2c_every_diagram_up_to_rank_six_matches_catalog():
                   f"{primitives} primitives ({elapsed:.1f}s)")
 
 
+def test_2d_every_diagram_of_rank_seven_matches_catalog():
+    start = time.perf_counter()
+    smaller = set(diagrams_up_to_rank(6))
+    specs = [spec for spec in diagrams_up_to_rank(7) if spec not in smaller]
+    connected = [spec for spec in specs if "," not in spec]
+    assert (len(connected), len(specs)) == (5, 117)
+    primitives = 0
+    for spec in specs:
+        check = search.verify_catalog(spec)
+        assert check.ok, (spec, check.missing, check.extra)
+        assert check.found == check.expected, spec
+        primitives += check.found
+    elapsed = time.perf_counter() - start
+    _report("2d", f"exhaustive search equals catalog on all {len(specs)} "
+                  f"diagrams of rank 7 ({len(connected)} connected), "
+                  f"{primitives} primitives ({elapsed:.1f}s)")
+
+
 def test_3_strictness_partition():
     checked = non_strict = 0
     seen_families = set()

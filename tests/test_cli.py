@@ -1,12 +1,15 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sphsys import cli, families, render
-from sphsys.dynkin import parse_diagram
+from sphsys.dynkin import MAX_RANK, parse_diagram
 from sphsys.system import SphericalSystem
 
 
@@ -99,6 +102,7 @@ class TestPlumbing:
         {"diagram": B3_JSON, "sigma": [5]},
         {"diagram": B3_JSON, "sp": 5},
         {"diagram": B3_JSON, "sigma": [{"0.1": None}]},
+        {"diagram": B3_JSON, "sigma": [{}]},
     ])
     def test_malformed_nested_schema_is_domain_error(self, capsys,
                                                      monkeypatch, data):
@@ -123,6 +127,20 @@ class TestPlumbing:
         error = json.loads(captured.out)["error"]
         assert error["kind"] == "domain"
         assert "True" in error["message"]
+        assert "Traceback" not in captured.err
+
+    def test_rank_over_cap_is_domain_error(self, capsys, monkeypatch):
+        # one a(2) root on A500: refused at the diagram, before any table
+        data = {"diagram": {"components": [{"family": "A", "rank": 500}]},
+                "sp": [], "sigma": [{"0.1": 1, "0.2": 1}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        status = cli.run(["validate"])
+        captured = capsys.readouterr()
+        assert status == 1
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "domain"
+        assert "rank 500" in error["message"]
+        assert f"cap of {MAX_RANK}" in error["message"]
         assert "Traceback" not in captured.err
 
     def test_stdin_roundtrip(self, system_file):
@@ -357,3 +375,103 @@ class TestAppendixCommands:
         status, out = run_json(
             capsys, ["orbit", "--diagram", "G2", "--char", "3,0"])
         assert status == 1
+
+
+# -- fuzzing -----------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+NODE_IDS = ["0.1", "0.2", "0.3", "1.1", "1.2", "0.9", "x"]
+COMPONENTS = st.lists(st.fixed_dictionaries({
+    "family": st.sampled_from("ABCDEFGZ") | JSON_VALUES,
+    "rank": st.integers(-1, 4) | st.sampled_from([51, 500]) | JSON_VALUES,
+}), max_size=3)
+WEIGHTS = (st.lists(st.integers(-2, 3), max_size=6)
+           | st.dictionaries(st.sampled_from(NODE_IDS),
+                             st.integers(-2, 3) | JSON_VALUES, max_size=4)
+           | JSON_VALUES)
+SYSTEMS = st.fixed_dictionaries(
+    {"diagram": st.fixed_dictionaries({"components": COMPONENTS})
+     | JSON_VALUES},
+    optional={"sp": st.lists(st.integers(-1, 8) | st.sampled_from(NODE_IDS)
+                             | JSON_VALUES, max_size=4) | JSON_VALUES,
+              "sigma": st.lists(WEIGHTS, max_size=4) | JSON_VALUES})
+# catalog members, whole or with sp or sigma swapped for fuzz, so that the
+# subcommands get past the input boundary too
+MEMBERS = [families.instantiate(name, **params).to_json() for name, params in
+           [("b(n)", {"n": 3}), ("g(2)", {}), ("ao(n)", {"n": 3}),
+            ("aa(1,1)+c*(n)", {"n": 2}), ("ds*(4)", {}), ("go(2)", {})]]
+NEAR_MEMBERS = st.builds(
+    lambda member, key, value: member if key is None
+    else dict(member, **{key: value}),
+    st.sampled_from(MEMBERS), st.sampled_from([None, "sp", "sigma"]),
+    st.lists(st.integers(-1, 5), max_size=3)
+    | st.lists(WEIGHTS, max_size=3))
+STDIN = (NEAR_MEMBERS.map(json.dumps) | SYSTEMS.map(json.dumps)
+         | JSON_VALUES.map(json.dumps) | st.text(max_size=8))
+# each subcommand with its flags, and values for the flags that take one;
+# no --system (it names a file) and no --help (usage text with status 0)
+OPTIONS = {
+    "validate": [], "colours": [], "classify": [], "affine-check": [],
+    "identities": [], "frobnicate": [], "quotient": ["--colours"],
+    "localize": ["--nodes"], "components": ["--classify"],
+    "enumerate": ["--diagram", "--primitive", "--cuspidal", "--classify"],
+    "diagram": ["--diagram", "--format"],
+    "catalog": ["rank1", "families", "--label"],
+    "symmetric": ["--label", "--p", "--q", "--n", "--variant"],
+    "orbit": ["--diagram", "--char"],
+}
+SMALL = ["-1", "0", "2", "3", "x"]
+VALUES = {
+    "--colours": ["D0", "D1", "D0,D2", "D9", "x"],
+    "--nodes": ["0,1", "0.1,0.2", "0", "9", "x"],
+    "--diagram": ["A1", "G2", "B3", "A2,A1", "A51", "Z3", "3"],
+    "--format": ["svg", "text"],
+    "--label": ["A III", "B I", "C I", "G", "g(2)", "b", "x"],
+    "--p": SMALL, "--q": SMALL, "--n": SMALL,
+    "--variant": ["halved", "selfnormalising"],
+    "--char": ["1,0", "0,1", "1,0,1", "2,2", "x"],
+}
+
+
+def _argv(cmd):
+    def option(flag):
+        if flag not in VALUES:
+            return st.just([flag])
+        return st.sampled_from(VALUES[flag]).map(lambda v: [flag, v])
+    options = (st.lists(st.sampled_from(OPTIONS[cmd]).flatmap(option),
+                        max_size=4) if OPTIONS[cmd] else st.just([]))
+    stray = st.sampled_from([(), (), (), ("x",), ("--colours",)])
+    return st.builds(lambda opts, extra: [cmd, *sum(opts, []), *extra],
+                     options, stray)
+
+
+ARGV = st.sampled_from(sorted(OPTIONS)).flatmap(_argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=ARGV, stdin=STDIN)
+@example(argv=["diagram"], stdin='{"diagram": {"components": []}}')
+@example(argv=["diagram", "--format", "svg"],
+         stdin='{"diagram": {"components": []}}')
+def test_fuzz_cli_exits_cleanly(argv, stdin):
+    """Any argv and stdin: status 0, 1 or 2, JSON on stdout (a picture for
+    a successful diagram, nothing on a usage error) and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(stdin))
+        mp.setenv("SPHSYS_MAX_STATES", "20000")   # a budget fails fast
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if status == 2:
+        assert out == ""
+    elif status == 1:
+        assert list(json.loads(out)) == ["error"]
+    elif argv[0] != "diagram":
+        json.loads(out)

@@ -1,6 +1,6 @@
 import pytest
 
-from sphsys.dynkin import (Diagram, DiagramError, bourbaki_orders,
+from sphsys.dynkin import (MAX_RANK, Diagram, DiagramError, bourbaki_orders,
                            parse_diagram, pieces, support)
 
 
@@ -183,6 +183,18 @@ def test_constructor_rejects_non_integer_rank(family, rank):
     # the JSON boundary already refuses these; API callers must not slip by
     with pytest.raises(DiagramError, match=repr(rank)):
         Diagram([(family, rank)])
+
+
+def test_rank_cap():
+    assert parse_diagram(f"A{MAX_RANK}").n_nodes == MAX_RANK
+    assert parse_diagram(f"D4,A{MAX_RANK - 4}").n_nodes == MAX_RANK
+    too_big = MAX_RANK + 1
+    for spec in (f"A{too_big}", f"D4,A{too_big - 4}",
+                 ",".join(["A1"] * too_big)):
+        with pytest.raises(DiagramError, match=f"rank {too_big} .* cap"):
+            parse_diagram(spec)
+    with pytest.raises(DiagramError, match="rank 500"):
+        Diagram.from_json({"components": [{"family": "C", "rank": 500}]})
 
 
 @pytest.mark.parametrize("node", [None, 1.5, [[0, 1]], "0.9", (0, 0), 3])

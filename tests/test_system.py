@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
-from sphsys.dynkin import parse_diagram
-from sphsys.system import (SphericalSystem, doubled_node, orthogonal_pair,
-                           simple_node)
+from sphsys import rankone, search
+from sphsys.dynkin import parse_diagram, support
+from sphsys.feasible import rank
+from sphsys.system import (SphericalSystem, ValidationReport, doubled_node,
+                           orthogonal_pair, root_facts, simple_node)
 
 
 def make(spec, sp, sigma):
@@ -210,3 +213,130 @@ def test_equality_ignores_sigma_order():
     a = make("A3", set(), [(2, 0, 0), (0, 0, 2)])
     b = make("A3", set(), [(0, 0, 2), (2, 0, 0)])
     assert a == b and hash(a) == hash(b)
+
+
+def oracle_validate(sys) -> ValidationReport:
+    """validate() as it was before the root table: every pairing summed
+    afresh from the Cartan matrix, every root shape recognised afresh."""
+    d = sys.diagram
+    rep = ValidationReport()
+
+    seen = {}
+    for k, g in enumerate(sys.sigma):
+        if g in seen:
+            rep.duplicates.append({"gamma": list(g), "positions":
+                                   [seen[g], k]})
+        seen.setdefault(g, k)
+
+    for g in sys.sigma:
+        if simple_node(g) is not None:
+            rep.simple_roots.append({"gamma": list(g)})
+
+    doubled = [doubled_node(g) for g in sys.sigma]
+    for i in sorted(set(doubled) - {None}):
+        for g, j in zip(sys.sigma, doubled):
+            if j == i:
+                continue
+            v = d.pairing_weight(i, g)
+            if v % 2 or v > 0:
+                rep.pairwise_doubled.append(
+                    {"alpha": d.node_id(i), "gamma": list(g), "pairing": v})
+
+    for g in sys.sigma:
+        pair = orthogonal_pair(d, g)
+        if pair is not None:
+            i, j = pair
+            for h in sys.sigma:
+                vi, vj = d.pairing_weight(i, h), d.pairing_weight(j, h)
+                if vi != vj:
+                    rep.pairwise_orthogonal.append(
+                        {"pair": [d.node_id(i), d.node_id(j)],
+                         "gamma": list(h), "pairings": [vi, vj]})
+
+    for g in sys.sigma:
+        sup = support(g)
+        trace = frozenset(sys.sp & sup)
+        options = rankone.admissible_traces(d, g)
+        if trace not in options:
+            rep.rank_one.append(
+                {"gamma": list(g), "reason": "trace",
+                 "actual_trace": sorted(d.node_id(i) for i in trace),
+                 "admissible_traces": [sorted(d.node_id(i) for i in t)
+                                       for t in sorted(options, key=sorted)]})
+            continue
+        bad = [i for i in sys.sp - sup if d.pairing_weight(i, g)]
+        if bad:
+            rep.rank_one.append(
+                {"gamma": list(g), "reason": "parabolic-pairing",
+                 "nodes": [d.node_id(i) for i in bad]})
+
+    if sys.sigma:
+        rep.dependent = rank(sys.sigma) < len(sys.sigma)
+    return rep
+
+
+ORACLE_DIAGRAMS = ("A3", "B3", "C3", "D4", "G2", "F4", "A1,A3", "B2,B2",
+                   "A2,A2", "E6", "A1,A1,A1")
+
+
+def random_systems(seed, per_diagram):
+    """Systems of 0-4 roots: candidate roots, nonzero stray weights
+    (coefficients -1..2) and doubled simple roots.  Half take sp as one
+    admissible trace per candidate root plus a few stray nodes, so many
+    are valid; the rest take a random sp."""
+    rng = random.Random(seed)
+    for spec in ORACLE_DIAGRAMS:
+        d = parse_diagram(spec)
+        n = d.n_nodes
+        cands = search.candidate_roots(d)
+        for _ in range(per_diagram):
+            sigma = []
+            for _ in range(rng.randint(0, 4)):
+                kind = rng.random()
+                if kind < 0.6:
+                    sigma.append(rng.choice(cands))
+                elif kind < 0.8:
+                    w = tuple(rng.randint(-1, 2) for _ in range(n))
+                    sigma += [w] if any(w) else []    # zero is no root
+                else:
+                    i = rng.randrange(n)
+                    sigma.append(tuple(2 * (k == i) for k in range(n)))
+            sp = {i for i in range(n) if rng.random() < 0.25}
+            if rng.random() < 0.5:
+                sp = {i for i in sp if rng.random() < 0.2}
+                for g in sigma:
+                    traces = rankone.admissible_traces(d, g)
+                    if traces:
+                        sp |= rng.choice(sorted(traces, key=sorted))
+            yield SphericalSystem(d, sp, sigma)
+
+
+def test_validate_matches_oracle_on_random_corpus():
+    fired = dict.fromkeys(("trace", "parabolic-pairing"), 0)
+    for sys in random_systems(20261018, 600):
+        report = sys.validate().to_json()
+        assert json.dumps(report) == json.dumps(
+            oracle_validate(sys).to_json()), sys
+        for key, value in report.items():
+            fired[key] = fired.get(key, 0) + bool(value)
+        for entry in report["rank_one"]:
+            fired[entry["reason"]] += 1
+    # the corpus reaches every branch of the report, valid systems included
+    assert all(fired.values()), fired
+
+
+def test_root_facts():
+    d = parse_diagram("A1,A3")
+    f = root_facts(d, (0, 1, 1, 0))
+    assert f.support == {1, 2}
+    assert f.pairings == (0, 1, 1, -1)
+    assert f.paired == {3}
+    assert f.traces == rankone.admissible_traces(d, (0, 1, 1, 0))
+    assert (f.simple, f.doubled, f.pair) == (None, None, None)
+    assert root_facts(d, [2, 0, 0, 0]).doubled == 0
+    assert root_facts(d, (1, 0, 1, 0)).pair == (0, 2)
+    # a weight no rank-one row realizes has no trace and is not kept
+    stray = root_facts(d, (0, 1, -1, 2))
+    assert stray.traces == frozenset()
+    assert stray.pairings == tuple(d.pairing_weight(i, (0, 1, -1, 2))
+                                   for i in range(4))
