@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 _FAMILIES = "ABCDEFG"
 
@@ -300,33 +300,38 @@ class Diagram:
         return i != j and self.cartan[i][j] == 0
 
     @property
-    def symmetrizers(self) -> tuple[Fraction, ...]:
-        """Positive weights d_i making (d_i * cartan[i][j]) symmetric.
+    def symmetrizers(self) -> tuple[int, ...]:
+        """Least positive integers d_i making (d_i * cartan[i][j]) symmetric
+        with one common weight L on the first node of every component.
 
-        Normalised so the first node of each component has weight 1; the
-        ratios d_j/d_i = cartan[i][j]/cartan[j][i] along edges pin the rest.
+        The ratios d_j/d_i = cartan[i][j]/cartan[j][i] along edges pin the
+        rest; L is 2 when a B or F component is present, else 1.
         """
         if "symmetrizers" not in self._cache:
             a = self.cartan
-            d: list[Fraction | None] = [None] * self.n_nodes
+            d = [0] * self.n_nodes
             for ci in range(len(self.components)):
                 nodes = self.component_nodes(ci)
-                d[nodes[0]] = Fraction(1)
+                d[nodes[0]] = d[0] or 1
                 queue = [nodes[0]]
                 while queue:
                     i = queue.pop()
                     for j in nodes:
-                        if d[j] is None and a[i][j]:
-                            d[j] = d[i] * a[i][j] / a[j][i]
+                        if not d[j] and a[i][j]:
+                            # rescale all when the edge ratio does not divide
+                            m = -a[j][i] // gcd(d[i] * a[i][j], a[j][i])
+                            d = [m * v for v in d]
+                            d[j] = d[i] * a[i][j] // a[j][i]
                             queue.append(j)
             self._cache["symmetrizers"] = tuple(d)
         return self._cache["symmetrizers"]
 
-    def inner(self, w1, w2) -> Fraction:
-        """Weyl-invariant inner product of two weight tuples."""
+    def inner(self, w1, w2) -> int:
+        """Weyl-invariant inner product of two weight tuples, in the scale
+        of symmetrizers (L times the one normalised to 1 per component)."""
         a = self.cartan
         d = self.symmetrizers
-        total = Fraction(0)
+        total = 0
         for i, c1 in enumerate(w1):
             if not c1:
                 continue
@@ -339,9 +344,7 @@ class Diagram:
 
     @property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        if "posroots" not in self._cache:
-            self._cache["posroots"] = _positive_roots(self.components)
-        return self._cache["posroots"]
+        return _positive_roots(self)
 
     def dim_flag(self, sp) -> int:
         """Number of positive roots whose support is not contained in sp.
@@ -438,37 +441,23 @@ def pieces(items, linked) -> list[set]:
 
 
 @lru_cache(maxsize=None)
-def _positive_roots(components) -> tuple[tuple[int, ...], ...]:
-    """All positive roots by closing the simple roots under root strings.
+def _positive_roots(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """All positive roots: the simple roots closed under the simple
+    reflections s_i(g) = g - <alpha_i^vee, g> alpha_i.
 
-    gamma + alpha_i is a root iff p - <gamma, alpha_i^vee> > 0 where p is the
-    largest k with gamma - k alpha_i a root; heights grow by one per layer so
-    p is always known when needed.
+    s_i permutes the positive roots other than alpha_i, and every positive
+    root is reached from a simple one through such steps, so a result is
+    kept exactly when its i-th coefficient stays >= 0.
     """
-    d = Diagram.__new__(Diagram)
-    object.__setattr__(d, "components", components)
-    object.__setattr__(d, "_cache", {})
     n = d.n_nodes
-    simple = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    roots = set(simple)
-    layer = list(simple)
-    while layer:
-        nxt = []
-        for r in layer:
-            for i in range(n):
-                p = 0
-                probe = list(r)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in roots:
-                        break
-                    p += 1
-                if p - d.pairing_weight(i, r) > 0:
-                    up = list(r)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        nxt.append(t)
-        layer = nxt
+    roots = {tuple(int(k == i) for k in range(n)) for i in range(n)}
+    todo = list(roots)
+    while todo:
+        g = todo.pop()
+        for i in range(n):
+            c = g[i] - d.pairing_weight(i, g)
+            r = (*g[:i], c, *g[i + 1:])
+            if c >= 0 and r not in roots:
+                roots.add(r)
+                todo.append(r)
     return tuple(sorted(roots))

@@ -47,11 +47,13 @@ def _short_chain(n, lo, count):
             for k in range(count)]
 
 
-def _c_tail(n, start):
-    # 1, 2, ..., 2, 1 from start to the double-bond end of a C chain
-    w = {i: 2 for i in range(start + 1, n - 1)}
-    w[start] = 1
-    w[n - 1] = w.get(n - 1, 0) + 1
+def _c_tail(n, start, chain=None):
+    # 1, 2, ..., 2, 1 from chain[start] to the double-bond end of a C chain,
+    # given double bond last (the whole diagram by default)
+    c = range(n) if chain is None else chain
+    w = {c[i]: 2 for i in range(start + 1, len(c) - 1)}
+    w[c[start]] = 1
+    w[c[-1]] = w.get(c[-1], 0) + 1
     return _wt(n, w)
 
 
@@ -244,10 +246,7 @@ def _b_aa11_cstar(n):
     a = d.component_nodes(0)[0]
     c = _c_positions(d, 1)
     m = d.n_nodes
-    row = {c[i]: 2 for i in range(1, n - 1)}
-    row[c[0]] = 1
-    row[c[n - 1]] = row.get(c[n - 1], 0) + 1
-    sigma = [_wt(m, {a: 1, c[0]: 1}), _wt(m, row)]
+    sigma = [_wt(m, {a: 1, c[0]: 1}), _c_tail(m, 0, c)]
     return SphericalSystem(d, c[2:], sigma)
 
 
@@ -256,19 +255,10 @@ def _b_aa11_cstar_cstar(n1, n2):
     spec = ",".join("B2" if k == 2 else f"C{k}" for k in (n1, n2))
     d = _diag(spec)
     m = d.n_nodes
-    sigma = []
-    sp = []
-    heads = []
-    for ci, k in enumerate((n1, n2)):
-        c = _c_positions(d, ci)
-        heads.append(c[0])
-        row = {c[i]: 2 for i in range(1, k - 1)}
-        row[c[0]] = 1
-        row[c[k - 1]] = row.get(c[k - 1], 0) + 1
-        sigma.append(_wt(m, row))
-        sp.extend(c[2:])
-    sigma.insert(0, _wt(m, {heads[0]: 1, heads[1]: 1}))
-    return SphericalSystem(d, sp, sigma)
+    c1, c2 = (_c_positions(d, ci) for ci in range(2))
+    sigma = [_wt(m, {c1[0]: 1, c2[0]: 1}), _c_tail(m, 0, c1),
+             _c_tail(m, 0, c2)]
+    return SphericalSystem(d, c1[2:] + c2[2:], sigma)
 
 
 def _b_acstar_cstar(p, q):

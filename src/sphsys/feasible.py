@@ -4,15 +4,14 @@ of 'Mx >= 0, x >= 0, some x_i >= 1' systems.
 Rank and the kernel line come from a fraction-free echelon step.
 Feasibility is Fourier-Motzkin elimination on integer rows, each new row
 divided by the gcd of its coefficients and constant; a satisfying point is
-found by rational back-substitution, scaled to integers (the system is
-invariant under scaling by integers >= 1) and returned as a certificate,
-None means infeasible.
+found by back-substitution and returned as its least integer multiple (the
+system is invariant under scaling by integers >= 1), None means infeasible.
+Both back-substitutions stay in integers through one step, _set_entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from sphsys.budget import BudgetExceeded, max_states
 
@@ -49,8 +48,7 @@ def kernel_vector(rows, n_vars: int):
     """Primitive integer vector spanning {x : row.x == 0 for all rows} when
     that kernel is a line, with its first nonzero entry positive; else None.
 
-    Back-substitution through the echelon rows, last pivot first, in
-    integers: each step rescales x so that the new pivot entry is integral.
+    Back-substitution through the echelon rows, last pivot first.
     """
     basis = _echelon(rows)
     if len(basis) != n_vars - 1:
@@ -58,13 +56,9 @@ def kernel_vector(rows, n_vars: int):
     pivots = {p for p, _row in basis}
     x = [int(i not in pivots) for i in range(n_vars)]
     # an echelon row is zero on earlier pivots, so it only meets the free
-    # column and pivots already solved
+    # column and pivots already solved; x[p] is still 0 here
     for p, row in reversed(basis):
-        s = sum(a * v for a, v in zip(row, x))
-        g = gcd(row[p], s)
-        m = row[p] // g
-        x = [m * v for v in x]
-        x[p] = -s // g
+        x = _set_entry(x, p, -sum(a * v for a, v in zip(row, x)), row[p])
     g = gcd(*x)
     if next(v for v in x if v) < 0:
         g = -g
@@ -115,22 +109,33 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
     if any(b > 0 for _c, b in system):
         return None
 
-    # back-substitute, tightest lower bound first
-    y = [Fraction(0)] * n_vars
+    # back-substitute, tightest lower bound first, in homogeneous integer
+    # coordinates: the point is y[:n_vars] / y[-1], with y[-1] >= 1 the
+    # common denominator, and y[var] is still 0 when var is solved
+    y = [0] * n_vars + [1]
     for var in reversed(range(n_vars)):
-        lo = Fraction(0)
+        lo, lo_den = 0, 1
         for coeffs, const in stages[var]:
             c = coeffs[var]
             if c > 0:
-                rest = sum(a * y[j] for j, a in enumerate(coeffs)
-                           if j != var and a)
-                bound = Fraction(const - rest, c)
-                if bound > lo:
-                    lo = bound
-        y[var] = lo
-    x = [v + s for v, s in zip(y, shift)]
-    scale = lcm(*(v.denominator for v in x))
-    return tuple(int(v * scale) for v in x)
+                bound = const * y[-1] - sum(
+                    a * v for a, v in zip(coeffs, y) if a)
+                if bound * lo_den > lo * c:
+                    lo, lo_den = bound, c
+        y = _set_entry(y, var, lo, lo_den)
+    x = [v + s * y[-1] for v, s in zip(y, shift)]
+    g = gcd(y[-1], *x)
+    return tuple(v // g for v in x)
+
+
+def _set_entry(x, i, a, b):
+    """x with entry i set to a/b in x's own scale: the whole vector is
+    multiplied by b/gcd(a, b), which keeps it integral."""
+    g = gcd(a, b)
+    m = b // g
+    x = [m * v for v in x]
+    x[i] = a // g
+    return x
 
 
 def _drop_redundant(rows, start):

@@ -52,7 +52,9 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
     """Every valid spherical system on the diagram.
 
     With cuspidal_only only root sets whose supports cover the whole
-    diagram are kept, which cuts the walk down sharply.
+    diagram are kept.  The walk visits and ticks the same nodes either
+    way; emit returns early at the others, so no system is built or
+    validated for them.
     """
     d = parse_diagram(diagram)
     cands = candidate_roots(d)

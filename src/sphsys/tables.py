@@ -218,11 +218,11 @@ def restricted_cartan(diagram: Diagram, basis) -> tuple:
         nii = diagram.inner(gi, gi)
         row = []
         for gj in basis:
-            v = 2 * diagram.inner(gi, gj) / nii
-            if v.denominator != 1:
+            v, r = divmod(2 * diagram.inner(gi, gj), nii)
+            if r:
                 raise ValueError(f"non-integral pairing between {list(gi)} "
                                  f"and {list(gj)}")
-            row.append(int(v))
+            row.append(v)
         mat.append(tuple(row))
     return tuple(mat)
 

@@ -74,6 +74,20 @@ def test_g2_positive_roots_exact():
         (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
 
+@pytest.mark.parametrize("spec,weights", [
+    ("A2", (1, 1)), ("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("G2", (1, 3)),
+    ("F4", (2, 2, 1, 1)), ("A1,B2", (2, 2, 1)), ("C3,G2", (1, 1, 2, 1, 3)),
+])
+def test_symmetrizers_are_least_integers(spec, weights):
+    d = parse_diagram(spec)
+    assert d.symmetrizers == weights
+    n = d.n_nodes
+    assert all(d.symmetrizers[i] * d.cartan[i][j]
+               == d.symmetrizers[j] * d.cartan[j][i]
+               for i in range(n) for j in range(n))
+    assert type(d.inner(d.positive_roots[-1], d.positive_roots[0])) is int
+
+
 def test_pairing_weight():
     g2 = parse_diagram("G2")
     gamma = (2, 1)

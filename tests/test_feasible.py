@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -150,6 +151,39 @@ def test_pinned_catalog_witnesses(spec, label):
     for subset, witness in dist.items():
         assert ops.distinguished_witness(sys, subset) == witness, subset
     assert ops.affine_witness(sys) == affine
+
+
+def _corpus():
+    """2000 seeded systems: 1-5 variables, 0-4 rows with entries -4..4 and
+    a random strict set.  None needs more than a few milliseconds; a fifth
+    row lets a few blow the elimination up to about a second."""
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n))
+                for _ in range(rng.randint(0, 4))]
+        yield rows, n, frozenset(i for i in range(n) if rng.random() < 0.5)
+
+
+# sha256 of the repr of the output lists on _corpus(), computed with the
+# former Fraction back-substitution: the integer one must give the same
+# least integer certificates and the same kernel lines.
+CORPUS_DIGESTS = {
+    "feasible_nonneg":
+        "0dd02c3df41f95d15b7249ed8abd6f951564ce91ceffcc546eb0336d818a045e",
+    "kernel_vector":
+        "910cce5bcb54d652df2ac95c7544071b82f939ddbb0cbe0cd2ead7913f088aff",
+}
+
+
+def test_corpus_outputs_pinned():
+    corpus = list(_corpus())
+    outputs = {
+        "feasible_nonneg": [feasible_nonneg(r, n, s) for r, n, s in corpus],
+        "kernel_vector": [kernel_vector(r, n) for r, n, _s in corpus],
+    }
+    assert {name: hashlib.sha256(repr(out).encode()).hexdigest()
+            for name, out in outputs.items()} == CORPUS_DIGESTS
 
 
 def _reference_rank(rows):

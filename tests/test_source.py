@@ -18,6 +18,27 @@ def test_no_assert_statements(path):
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_fractions(path):
+    # the library stays in integers: no import of fractions and no
+    # Fraction(...) or x.Fraction(...) call
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            names = [getattr(f, "id", None) or getattr(f, "attr", None)]
+        else:
+            continue
+        if {"fractions", "Fraction"} & set(names):
+            lines.append(node.lineno)
+    assert lines == [], f"fractions used in {path.name} at lines {lines}"
+
+
 def _unused_imports(tree) -> list:
     imported = {}
     for node in tree.body:

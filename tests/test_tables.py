@@ -206,6 +206,14 @@ class TestRestrictedCartan:
         mat = tables.restricted_cartan(d, [(2, 0, 0), (0, 2, 2)])
         assert all(mat[i][i] == 2 for i in range(2))
 
+    def test_cross_component_normalisation_pinned(self):
+        # the basis meets both components, so its pairings hang on the
+        # relative scale of their symmetrizers: with the B2 weights doubled
+        # against the A1 one, 2(g1, g2)/(g1, g1) would be -10/11
+        d = parse_diagram("A1,B2")
+        assert tables.restricted_cartan(d, [(1, 1, 0), (-1, -1, 2)]) == (
+            (2, -3), (-1, 2))
+
     def test_non_integral_pairing_rejected(self):
         d = parse_diagram("A2")
         with pytest.raises(ValueError):
