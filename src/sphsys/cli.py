@@ -3,7 +3,8 @@
 Systems travel as the JSON schema of SphericalSystem.to_json; every
 subcommand reads one from --system FILE or stdin unless it takes a
 --diagram spec instead.  Exit status 0 on success, 1 on a domain error
-(reported as a structured JSON object), 2 on a usage error.
+(reported as a structured JSON object), 2 on a usage error.  Each handler
+imports the modules it runs, so one call loads only what it needs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import sys as _sys
 
-from sphsys import connect, families, ops, rankone, render, tables
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
@@ -65,16 +65,19 @@ def _cmd_colours(args):
 
 
 def _cmd_quotient(args):
+    from sphsys import ops
     sys = _load_system(args)
     return ops.quotient(sys, _parse_colours(args.colours)).to_json()
 
 
 def _cmd_localize(args):
+    from sphsys import ops
     sys = _load_system(args)
     return ops.localize(sys, _parse_nodes(args.nodes)).to_json()
 
 
 def _cmd_components(args):
+    from sphsys import connect
     sys = _load_system(args)
     d = sys.diagram
     comps = connect.components(sys)
@@ -95,7 +98,7 @@ def _cmd_components(args):
 
 
 def _cmd_enumerate(args):
-    from sphsys import search
+    from sphsys import families, search
     d = parse_diagram(args.diagram)
     if args.primitive:
         found = search.enumerate_primitive(d)
@@ -111,10 +114,12 @@ def _cmd_enumerate(args):
 
 
 def _cmd_classify(args):
+    from sphsys import families
     return {"label": families.classify(_load_system(args))}
 
 
 def _cmd_diagram(args):
+    from sphsys import render
     if args.diagram:
         d = parse_diagram(args.diagram)
         if args.format == "svg":
@@ -128,6 +133,7 @@ def _cmd_diagram(args):
 
 def _cmd_catalog(args):
     if args.table == "rank1":
+        from sphsys import rankone, render
         rows = rankone.row_catalog(args.label)
         if not rows:
             raise ValueError(f"no rank-one row called {args.label!r}")
@@ -138,6 +144,7 @@ def _cmd_catalog(args):
                                   sigma=(row["weight"],))
             out.append(dict(row, picture=render.render_text(sys)))
         return out
+    from sphsys import families
     hits = [f for f in families.CATALOG
             if args.label in (None, f.name)]
     if not hits:
@@ -146,6 +153,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_symmetric(args):
+    from sphsys import families, tables
     params = {k: getattr(args, k) for k in ("p", "q", "n")
               if getattr(args, k) is not None}
     row, inst = tables.symmetric_instance(args.label, **params)
@@ -165,6 +173,7 @@ def _cmd_symmetric(args):
 
 
 def _cmd_orbit(args):
+    from sphsys import tables
     d = parse_diagram(args.diagram)
     char = tuple(int(t) for t in args.char.split(","))
     dims = tables.grading_dims(d, char)
@@ -182,6 +191,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_affine_check(args):
+    from sphsys import ops
     sys = _load_system(args)
     witness = ops.affine_witness(sys)
     return {"affine": witness is not None,
@@ -189,6 +199,7 @@ def _cmd_affine_check(args):
 
 
 def _cmd_identities(args):
+    from sphsys import ops
     sys = _load_system(args)
     dim, rank = ops.expected_dims(sys)
     return {"dimension": dim, "character_rank": rank,

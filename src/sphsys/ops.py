@@ -53,7 +53,7 @@ def localize(sys: SphericalSystem, keep) -> SphericalSystem:
                     w[node_map[i]] = c
             sigma.append(tuple(w))
     sp = frozenset(node_map[i] for i in sys.sp & keep)
-    return SphericalSystem(sub, sp, sigma)
+    return SphericalSystem._from_normal(sub, sp, tuple(sigma))
 
 
 def decuspidalize(sys: SphericalSystem) -> SphericalSystem:
@@ -120,10 +120,14 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     if distinguished_witness(sys, subset) is None:
         raise ValueError("quotient by a non-distinguished subset")
     coeffs, sigma_out = _new_roots(sys, subset)
+    for g in sigma_out:
+        # only roots with a nonnegative dependency combine to zero
+        if not any(g):
+            raise ValueError(f"root {g!r} is zero")
     sp_out = frozenset(sys.sp)
     for c in subset:
         sp_out |= sys.colours[c].nodes
-    out = SphericalSystem(sys.diagram, sp_out, sigma_out)
+    out = SphericalSystem._from_normal(sys.diagram, sp_out, sigma_out)
     return QuotientResult(
         system=out,
         sp=sp_out,

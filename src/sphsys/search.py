@@ -90,7 +90,7 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
         for base in sorted(assignments, key=sorted):
             for extra in free_subsets:
                 tick()
-                sys = SphericalSystem(d, base | extra, sigma)
+                sys = SphericalSystem._from_normal(d, base | extra, sigma)
                 if sys.validate().ok:
                     out.append(sys)
 

@@ -95,6 +95,15 @@ def root_facts(d: Diagram, g) -> RootFacts:
     return facts
 
 
+@lru_cache(maxsize=1)
+def _independent(sigma: tuple) -> bool:
+    """Whether the roots are linearly independent over Q.  Exact as a memo,
+    since a tuple's rank never changes.  The search validates one root tuple
+    under each of its parabolic sets in a row, so the last tuple is the only
+    one worth keeping; a larger memo only holds on to dead tuples."""
+    return rank(sigma) == len(sigma)
+
+
 def _listed(value, message) -> list:
     """value as a list; ValueError naming it when it is no list."""
     if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
@@ -174,6 +183,21 @@ class SphericalSystem:
         object.__setattr__(self, "sigma", tuple(sig))
         object.__setattr__(self, "_cache", {})
 
+    @classmethod
+    def _from_normal(cls, diagram, sp, sigma) -> "SphericalSystem":
+        """A system from values already in normal form, stored unchecked:
+        a Diagram, a frozenset of node indices, and a tuple of nonzero
+        tuples of ints, each of length diagram.n_nodes.  For the library's
+        own builders only; the constructor and from_json are the input
+        boundary.  validate() still checks every axiom, since normal form
+        speaks only of types and shapes, never of the axioms."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "sp", sp)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_cache", {})
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("SphericalSystem is immutable")
 
@@ -248,8 +272,7 @@ class SphericalSystem:
                      "nodes": [d.node_id(i) for i in sp - f.support
                                if f.pairings[i]]})
 
-        if self.sigma:
-            rep.dependent = rank(self.sigma) < len(self.sigma)
+        rep.dependent = not _independent(self.sigma)
 
         self._cache["report"] = rep
         return rep
@@ -335,8 +358,16 @@ class SphericalSystem:
     # -- transforms ----------------------------------------------------------
 
     def permuted(self, perm) -> "SphericalSystem":
+        """The system moved by a permutation of the node indices (node i
+        goes to perm[i]), such as one of Diagram.automorphisms.  Raises
+        ValueError when perm is no such permutation."""
         d = self.diagram
-        return SphericalSystem(
+        perm = tuple(perm)
+        if (any(type(p) is not int for p in perm)
+                or sorted(perm) != list(range(d.n_nodes))):
+            raise ValueError(f"{list(perm)} is no permutation of the "
+                             f"{d.n_nodes} nodes of {d.spec()}")
+        return SphericalSystem._from_normal(
             d, frozenset(perm[i] for i in self.sp),
             tuple(d.permute_weight(perm, g) for g in self.sigma))
 

@@ -216,6 +216,8 @@ def restricted_cartan(diagram: Diagram, basis) -> tuple:
     mat = []
     for gi in basis:
         nii = diagram.inner(gi, gi)
+        if not nii:     # the form is positive definite
+            raise ValueError(f"weight {list(gi)} is zero, so it is no root")
         row = []
         for gj in basis:
             v, r = divmod(2 * diagram.inner(gi, gj), nii)

@@ -151,6 +151,22 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"label": "aa(1,1)"}
 
+    def test_validate_child_loads_only_what_it_runs(self, system_file):
+        # -X importtime lists every module the child imports on stderr;
+        # sphsys.cli itself runs as __main__, so it is not among them
+        raw = open(system_file("b(n)", n=3)).read()
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "sphsys.cli",
+             "validate"], input=raw, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["valid"] is True
+        loaded = {line.rsplit("|", 1)[1].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:") and "|" in line}
+        assert {m for m in loaded if m.split(".")[0] == "sphsys"} == {
+            "sphsys", "sphsys.budget", "sphsys.dynkin", "sphsys.feasible",
+            "sphsys.rankone", "sphsys.system"}
+
     def test_output_is_stable(self, capsys, system_file):
         path = system_file("b(n)", n=3)
         first = run_json(capsys, ["colours", "--system", path])

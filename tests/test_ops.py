@@ -233,3 +233,60 @@ class TestExpectedDims:
     def test_rank_counts_spare_colours(self):
         sys = make("A2", set(), [(1, 1)])
         assert ops.expected_dims(sys) == (4, 1)
+
+
+def _normal_outputs(spec):
+    """Every system the library builds without the checked constructor on
+    one diagram: the search's systems, the automorphic images of its first
+    ones, and the quotients by every distinguished colour subset and the
+    localizations at every node subset of each catalog member."""
+    d = parse_diagram(spec)
+    found = search.enumerate_systems(d)
+    yield from found
+    for s in found[:20]:
+        yield from (s.permuted(perm) for perm in d.automorphisms)
+    for entry in expand_catalog(d):
+        s = entry.system
+        n = len(s.colours)
+        for mask in range(1, 1 << n):
+            subset = [c for c in range(n) if mask >> c & 1]
+            if ops.is_distinguished(s, subset):
+                yield ops.quotient(s, subset).system
+        for mask in range(1, 1 << d.n_nodes):
+            yield ops.localize(s, [i for i in range(d.n_nodes)
+                                   if mask >> i & 1])
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2", "D4", "A1,A3", "B2,B2",
+                                  "A2,A2"])
+def test_built_systems_round_trip(spec):
+    # the values the library builds itself are exactly what the checked
+    # constructor would have made of their JSON, and validate the same
+    count = 0
+    for s in _normal_outputs(spec):
+        again = SphericalSystem.from_json(s.to_json())
+        assert (again.diagram, again.sp, again.sigma) == (
+            s.diagram, s.sp, s.sigma)
+        assert type(s.sp) is frozenset and type(s.sigma) is tuple
+        assert all(type(g) is tuple and {type(c) for c in g} == {int}
+                   for g in s.sigma)
+        assert again == s and hash(again) == hash(s)
+        assert again.validate().to_json() == s.validate().to_json()
+        count += 1
+    assert count > 0
+
+
+def test_permuted_takes_only_permutations():
+    s = make("A3", set(), [(1, 0, 1)])
+    assert s.permuted((2, 1, 0)).sigma == ((1, 0, 1),)
+    for bad in [(0, 0, 1), (0, 1), (1, 2, 3), (0, 1, 2.0), (True, 0, 2)]:
+        with pytest.raises(ValueError, match="no permutation"):
+            s.permuted(bad)
+
+
+def test_quotient_refuses_a_zero_root():
+    # roots with a nonnegative dependency can combine to zero; the checked
+    # constructor refused such a root, and so does the quotient
+    s = SphericalSystem("A2", (), [(-1, 0), (1, 0)])
+    with pytest.raises(ValueError, match=r"root \(0, 0\) is zero"):
+        ops.quotient(s, [0, 1])

@@ -65,3 +65,30 @@ def test_every_import_is_used(path):
     # through __all__; a leftover one hides a dead dependency
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == [], f"unused imports in {path.name}"
+
+
+ROOT = SRC.parent.parent
+CALLERS = sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
+
+
+def _identifiers(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+@pytest.mark.parametrize("path", CALLERS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_private_constructor_stays_in_the_library(path):
+    # SphericalSystem._from_normal stores its values unchecked, so only the
+    # library's own builders may call it; tests and the benchmark go
+    # through the checked constructor or from_json
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "_from_normal" not in _identifiers(tree)

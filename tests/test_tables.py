@@ -219,6 +219,13 @@ class TestRestrictedCartan:
         with pytest.raises(ValueError):
             tables.restricted_cartan(d, [(2, 0), (0, 1)])
 
+    def test_zero_weight_rejected_by_name(self):
+        d = parse_diagram("A2")
+        with pytest.raises(ValueError, match=r"weight \[0, 0\] is zero"):
+            tables.restricted_cartan(d, [(0, 0), (1, 0)])
+        with pytest.raises(ValueError, match=r"weight \[0, 0\] is zero"):
+            tables.restricted_cartan(d, [(1, 0), (0, 0)])
+
     def test_bc1_and_c2_shapes(self):
         assert tables.cartan_of_type("BC", 1) == ((2,),)
         assert tables.cartan_of_type("C", 2) == ((2, -2), (-1, 2))
