@@ -177,7 +177,7 @@ def parse_diagram(spec) -> "Diagram":
         comps = []
         for p in parts:
             fam, num = p[:1], p[1:]
-            if not num.isdigit():
+            if not num.isdecimal():
                 raise DiagramError(f"cannot parse component {p!r}")
             comps.append((fam.upper(), int(num)))
         return Diagram(comps)
@@ -249,7 +249,8 @@ class Diagram:
             raise DiagramError(f"no node {node} in {self.spec()}")
         if isinstance(node, str):
             ci, _, pos = node.partition(".")
-            node = (int(ci), int(pos))
+            if ci.isdecimal() and pos.isdecimal():
+                node = (int(ci), int(pos))
         if "index" not in self._cache:
             self._cache["index"] = {nd: i for i, nd in enumerate(self.nodes)}
         try:
@@ -257,7 +258,7 @@ class Diagram:
                 raise TypeError
             return self._cache["index"][tuple(node)]
         except (KeyError, TypeError):
-            raise DiagramError(f"no node {node} in {self.spec()}") from None
+            raise DiagramError(f"no node {node!r} in {self.spec()}") from None
 
     def node_id(self, i: int) -> str:
         ci, pos = self.nodes[i]

@@ -3,8 +3,9 @@
 The rank-one table lists every weight a root set may contain, so the search
 space is finite: walk independent, pairwise-admissible subsets of those
 weights, then attach every parabolic set the trace conditions allow.  The
-final validation gate keeps the walk honest; the pruning rules are only
-necessary conditions, never assumed sufficient.
+candidates, their RootFacts and the pair matrix (system.pairwise_faults on
+each pair) are built once per diagram.  The final validation gate keeps the
+walk honest; the pruning rules are only necessary conditions.
 
 ``verify_catalog`` compares the primitive systems found this way with the
 members the family catalog predicts on the same diagram.
@@ -12,6 +13,7 @@ members the family catalog predicts on the same diagram.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import ops
@@ -20,7 +22,11 @@ from .dynkin import parse_diagram
 from .families import expand_catalog
 from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
-from .system import SphericalSystem, root_facts
+from .system import SphericalSystem, pairwise_faults, root_facts
+
+# perfbench/selftest.py reads admissible_traces through this module
+__all__ = ["CatalogCheck", "admissible_traces", "candidate_roots",
+           "enumerate_primitive", "enumerate_systems", "verify_catalog"]
 
 
 def candidate_roots(diagram) -> tuple:
@@ -29,23 +35,16 @@ def candidate_roots(diagram) -> tuple:
     return tuple(sorted({w for _, w, _ in rank1_embeddings(d)}))
 
 
-def _compatible(d, w1, w2) -> bool:
-    """Pairwise necessary conditions: halved pairings against a doubled
-    root stay nonpositive integers, and the two halves of an orthogonal
-    pair root pair equally with everything."""
-    # Only necessary: it sees two roots at a time, validate() sees the set.
-    f1, f2 = root_facts(d, w1), root_facts(d, w2)
-    for a, b, fa, fb in ((w1, w2, f1, f2), (w2, w1, f2, f1)):
-        i = fa.doubled
-        if i is not None and b != a:
-            s = fb.pairings[i]
-            if s > 0 or s % 2:
-                return False
-        if fa.pair is not None:
-            i, j = fa.pair
-            if fb.pairings[i] != fb.pairings[j]:
-                return False
-    return True
+@lru_cache(maxsize=None)
+def _walk_table(d) -> tuple:
+    """The candidates of d, their RootFacts, and compat[i][j]: whether
+    candidates i and j together pass the pairwise axioms."""
+    cands = candidate_roots(d)
+    facts = tuple(root_facts(d, w) for w in cands)
+    compat = tuple(tuple(not any(pairwise_faults(d, (a, b), (fa, fb)))
+                         for b, fb in zip(cands, facts))
+                   for a, fa in zip(cands, facts))
+    return cands, facts, compat
 
 
 def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
@@ -57,13 +56,7 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
     validated for them.
     """
     d = parse_diagram(diagram)
-    cands = candidate_roots(d)
-    m = len(cands)
-    compat = [[_compatible(d, cands[i], cands[j]) for j in range(m)]
-              for i in range(m)]
-    traces = [admissible_traces(d, w) for w in cands]
-    facts = [root_facts(d, w) for w in cands]
-    n = d.n_nodes
+    cands, facts, compat = _walk_table(d)
     budget = max_states()
     state = {"count": 0}
     out = []
@@ -75,7 +68,7 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
                 f"enumeration on {d.spec()} exceeded {budget} states")
 
     def emit(chosen, covered, assignments):
-        outside = [i for i in range(n) if i not in covered]
+        outside = [i for i in range(d.n_nodes) if i not in covered]
         if cuspidal_only and outside:
             return
         # Only necessary: sp must be orthogonal to every root, but a node
@@ -105,7 +98,8 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
         if not assignments:
             return
         emit(chosen, covered, assignments)
-        for k in range(start, m):
+        for k in range(start, len(cands)):
+            # Only necessary: compat sees two roots at once, validate() the set
             if not all(compat[j][k] for j in chosen):
                 continue
             # Only necessary: independence is one axiom, validate() checks
@@ -115,7 +109,7 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
                 continue
             supp = facts[k].support
             walk(chosen + [k], nb, k + 1, covered | supp,
-                 {a | t for a in assignments for t in traces[k]
+                 {a | t for a in assignments for t in facts[k].traces
                   if a & supp == t & covered})
 
     walk([], [], 0, frozenset(), {frozenset()})

@@ -4,7 +4,8 @@ A system is a triple (diagram, sp, sigma) where sp is a set of nodes and
 sigma a sequence of weights.  Validation checks the two pairwise axioms on
 sigma, rank-one realizability of every root against the table in
 sphsys.rankone, that no root is simple, that roots are distinct, and linear
-independence.
+independence.  Only rank-one realizability reads sp, so the rest is decided
+once per root tuple; pairwise_faults is also the search's pair test.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import operator
+from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -95,13 +97,45 @@ def root_facts(d: Diagram, g) -> RootFacts:
     return facts
 
 
+def pairwise_faults(d: Diagram, sigma, roots) -> tuple[list, list]:
+    """The report's (pairwise_doubled, pairwise_orthogonal) entries on sigma,
+    whose RootFacts are roots: a root other than 2*alpha_i pairs with alpha_i
+    to an even nonpositive integer, and i and j pair equally with every root
+    when alpha_i + alpha_j is an orthogonal pair root."""
+    doubled, orthogonal = [], []
+    for i in sorted({f.doubled for f in roots} - {None}):
+        for g, f in zip(sigma, roots):
+            if f.doubled == i:
+                continue
+            v = f.pairings[i]
+            if v % 2 or v > 0:
+                doubled.append({"alpha": d.node_id(i), "gamma": list(g),
+                                "pairing": v})
+    for f in roots:
+        if f.pair is not None:
+            i, j = f.pair
+            for h, fh in zip(sigma, roots):
+                vi, vj = fh.pairings[i], fh.pairings[j]
+                if vi != vj:
+                    orthogonal.append(
+                        {"pair": [d.node_id(i), d.node_id(j)],
+                         "gamma": list(h), "pairings": [vi, vj]})
+    return doubled, orthogonal
+
+
 @lru_cache(maxsize=1)
-def _independent(sigma: tuple) -> bool:
-    """Whether the roots are linearly independent over Q.  Exact as a memo,
-    since a tuple's rank never changes.  The search validates one root tuple
-    under each of its parabolic sets in a row, so the last tuple is the only
-    one worth keeping; a larger memo only holds on to dead tuples."""
-    return rank(sigma) == len(sigma)
+def _sigma_checks(d: Diagram, sigma: tuple) -> tuple:
+    """What validate asks of sigma alone: its RootFacts, the (duplicates,
+    simple_roots) and pairwise_faults entries, and linear dependence.  The
+    search validates one root tuple under each of its parabolic sets in a
+    row, so a memo of the last tuple keeps every hit."""
+    roots = tuple(root_facts(d, g) for g in sigma)
+    duplicates = [{"gamma": list(g), "positions": [sigma.index(g), k]}
+                  for k, g in enumerate(sigma) if sigma.index(g) < k]
+    simple = [{"gamma": list(g)} for g, f in zip(sigma, roots)
+              if f.simple is not None]
+    return (roots, (duplicates, simple), pairwise_faults(d, sigma, roots),
+            rank(sigma) < len(sigma))
 
 
 def _listed(value, message) -> list:
@@ -220,60 +254,29 @@ class SphericalSystem:
         """Full validation; the report is computed once and reused."""
         if "report" in self._cache:
             return self._cache["report"]
-        d = self.diagram
-        sp = self.sp
-        rep = ValidationReport()
-
-        roots = [root_facts(d, g) for g in self.sigma]
-
-        seen = {}
-        for k, g in enumerate(self.sigma):
-            if g in seen:
-                rep.duplicates.append({"gamma": list(g), "positions":
-                                       [seen[g], k]})
-            seen.setdefault(g, k)
-
-        for g, f in zip(self.sigma, roots):
-            if f.simple is not None:
-                rep.simple_roots.append({"gamma": list(g)})
-
-        for i in sorted({f.doubled for f in roots} - {None}):
-            for g, f in zip(self.sigma, roots):
-                if f.doubled == i:
-                    continue
-                v = f.pairings[i]
-                if v % 2 or v > 0:
-                    rep.pairwise_doubled.append(
-                        {"alpha": d.node_id(i), "gamma": list(g),
-                         "pairing": v})
-
-        for f in roots:
-            if f.pair is not None:
-                i, j = f.pair
-                for h, fh in zip(self.sigma, roots):
-                    vi, vj = fh.pairings[i], fh.pairings[j]
-                    if vi != vj:
-                        rep.pairwise_orthogonal.append(
-                            {"pair": [d.node_id(i), d.node_id(j)],
-                             "gamma": list(h), "pairings": [vi, vj]})
-
+        d, sp = self.diagram, self.sp
+        roots, (duplicates, simple), (doubled, orthogonal), dependent = \
+            _sigma_checks(d, self.sigma)
+        rank_one = []
         for g, f in zip(self.sigma, roots):
             trace = sp & f.support
             if trace not in f.traces:
-                rep.rank_one.append(
+                rank_one.append(
                     {"gamma": list(g), "reason": "trace",
                      "actual_trace": sorted(d.node_id(i) for i in trace),
                      "admissible_traces": [sorted(d.node_id(i) for i in t)
                                            for t in sorted(f.traces,
                                                            key=sorted)]})
             elif sp & f.paired:
-                rep.rank_one.append(
+                rank_one.append(
                     {"gamma": list(g), "reason": "parabolic-pairing",
                      "nodes": [d.node_id(i) for i in sp - f.support
                                if f.pairings[i]]})
-
-        rep.dependent = not _independent(self.sigma)
-
+        # the memo's entries serve every system on this sigma: copy them
+        rep = ValidationReport(
+            [deepcopy(e) for e in doubled], [deepcopy(e) for e in orthogonal],
+            rank_one, [deepcopy(e) for e in simple],
+            [deepcopy(e) for e in duplicates], dependent)
         self._cache["report"] = rep
         return rep
 

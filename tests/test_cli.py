@@ -79,6 +79,21 @@ class TestPlumbing:
         assert out["error"]["kind"] == "domain"
         assert "99" in out["error"]["message"]
 
+    def test_malformed_node_id_is_domain_error(self, capsys, monkeypatch):
+        data = SphericalSystem(parse_diagram("B3")).to_json()
+        data["sp"] = ["x"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        status, out = run_json(capsys, ["validate"])
+        assert status == 1
+        assert out["error"] == {"kind": "domain",
+                                "message": "no node 'x' in B3"}
+
+    def test_non_decimal_rank_is_domain_error(self, capsys):
+        status, out = run_json(capsys, ["enumerate", "--diagram", "A²"])
+        assert status == 1
+        assert out["error"] == {"kind": "domain",
+                                "message": "cannot parse component 'A²'"}
+
     def test_top_level_list_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2]"))
         status, out = run_json(capsys, ["validate"])
@@ -239,6 +254,14 @@ class TestOperations:
                      "--nodes", "0.1,0.2"])
         assert status == 0
         assert out["diagram"]["components"] == [{"family": "A", "rank": 2}]
+
+    def test_localize_rejects_malformed_node_id(self, capsys, system_file):
+        status, out = run_json(
+            capsys, ["localize", "--system", system_file("b(n)", n=3),
+                     "--nodes", "0.x"])
+        assert status == 1
+        assert out["error"] == {"kind": "domain",
+                                "message": "no node '0.x' in B3"}
 
     def test_localize_e7(self, capsys, system_file):
         status, out = run_json(

@@ -16,7 +16,7 @@ def test_parse_and_canonicalize():
     assert Diagram([("C", 3), ("A", 1)]) == parse_diagram("A1,C3")
 
 
-@pytest.mark.parametrize("bad", ["E5", "E9", "F5", "G3", "H2", "A0"])
+@pytest.mark.parametrize("bad", ["E5", "E9", "F5", "G3", "H2", "A0", "A²"])
 def test_rejects_non_diagrams(bad):
     with pytest.raises(DiagramError):
         parse_diagram(bad)
@@ -211,7 +211,8 @@ def test_rank_cap():
         Diagram.from_json({"components": [{"family": "C", "rank": 500}]})
 
 
-@pytest.mark.parametrize("node", [None, 1.5, [[0, 1]], "0.9", (0, 0), 3])
+@pytest.mark.parametrize("node", [None, 1.5, [[0, 1]], "0.9", (0, 0), 3,
+                                  "x", "a.b", "0.1.2"])
 def test_node_index_rejects_bad_references(node):
     with pytest.raises(DiagramError, match="no node"):
         parse_diagram("B3").node_index(node)

@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 
 import pytest
 
-from sphsys import ops, search
+from sphsys import ops, rankone, search
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram
 from sphsys.families import instantiate
-from sphsys.system import SphericalSystem
+from sphsys.system import SphericalSystem, doubled_node, orthogonal_pair
+from test_system import ORACLE_DIAGRAMS
 
 
 class TestCandidateRoots:
@@ -29,25 +31,59 @@ class TestCandidateRoots:
     def test_every_candidate_has_a_trace(self):
         d = parse_diagram("C3")
         for w in search.candidate_roots(d):
-            assert search.admissible_traces(d, w)
+            assert rankone.admissible_traces(d, w)
+
+
+def oracle_compatible(d, w1, w2) -> bool:
+    """The walk's pair test as it was before it read system.pairwise_faults:
+    halved pairings against a doubled root stay nonpositive integers, and
+    the two halves of an orthogonal pair root pair equally with everything.
+    Every pairing is summed afresh from the Cartan matrix."""
+    for a, b in ((w1, w2), (w2, w1)):
+        i = doubled_node(a)
+        if i is not None and b != a:
+            s = d.pairing_weight(i, b)
+            if s > 0 or s % 2:
+                return False
+        pair = orthogonal_pair(d, a)
+        if pair is not None:
+            i, j = pair
+            if d.pairing_weight(i, b) != d.pairing_weight(j, b):
+                return False
+    return True
+
+
+def compatible(d, w1, w2) -> bool:
+    """The walk's cached pair matrix at two candidate roots."""
+    cands, _, compat = search._walk_table(d)
+    return compat[cands.index(w1)][cands.index(w2)]
 
 
 class TestCompatibility:
+    @pytest.mark.parametrize("spec", ORACLE_DIAGRAMS)
+    def test_pair_matrix_matches_oracle(self, spec):
+        d = parse_diagram(spec)
+        cands = search.candidate_roots(d)
+        for a in cands:
+            for b in cands:
+                assert compatible(d, a, b) == oracle_compatible(d, a, b), \
+                    (a, b)
+
     def test_symmetric(self):
         d = parse_diagram("B3")
         cands = search.candidate_roots(d)
         for a in cands:
             for b in cands:
-                assert search._compatible(d, a, b) == search._compatible(d, b, a)
+                assert compatible(d, a, b) == compatible(d, b, a)
 
     def test_doubled_root_rejects_odd_pairing(self):
         d = parse_diagram("A2")
         # <a1^vee, a1+a2> = 1: not an even nonpositive integer
-        assert not search._compatible(d, (2, 0), (1, 1))
+        assert not compatible(d, (2, 0), (1, 1))
 
     def test_doubled_roots_far_apart_ok(self):
         d = parse_diagram("A3")
-        assert search._compatible(d, (2, 0, 0), (0, 0, 2))
+        assert compatible(d, (2, 0, 0), (0, 0, 2))
 
 
 class TestBruteForceOracle:
@@ -101,6 +137,20 @@ class TestEnumerate:
         systems = search.enumerate_systems("C3")
         keys = [(tuple(sorted(s.sp)), s.sigma) for s in systems]
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("spec,cuspidal_only,count,digest", [
+        ("A1,A2,B2,G2", False, 3768,
+         "688cc50084b3d37305a4ff1f6f3f5d37abfc74a9669e7c3d9909ce7639dcae07"),
+        ("B3,B3", True, 82,
+         "4c718ca8cdb059ec9f3164dcec3d6073fbd05eaf1ed538d83fda537f765cd137"),
+    ])
+    def test_emitted_order_is_pinned(self, spec, cuspidal_only, count,
+                                     digest):
+        # sha256 over the reprs in the order the search emits them
+        systems = search.enumerate_systems(spec, cuspidal_only=cuspidal_only)
+        text = "\n".join(map(repr, systems))
+        assert len(systems) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_budget_trips(self, monkeypatch):
         monkeypatch.setenv("SPHSYS_MAX_STATES", "10")

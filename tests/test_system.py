@@ -340,3 +340,37 @@ def test_root_facts():
     assert stray.traces == frozenset()
     assert stray.pairings == tuple(d.pairing_weight(i, (0, 1, -1, 2))
                                    for i in range(4))
+
+
+def test_reports_sharing_a_root_tuple_are_separate():
+    # a repeated simple root breaks three sigma-only axioms; the memo of
+    # the last root tuple must not hand one report's entries to the next
+    sigma = [(1, 0, 0), (1, 0, 0), (0, 2, 0)]
+    first, second = make("B3", set(), sigma), make("B3", {2}, sigma)
+    a, b = first.validate(), second.validate()
+    for field_name in ("pairwise_doubled", "pairwise_orthogonal",
+                       "simple_roots", "duplicates"):
+        x, y = getattr(a, field_name), getattr(b, field_name)
+        assert x is not y, field_name
+        assert all(e is not f for e, f in zip(x, y)), field_name
+    assert a.simple_roots and a.duplicates and a.pairwise_doubled
+    want = oracle_validate(second).to_json()
+    a.duplicates.clear()
+    a.simple_roots[0]["gamma"].append(9)
+    a.pairwise_doubled.append("junk")
+    assert b.to_json() == want
+    third = make("B3", {1}, sigma).validate().to_json()
+    assert third == oracle_validate(make("B3", {1}, sigma)).to_json()
+
+
+def test_same_sigma_on_two_diagrams_gets_each_own_report():
+    # <alpha_2^vee, alpha_3> is -1 on B3 but -2 on C3, so the doubled root
+    # 2*alpha_2 breaks the pairwise axiom only on B3
+    sigma = ((0, 2, 0), (0, 0, 1))
+    reports = {}
+    for spec in ("B3", "C3", "B3"):
+        sys = make(spec, set(), sigma)
+        reports[spec] = sys.validate().to_json()
+        assert reports[spec] == oracle_validate(sys).to_json(), spec
+    assert reports["B3"]["pairwise_doubled"]
+    assert not reports["C3"]["pairwise_doubled"]
