@@ -36,11 +36,20 @@ def _weight_json(d, w) -> dict:
 
 
 def _parse_nodes(tokens: str):
-    return [t if "." in t else int(t) for t in tokens.split(",")]
+    """Decimal indices as ints; every other token goes to node_index as a
+    'ci.pos' string, which names it if there is no such node."""
+    return [int(t) if t.isdecimal() else t for t in tokens.split(",")]
 
 
 def _parse_colours(tokens: str):
-    return [int(t.lstrip("D")) for t in tokens.split(",")]
+    """Colour indices, each a decimal token with one optional leading D."""
+    out = []
+    for t in tokens.split(","):
+        digits = t[1:] if t.startswith("D") else t
+        if not digits.isdecimal():
+            raise ValueError(f"no colour {t!r}")
+        out.append(int(digits))
+    return out
 
 
 # -- handlers --------------------------------------------------------------------

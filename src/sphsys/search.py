@@ -37,26 +37,87 @@ def candidate_roots(diagram) -> tuple:
 
 @lru_cache(maxsize=None)
 def _walk_table(d) -> tuple:
-    """The candidates of d, their RootFacts, and compat[i][j]: whether
-    candidates i and j together pass the pairwise axioms."""
+    """The candidates of d, their RootFacts, compat[i][j]: whether
+    candidates i and j together pass the pairwise axioms, and spans[i]: the
+    bitmask of the components that candidate i's support meets."""
     cands = candidate_roots(d)
     facts = tuple(root_facts(d, w) for w in cands)
     compat = tuple(tuple(not any(pairwise_faults(d, (a, b), (fa, fb)))
                          for b, fb in zip(cands, facts))
                    for a, fa in zip(cands, facts))
-    return cands, facts, compat
+    component = [ci for ci in range(len(d.components))
+                 for _ in d.component_nodes(ci)]
+    spans = tuple(sum({1 << component[i] for i in f.support}) for f in facts)
+    return cands, facts, compat, spans
 
 
-def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
-    """Every valid spherical system on the diagram.
+def _linked(spans, full) -> bool:
+    """Whether the component bitmasks in spans link all components in full:
+    the graph joining the components each mask meets is connected."""
+    reached = full & -full
+    grown = True
+    while grown:
+        grown = False
+        for s in spans:
+            if s & reached and s | reached != reached:
+                reached |= s
+                grown = True
+    return reached == full
+
+
+def enumerate_systems(diagram, cuspidal_only=False,
+                      primitive_only=False) -> tuple:
+    """Every valid spherical system on the diagram, in walk order.
 
     With cuspidal_only only root sets whose supports cover the whole
     diagram are kept.  The walk visits and ticks the same nodes either
     way; emit returns early at the others, so no system is built or
     validated for them.
+
+    primitive_only keeps the cuspidal systems that ops.is_primitive
+    accepts, in the same order, and prunes the walk and its ticks: on a
+    product diagram it drops every subtree whose root sets can no longer
+    couple all components.  The prune is exact by this lemma.  Call a
+    cuspidal system split when its components fall into two groups G and H
+    and no root's support meets both.  Then it decomposes along the colours
+    C_G living on G and the colours C_H living on H:
+
+    - Every colour lives in one group: a colour is a piece of the non-sp
+      nodes joined through orthogonal pair roots, and each such root lies
+      in one group.  Sigma is the disjoint union of Sigma_G and Sigma_H,
+      and a colour of C_G pairs to 0 with every root of Sigma_H, whose
+      nodes lie on other components.  So C_G moves only roots of Sigma_G,
+      and C_H only roots of Sigma_H.
+    - C_G is distinguished.  Write rho^vee = sum c_a alpha_a^vee with every
+      c_a > 0.  For gamma in Sigma_G, nodes off G pair 0 with gamma, and
+      nodes of sp pair 0 with every root, so the height of gamma is
+      sum over a in G off sp of c_a <alpha_a^vee, gamma>.  The nodes of a
+      colour pair equally with every root of a valid system, so grouping
+      them by colour gives rho(phi)(gamma) for the positive multiplicities
+      phi_D = sum of c_a over D's nodes, doubled for a doubled colour and
+      scaled to integers.  So rho(phi) is positive on Sigma_G and 0 on
+      Sigma_H.  Sigma_G is nonempty because the system is cuspidal, so
+      C_G is nonempty too.
+    - The new parabolic nodes of C_G lie on G and those of C_H on H, on
+      other components, so no connected piece of the enlarged parabolic
+      set meets both.
+    - The quotient by C_G is smooth.  Take a nonnegative combination y of
+      Sigma_G killed by every colour of C_G.  Then every simple coroot
+      pairs 0 with y: those of G off sp through C_G, those of sp by the
+      orthogonality axiom, the others because y lives on G.  The Cartan
+      matrix is invertible and Sigma is independent, so the combination
+      is 0, and the new roots are exactly Sigma_H.
+
+    So ops.decomposes(s, C_G, C_H) holds, and since is_decomposable tries
+    every disjoint pair of colour subsets, is_primitive is False.
+    validate() and is_primitive still run on every system that survives.
     """
     d = parse_diagram(diagram)
-    cands, facts, compat = _walk_table(d)
+    cands, facts, compat, spans = _walk_table(d)
+    cuspidal_only = cuspidal_only or primitive_only
+    full = (1 << len(d.components)) - 1
+    # on a connected diagram every root set couples the lone component
+    coupling = primitive_only and full > 1
     budget = max_states()
     state = {"count": 0}
     out = []
@@ -71,6 +132,10 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
         outside = [i for i in range(d.n_nodes) if i not in covered]
         if cuspidal_only and outside:
             return
+        # Exact by the lemma above: these roots leave the components
+        # unlinked, so every system on them is split.
+        if coupling and not _linked([spans[k] for k in chosen], full):
+            return
         # Only necessary: sp must be orthogonal to every root, but a node
         # left free may still fail another axiom in validate().
         banned = frozenset().union(*(facts[k].paired for k in chosen))
@@ -84,18 +149,29 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
             for extra in free_subsets:
                 tick()
                 sys = SphericalSystem._from_normal(d, base | extra, sigma)
-                if sys.validate().ok:
+                if sys.validate().ok and (not primitive_only
+                                          or ops.is_primitive(sys)):
                     out.append(sys)
 
-    def walk(chosen, basis, start, covered, assignments):
+    def walk(chosen, basis, start, covered, assignments, links):
         """`assignments` holds the sp-part on `covered`, the union of the
         chosen supports, of each choice of one admissible trace per chosen
-        root that agrees on shared nodes."""
+        root that agrees on shared nodes.  In the primitive mode `links`
+        holds the cross candidates, those whose support meets two or more
+        components, at index >= start and compatible with every chosen
+        root."""
         tick()
         # Only necessary: every valid system has a consistent assignment and
         # a superset of inconsistent roots stays inconsistent, so the whole
         # subtree is dead; a nonempty set proves nothing.
         if not assignments:
+            return
+        # Exact by the lemma above: every later root is among `links` or
+        # meets one component, so if even all of them together with the
+        # chosen roots leave the components unlinked, every cuspidal system
+        # below is split and none is primitive.
+        if coupling and not _linked(
+                [spans[k] for k in chosen] + [spans[k] for k in links], full):
             return
         emit(chosen, covered, assignments)
         for k in range(start, len(cands)):
@@ -110,15 +186,16 @@ def enumerate_systems(diagram, cuspidal_only=False) -> tuple:
             supp = facts[k].support
             walk(chosen + [k], nb, k + 1, covered | supp,
                  {a | t for a in assignments for t in facts[k].traces
-                  if a & supp == t & covered})
+                  if a & supp == t & covered},
+                 links and [j for j in links if j > k and compat[k][j]])
 
-    walk([], [], 0, frozenset(), {frozenset()})
+    walk([], [], 0, frozenset(), {frozenset()},
+         [k for k, s in enumerate(spans) if s & (s - 1)] if coupling else [])
     return tuple(out)
 
 
 def enumerate_primitive(diagram) -> tuple:
-    return tuple(s for s in enumerate_systems(diagram, cuspidal_only=True)
-                 if ops.is_primitive(s))
+    return enumerate_systems(diagram, primitive_only=True)
 
 
 class CatalogCheck(NamedTuple):

@@ -126,10 +126,20 @@ def diagrams_up_to_rank(top):
     multiset of components."""
     types = [(fam, r) for fam, (lo, hi) in sorted(_RANK_RANGE.items())
              for r in range(lo, min(hi or top, top) + 1)]
+
+    def combos(k, first, room):
+        # itertools.combinations_with_replacement(types, k) order, skipping
+        # every prefix whose rank leaves no room for the rest
+        if k == 0:
+            yield ()
+            return
+        for i in range(first, len(types)):
+            if types[i][1] + k - 1 <= room:
+                for rest in combos(k - 1, i, room - types[i][1]):
+                    yield (types[i],) + rest
+
     return [",".join(f"{fam}{r}" for fam, r in combo)
-            for k in range(1, top + 1)
-            for combo in itertools.combinations_with_replacement(types, k)
-            if sum(r for _fam, r in combo) <= top]
+            for k in range(1, top + 1) for combo in combos(k, 0, top)]
 
 
 def test_2c_every_diagram_up_to_rank_six_matches_catalog():
@@ -164,6 +174,25 @@ def test_2d_every_diagram_of_rank_seven_matches_catalog():
     elapsed = time.perf_counter() - start
     _report("2d", f"exhaustive search equals catalog on all {len(specs)} "
                   f"diagrams of rank 7 ({len(connected)} connected), "
+                  f"{primitives} primitives ({elapsed:.1f}s)")
+
+
+def test_2e_every_diagram_of_rank_eight_matches_catalog():
+    start = time.perf_counter()
+    smaller = set(diagrams_up_to_rank(7))
+    specs = [spec for spec in diagrams_up_to_rank(8) if spec not in smaller]
+    connected = [spec for spec in specs if "," not in spec]
+    assert (len(connected), len(specs)) == (5, 227)
+    primitives = 0
+    for spec in specs:
+        check = search.verify_catalog(spec)
+        assert check.ok, (spec, check.missing, check.extra)
+        assert check.found == check.expected, spec
+        primitives += check.found
+    assert primitives == 90
+    elapsed = time.perf_counter() - start
+    _report("2e", f"exhaustive search equals catalog on all {len(specs)} "
+                  f"diagrams of rank 8 ({len(connected)} connected), "
                   f"{primitives} primitives ({elapsed:.1f}s)")
 
 

@@ -263,6 +263,22 @@ class TestOperations:
         assert out["error"] == {"kind": "domain",
                                 "message": "no node '0.x' in B3"}
 
+    @pytest.mark.parametrize("command,option,token,message", [
+        ("localize", "--nodes", "x", "no node 'x' in B3"),
+        ("quotient", "--colours", "Dx", "no colour 'Dx'"),
+        # one leading D only: DD0 is no colour, not colour 0
+        ("quotient", "--colours", "DD0", "no colour 'DD0'"),
+    ])
+    def test_non_numeric_token_is_named(self, capsys, system_file, command,
+                                        option, token, message):
+        status = cli.run([command, "--system", system_file("b(n)", n=3),
+                          option, token])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert json.loads(captured.out)["error"] == {"kind": "domain",
+                                                     "message": message}
+        assert "Traceback" not in captured.err
+
     def test_localize_e7(self, capsys, system_file):
         status, out = run_json(
             capsys, ["localize", "--system", system_file("ec(7)"),

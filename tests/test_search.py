@@ -5,10 +5,15 @@ import pytest
 
 from sphsys import ops, rankone, search
 from sphsys.budget import BudgetExceeded
-from sphsys.dynkin import parse_diagram
+from sphsys.dynkin import parse_diagram, pieces, support
 from sphsys.families import instantiate
 from sphsys.system import SphericalSystem, doubled_node, orthogonal_pair
+from test_acceptance import ENUMERATION_DIAGRAMS, diagrams_up_to_rank
 from test_system import ORACLE_DIAGRAMS
+
+# products where the coupling prune has work to do
+PRUNED_PRODUCTS = ("A1,A1,A1", "B2,G2", "A2,A2,A2", "B3,B3", "A1,A5",
+                   "G2,G2,G2", "C3,C3", "F4,F4")
 
 
 class TestCandidateRoots:
@@ -55,7 +60,7 @@ def oracle_compatible(d, w1, w2) -> bool:
 
 def compatible(d, w1, w2) -> bool:
     """The walk's cached pair matrix at two candidate roots."""
-    cands, _, compat = search._walk_table(d)
+    cands, _, compat, _ = search._walk_table(d)
     return compat[cands.index(w1)][cands.index(w2)]
 
 
@@ -173,6 +178,62 @@ class TestPrimitive:
     def test_product_of_doubled_simples_decomposes(self):
         found = search.enumerate_primitive("A1,A1")
         assert all(s.sigma != ((2, 0), (0, 2)) for s in found)
+
+
+def factor_split(s):
+    """(colours on the group of component 0, the other colours) when the
+    components fall into groups no root's support meets two of, else
+    None."""
+    d = s.diagram
+    comp = [ci for ci in range(len(d.components))
+            for _ in d.component_nodes(ci)]
+    spans = [{comp[i] for i in support(g)} for g in s.sigma]
+    groups = pieces(range(len(d.components)),
+                    lambda a, b: any({a, b} <= span for span in spans))
+    if len(groups) < 2:
+        return None
+    nodes = {i for i, ci in enumerate(comp) if ci in groups[0]}
+    factor = [c for c, col in enumerate(s.colours) if col.nodes <= nodes]
+    return factor, [c for c in range(len(s.colours)) if c not in factor]
+
+
+class TestPrimitiveMode:
+    def test_gate_output_is_pinned(self):
+        # sha256 over the reprs on the 22 gate diagrams in emitted order,
+        # recorded from the unpruned filter over cuspidal systems
+        text = "\n".join(repr(s) for spec in ENUMERATION_DIAGRAMS
+                         for s in search.enumerate_primitive(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "b5e727cc2c8a14d60a8791184a39ab0f2dc545f6b2dddf2c1d728b56ccb5cac5"
+
+    @pytest.mark.parametrize("spec", ORACLE_DIAGRAMS + PRUNED_PRODUCTS)
+    def test_equals_filtered_cuspidal(self, spec):
+        want = tuple(s for s in search.enumerate_systems(spec,
+                                                         cuspidal_only=True)
+                     if ops.is_primitive(s))
+        got = search.enumerate_systems(spec, primitive_only=True)
+        assert isinstance(got, tuple)
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_split_cuspidal_systems_decompose(self):
+        # the lemma that makes the prune exact, on every product of rank <= 6
+        specs = [spec for spec in diagrams_up_to_rank(6) if "," in spec]
+        assert len(specs) == 107
+        split = 0
+        for spec in specs:
+            for s in search.enumerate_systems(spec, cuspidal_only=True):
+                pair = factor_split(s)
+                if pair is not None:
+                    split += 1
+                    assert ops.decomposes(s, *pair), repr(s)
+        assert split == 3022
+
+    def test_prune_cuts_the_walk(self, monkeypatch):
+        # F4,F4 takes 1,973 walk states with the prune and 9,427 without
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "3000")
+        assert len(search.enumerate_primitive("F4,F4")) == 1
+        with pytest.raises(BudgetExceeded):
+            search.enumerate_systems("F4,F4", cuspidal_only=True)
 
 
 class TestVerifyCatalog:
