@@ -41,6 +41,14 @@ def _parse_nodes(tokens: str):
     return [int(t) if t.isdecimal() else t for t in tokens.split(",")]
 
 
+def _int_or_token(t: str):
+    """An int, or the token itself for the checker it reaches to name."""
+    try:
+        return int(t)
+    except ValueError:
+        return t
+
+
 def _parse_colours(tokens: str):
     """Colour indices, each a decimal token with one optional leading D."""
     out = []
@@ -184,7 +192,7 @@ def _cmd_symmetric(args):
 def _cmd_orbit(args):
     from sphsys import tables
     d = parse_diagram(args.diagram)
-    char = tuple(int(t) for t in args.char.split(","))
+    char = tuple(_int_or_token(t) for t in args.char.split(","))
     dims = tables.grading_dims(d, char)
     od = tables.orbit_dims(d, char)
     return {

@@ -4,9 +4,11 @@ Every known primitive system belongs to one of the parameterized families
 listed here.  Each family carries a generic name like ``"a(p)+b(q)"``, a
 recipe building the system on its ambient diagram, and a generator of the
 parameter values that fit a given diagram.  ``instantiate`` builds one
-member, ``expand_catalog`` lists all members living on a diagram (deduped,
-earliest family wins when two recipes coincide), and ``classify`` is the
-reverse lookup used to name enumerated systems.
+member.  ``catalog_index`` maps the canonical key of every member living
+on a diagram to its entry (earliest family wins when two recipes
+coincide); ``expand_catalog`` lists those entries, ``classify`` is the
+reverse lookup used to name enumerated systems, and
+``search.verify_catalog`` reads its predictions off the same index.
 
 Strictness is not listed: ``CatalogEntry.strict`` asks the member itself.
 """
@@ -14,7 +16,9 @@ Strictness is not listed: ``CatalogEntry.strict`` asks the member itself.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+import re
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from .dynkin import _RANK_RANGE, Diagram, DiagramError, parse_diagram
 from .system import SphericalSystem
@@ -242,7 +246,7 @@ def _b_aa1p1_cstar(p, q):
 
 def _b_aa11_cstar(n):
     _need(n >= 2, "aa(1,1)+c*(n) needs n >= 2")
-    d = _diag("A1,B2" if n == 2 else f"A1,C{n}")
+    d = _diag(f"A1,C{n}")
     a = d.component_nodes(0)[0]
     c = _c_positions(d, 1)
     m = d.n_nodes
@@ -252,8 +256,7 @@ def _b_aa11_cstar(n):
 
 def _b_aa11_cstar_cstar(n1, n2):
     _need(2 <= n1 <= n2, "aa(1,1)+c*(n1)+c*(n2) needs 2 <= n1 <= n2")
-    spec = ",".join("B2" if k == 2 else f"C{k}" for k in (n1, n2))
-    d = _diag(spec)
+    d = _diag(f"C{n1},C{n2}")
     m = d.n_nodes
     c1, c2 = (_c_positions(d, ci) for ci in range(2))
     sigma = [_wt(m, {c1[0]: 1, c2[0]: 1}), _c_tail(m, 0, c1),
@@ -419,31 +422,27 @@ def _b_gstar():
 
 # -- the table ----------------------------------------------------------------
 
-class Family:
-    """A catalog entry: name, display template, builder, parameter space."""
+class Family(NamedTuple):
+    """A catalog entry: generic name, builder, parameter space."""
 
-    __slots__ = ("name", "display", "build", "space")
+    name: str
+    build: Callable
+    space: Callable
 
-    def __init__(self, name, display, build, space):
-        self.name = name
-        self.display = display
-        self.build = build
-        self.space = space
+    @property
+    def display(self) -> str:
+        # the name with each parameter in braces: "aa({p}+{q}+{p})"
+        return re.sub(r"\b(n[12]?|p|q)\b", r"{\1}", self.name)
 
     def label(self, params) -> str:
         return self.display.format(**params)
 
-    def __repr__(self):
-        return f"Family({self.name!r})"
 
-
-def _single(fam, minrank, step=1, start=None):
-    lo = minrank if start is None else start
-
+def _single(fam, minrank, step=1):
     def space(d):
         if len(d.components) == 1 and d.components[0][0] == fam:
             n = d.components[0][1]
-            if n >= minrank and (n - lo) % step == 0:
+            if n >= minrank and (n - minrank) % step == 0:
                 yield {"n": n}
     return space
 
@@ -518,109 +517,94 @@ def _space_aa11_cstar2(d):
 
 
 CATALOG = (
-    Family("aa(p,p)", "aa({p},{p})",
-           lambda p: _b_group_pair("A", p), _pair_space("A", 1)),
-    Family("ao(n)", "ao({n})",
-           lambda n: _b_all_doubled("A", n), _single("A", 1)),
-    Family("ac(n)", "ac({n})", _b_ac, _single("A", 3, step=2)),
-    Family("aa(p+q+p)", "aa({p}+{q}+{p})", _b_aa_pqp, _space_aa_pqp),
-    Family("aa'(p+1+p)", "aa'({p}+1+{p})", _b_aa_p1p,
+    Family("aa(p,p)", lambda p: _b_group_pair("A", p), _pair_space("A", 1)),
+    Family("ao(n)", lambda n: _b_all_doubled("A", n), _single("A", 1)),
+    Family("ac(n)", _b_ac, _single("A", 3, step=2)),
+    Family("aa(p+q+p)", _b_aa_pqp, _space_aa_pqp),
+    Family("aa'(p+1+p)", _b_aa_p1p,
            _chain_param("A", "p", lambda n: (n - 1) // 2,
                         lambda n: n >= 3 and n % 2 == 1)),
-    Family("a(n)", "a({n})", _b_a, _single("A", 2)),
-    Family("ac*(n)", "ac*({n})", _b_acstar, _single("A", 3)),
+    Family("a(n)", _b_a, _single("A", 2)),
+    Family("ac*(n)", _b_acstar, _single("A", 3)),
 
-    Family("bb(p,p)", "bb({p},{p})",
-           lambda p: _b_group_pair("B", p), _pair_space("B", 2)),
-    Family("bo(p+q)", "bo({p}+{q})", _b_bo, _split("B", 1, 1, nmin=2)),
-    Family("b(n)", "b({n})", _b_b, _single("B", 2)),
-    Family("b'(n)", "b'({n})", lambda n: _b_b(n, coeff=2), _single("B", 2)),
-    Family("b*(n)", "b*({n})", _b_bstar, _single("B", 2)),
-    Family("bc*(n)", "bc*({n})", _b_bcstar, _single("B", 3)),
-    Family("bc'(n)", "bc'({n})", _b_bcprime, _single("B", 2)),
-    Family("a(p)+b(q)", "a({p})+b({q})", _b_a_b, _split("B", 2, 2)),
-    Family("a(p)+b'(q)", "a({p})+b'({q})",
-           lambda p, q: _b_a_b(p, q, coeff=2), _split("B", 2, 1)),
-    Family("ac*(p)+b(q)", "ac*({p})+b({q})",
-           lambda p, q: _b_a_b(p, q, head_pairs=True), _split("B", 2, 2)),
-    Family("ac*(p)+b'(q)", "ac*({p})+b'({q})",
+    Family("bb(p,p)", lambda p: _b_group_pair("B", p), _pair_space("B", 2)),
+    Family("bo(p+q)", _b_bo, _split("B", 1, 1, nmin=2)),
+    Family("b(n)", _b_b, _single("B", 2)),
+    Family("b'(n)", lambda n: _b_b(n, coeff=2), _single("B", 2)),
+    Family("b*(n)", _b_bstar, _single("B", 2)),
+    Family("bc*(n)", _b_bcstar, _single("B", 3)),
+    Family("bc'(n)", _b_bcprime, _single("B", 2)),
+    Family("a(p)+b(q)", _b_a_b, _split("B", 2, 2)),
+    Family("a(p)+b'(q)", lambda p, q: _b_a_b(p, q, coeff=2),
+           _split("B", 2, 1)),
+    Family("ac*(p)+b(q)", lambda p, q: _b_a_b(p, q, head_pairs=True),
+           _split("B", 2, 2)),
+    Family("ac*(p)+b'(q)",
            lambda p, q: _b_a_b(p, q, head_pairs=True, coeff=2),
            _split("B", 2, 1)),
-    Family("b**(3)", "b**(3)", _b_bss, _fixed("B3")),
-    Family("b*(4)+b**(3)", "b*(4)+b**(3)", _b_bstar4_bss3, _fixed("B4")),
+    Family("b**(3)", _b_bss, _fixed("B3")),
+    Family("b*(4)+b**(3)", _b_bstar4_bss3, _fixed("B4")),
 
-    Family("cc(p,p)", "cc({p},{p})",
-           lambda p: _b_group_pair("C", p), _pair_space("C", 3)),
-    Family("co(n)", "co({n})",
-           lambda n: _b_all_doubled("C", n), _single("C", 3)),
-    Family("c(n)", "c({n})", _b_c, _single("C", 3)),
-    Family("cc(p+q)", "cc({p}+{q})", _b_cc_pq,
-           _split("C", 2, 2, peven=True)),
-    Family("cc'(p+2)", "cc'({p}+2)", _b_ccprime,
+    Family("cc(p,p)", lambda p: _b_group_pair("C", p), _pair_space("C", 3)),
+    Family("co(n)", lambda n: _b_all_doubled("C", n), _single("C", 3)),
+    Family("c(n)", _b_c, _single("C", 3)),
+    Family("cc(p+q)", _b_cc_pq, _split("C", 2, 2, peven=True)),
+    Family("cc'(p+2)", _b_ccprime,
            _chain_param("C", "p", lambda n: n - 2,
                         lambda n: n >= 4 and n % 2 == 0)),
-    Family("c*(n)", "c*({n})", _b_cstar, _single("C", 3)),
-    Family("ca(1+q+1)", "ca(1+{q}+1)", _b_ca,
+    Family("c*(n)", _b_cstar, _single("C", 3)),
+    Family("ca(1+q+1)", _b_ca,
            _chain_param("C", "q", lambda n: n - 2, lambda n: n >= 4)),
-    Family("aa(1+p+1)+c*(q)", "aa(1+{p}+1)+c*({q})", _b_aa1p1_cstar,
+    Family("aa(1+p+1)+c*(q)", _b_aa1p1_cstar,
            _split("C", 2, 2, shift=-1, nmin=5)),
-    Family("aa(1,1)+c*(n)", "aa(1,1)+c*({n})", _b_aa11_cstar,
-           _space_aa11_cstar),
-    Family("aa(1,1)+c*(n1)+c*(n2)", "aa(1,1)+c*({n1})+c*({n2})",
-           _b_aa11_cstar_cstar, _space_aa11_cstar2),
-    Family("ac*(p)+c*(q)", "ac*({p})+c*({q})", _b_acstar_cstar,
-           _split("C", 2, 2, shift=1)),
-    Family("a'(1)+c*(q)", "a'(1)+c*({q})", _b_aprime_cstar,
+    Family("aa(1,1)+c*(n)", _b_aa11_cstar, _space_aa11_cstar),
+    Family("aa(1,1)+c*(n1)+c*(n2)", _b_aa11_cstar_cstar, _space_aa11_cstar2),
+    Family("ac*(p)+c*(q)", _b_acstar_cstar, _split("C", 2, 2, shift=1)),
+    Family("a'(1)+c*(q)", _b_aprime_cstar,
            _chain_param("C", "q", lambda n: n, lambda n: n >= 3)),
 
-    Family("dd(p,p)", "dd({p},{p})",
-           lambda p: _b_group_pair("D", p), _pair_space("D", 4)),
-    Family("do(p+q)", "do({p}+{q})", _b_do_pq, _split("D", 1, 2, nmin=4)),
-    Family("do(n)", "do({n})",
-           lambda n: _b_all_doubled("D", n), _single("D", 4)),
-    Family("d(n)", "d({n})", _b_d, _single("D", 4)),
-    Family("dc'(n)", "dc'({n})", _b_dcprime, _single("D", 6, step=2)),
-    Family("dc(n)", "dc({n})", _b_dc, _single("D", 5, step=2)),
-    Family("ds(n)", "ds({n})", _b_ds, _single("D", 4)),
-    Family("ds*(4)", "ds*(4)", _b_dsstar, _fixed("D4")),
-    Family("dc*(n)", "dc*({n})", _b_dcstar, _single("D", 4)),
-    Family("a(p)+d(q)", "a({p})+d({q})", _b_a_d, _split("D", 2, 2, nmin=4)),
-    Family("ac*(p)+d(q)", "ac*({p})+d({q})",
-           lambda p, q: _b_a_d(p, q, head_pairs=True),
+    Family("dd(p,p)", lambda p: _b_group_pair("D", p), _pair_space("D", 4)),
+    Family("do(p+q)", _b_do_pq, _split("D", 1, 2, nmin=4)),
+    Family("do(n)", lambda n: _b_all_doubled("D", n), _single("D", 4)),
+    Family("d(n)", _b_d, _single("D", 4)),
+    Family("dc'(n)", _b_dcprime, _single("D", 6, step=2)),
+    Family("dc(n)", _b_dc, _single("D", 5, step=2)),
+    Family("ds(n)", _b_ds, _single("D", 4)),
+    Family("ds*(4)", _b_dsstar, _fixed("D4")),
+    Family("dc*(n)", _b_dcstar, _single("D", 4)),
+    Family("a(p)+d(q)", _b_a_d, _split("D", 2, 2, nmin=4)),
+    Family("ac*(p)+d(q)", lambda p, q: _b_a_d(p, q, head_pairs=True),
            _split("D", 2, 2, nmin=4)),
 
-    Family("ee(p,p)", "ee({p},{p})",
-           lambda p: _b_group_pair("E", p), _pair_space("E", 6)),
-    Family("eo(n)", "eo({n})",
-           lambda n: _b_all_doubled("E", n), _single("E", 6)),
-    Family("ea(6)", "ea(6)", _b_ea6, _fixed("E6")),
-    Family("ed(6)", "ed(6)", _b_ed6, _fixed("E6")),
-    Family("ef(6)", "ef(6)", lambda: _b_ef(6), _fixed("E6")),
-    Family("ec(7)", "ec(7)", _b_ec7, _fixed("E7")),
-    Family("ef(n)", "ef({n})", _b_ef, _single("E", 7)),
-    Family("ec*(n)", "ec*({n})", _b_ecstar, _single("E", 6)),
-    Family("ef(6)+a(2)", "ef(6)+a(2)", _b_ef6_a2, _fixed("E8")),
-    Family("aa(2,2)+a(2)", "aa(2,2)+a(2)", _b_aa22_a2, _fixed("E6")),
-    Family("ac(5)+a(2)", "ac(5)+a(2)", _b_ac5_a2, _fixed("E7")),
+    Family("ee(p,p)", lambda p: _b_group_pair("E", p), _pair_space("E", 6)),
+    Family("eo(n)", lambda n: _b_all_doubled("E", n), _single("E", 6)),
+    Family("ea(6)", _b_ea6, _fixed("E6")),
+    Family("ed(6)", _b_ed6, _fixed("E6")),
+    Family("ef(6)", lambda: _b_ef(6), _fixed("E6")),
+    Family("ec(7)", _b_ec7, _fixed("E7")),
+    Family("ef(n)", _b_ef, _single("E", 7)),
+    Family("ec*(n)", _b_ecstar, _single("E", 6)),
+    Family("ef(6)+a(2)", _b_ef6_a2, _fixed("E8")),
+    Family("aa(2,2)+a(2)", _b_aa22_a2, _fixed("E6")),
+    Family("ac(5)+a(2)", _b_ac5_a2, _fixed("E7")),
 
-    Family("ff(4,4)", "ff(4,4)",
-           lambda: _b_group_pair("F", 4), _fixed("F4,F4")),
-    Family("fo(4)", "fo(4)", lambda: _b_all_doubled("F", 4), _fixed("F4")),
-    Family("f(4)", "f(4)", _b_f4, _fixed("F4")),
-    Family("fa(1+2+1)", "fa(1+2+1)", _b_fa, _fixed("F4")),
-    Family("fd(4)", "fd(4)", _b_fd4, _fixed("F4")),
-    Family("ao(2)+a(2)", "ao(2)+a(2)", _b_ao2_a2, _fixed("F4")),
-    Family("fc*(4)", "fc*(4)", _b_fcstar, _fixed("F4")),
+    Family("ff(4,4)", lambda: _b_group_pair("F", 4), _fixed("F4,F4")),
+    Family("fo(4)", lambda: _b_all_doubled("F", 4), _fixed("F4")),
+    Family("f(4)", _b_f4, _fixed("F4")),
+    Family("fa(1+2+1)", _b_fa, _fixed("F4")),
+    Family("fd(4)", _b_fd4, _fixed("F4")),
+    Family("ao(2)+a(2)", _b_ao2_a2, _fixed("F4")),
+    Family("fc*(4)", _b_fcstar, _fixed("F4")),
 
-    Family("gg(2,2)", "gg(2,2)",
-           lambda: _b_group_pair("G", 2), _fixed("G2,G2")),
-    Family("go(2)", "go(2)", lambda: _b_all_doubled("G", 2), _fixed("G2")),
-    Family("g(2)", "g(2)", lambda: _b_g(1), _fixed("G2")),
-    Family("g'(2)", "g'(2)", lambda: _b_g(2), _fixed("G2")),
-    Family("g*(2)", "g*(2)", _b_gstar, _fixed("G2")),
+    Family("gg(2,2)", lambda: _b_group_pair("G", 2), _fixed("G2,G2")),
+    Family("go(2)", lambda: _b_all_doubled("G", 2), _fixed("G2")),
+    Family("g(2)", lambda: _b_g(1), _fixed("G2")),
+    Family("g'(2)", lambda: _b_g(2), _fixed("G2")),
+    Family("g*(2)", _b_gstar, _fixed("G2")),
 )
 
 _BY_NAME = {f.name: f for f in CATALOG}
+
 
 def family_names() -> tuple:
     return tuple(f.name for f in CATALOG)
@@ -649,38 +633,40 @@ class CatalogEntry(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _expand(d: Diagram) -> tuple:
-    if not d.n_nodes:
-        return ()
-    out = []
-    seen = set()
+def _index(d: Diagram) -> MappingProxyType:
+    index = {}
     for fam in CATALOG:
         for params in fam.space(d):
             sys = fam.build(**params)
             if sys.diagram != d:
                 raise DiagramError(f"family {fam.name} built a system on "
                                    f"{sys.diagram.spec()}, not {d.spec()}")
-            key = sys.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(CatalogEntry(fam.name, params, fam.label(params), sys))
-    return tuple(out)
+            index.setdefault(sys.canonical_key(), CatalogEntry(
+                fam.name, params, fam.label(params), sys))
+    return MappingProxyType(index)
 
 
-def expand_catalog(diagram) -> tuple:
-    """All catalog members on a diagram, in catalog order, deduped.
+def catalog_index(diagram) -> MappingProxyType:
+    """Canonical key -> CatalogEntry for every member on a diagram, in
+    catalog order, one entry per automorphism orbit.
 
     Two recipes can coincide (a length-2 consecutive-sum head is the same
     root as a length-2 chain sum); the earlier family keeps the entry.
     """
-    return _expand(parse_diagram(diagram))
+    return _index(parse_diagram(diagram))
+
+
+def expand_catalog(diagram) -> tuple:
+    """All catalog members on a diagram, in catalog order, deduped."""
+    return tuple(catalog_index(diagram).values())
 
 
 def classify(sys: SphericalSystem) -> str | None:
     """Catalog label of a system, or None if it is not a catalog member."""
-    key = sys.canonical_key()
-    for entry in expand_catalog(sys.diagram):
-        if entry.system.canonical_key() == key:
-            return entry.label
-    return None
+    index = _index(sys.diagram)
+    # a key minimises over every automorphism, and the diagrams with the
+    # most (A1 x 7 has 5,040) carry no member: they get no key
+    if not index:
+        return None
+    entry = index.get(sys.canonical_key())
+    return entry.label if entry else None

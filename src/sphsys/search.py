@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import ops
 from .budget import BudgetExceeded, max_states
 from .dynkin import parse_diagram
-from .families import expand_catalog
+from .families import catalog_index
 from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
 from .system import SphericalSystem, pairwise_faults, root_facts
@@ -110,7 +110,9 @@ def enumerate_systems(diagram, cuspidal_only=False,
 
     So ops.decomposes(s, C_G, C_H) holds, and since is_decomposable tries
     every disjoint pair of colour subsets, is_primitive is False.
-    validate() and is_primitive still run on every system that survives.
+    validate() and is_primitive still run on every system that survives
+    the prune.  A leaf whose own roots leave the components unlinked is
+    not skipped: is_primitive rejects its split systems.
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
@@ -131,10 +133,6 @@ def enumerate_systems(diagram, cuspidal_only=False,
     def emit(chosen, covered, assignments):
         outside = [i for i in range(d.n_nodes) if i not in covered]
         if cuspidal_only and outside:
-            return
-        # Exact by the lemma above: these roots leave the components
-        # unlinked, so every system on them is split.
-        if coupling and not _linked([spans[k] for k in chosen], full):
             return
         # Only necessary: sp must be orthogonal to every root, but a node
         # left free may still fail another axiom in validate().
@@ -220,7 +218,7 @@ def verify_catalog(diagram) -> CatalogCheck:
     found = {}
     for s in enumerate_primitive(d):
         found.setdefault(s.canonical_key(), s)
-    predicted = {e.system.canonical_key(): e.label for e in expand_catalog(d)}
-    missing = tuple(lbl for key, lbl in predicted.items() if key not in found)
+    predicted = catalog_index(d)
+    missing = tuple(e.label for k, e in predicted.items() if k not in found)
     extra = tuple(repr(found[key]) for key in found if key not in predicted)
     return CatalogCheck(d.spec(), len(found), len(predicted), missing, extra)

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,11 @@ from sphsys.system import SphericalSystem
 
 
 B3_JSON = {"components": [{"family": "B", "rank": 3}]}
+
+# a child interpreter finds sphsys in this checkout's src, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture
@@ -162,7 +169,7 @@ class TestPlumbing:
         raw = open(system_file("aa(p,p)", p=1)).read()
         proc = subprocess.run(
             [sys.executable, "-m", "sphsys.cli", "classify"],
-            input=raw, capture_output=True, text=True)
+            input=raw, capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"label": "aa(1,1)"}
 
@@ -172,7 +179,8 @@ class TestPlumbing:
         raw = open(system_file("b(n)", n=3)).read()
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "sphsys.cli",
-             "validate"], input=raw, capture_output=True, text=True)
+             "validate"], input=raw, capture_output=True, text=True,
+            env=CHILD_ENV)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
         loaded = {line.rsplit("|", 1)[1].strip()
@@ -430,6 +438,19 @@ class TestAppendixCommands:
         status, out = run_json(
             capsys, ["orbit", "--diagram", "G2", "--char", "3,0"])
         assert status == 1
+
+    @pytest.mark.parametrize("char,message", [
+        ("1,x", "characteristic entry 'x' is not an integer"),
+        ("", "characteristic entry '' is not an integer"),
+        ("1,0.5", "characteristic entry '0.5' is not an integer"),
+        ("-1,0", "characteristic entries must be 0, 1 or 2; got [-1]"),
+        ("1", "characteristic length 1 != 2 nodes"),
+    ])
+    def test_orbit_names_bad_entry(self, capsys, char, message):
+        status, out = run_json(
+            capsys, ["orbit", "--diagram", "G2", f"--char={char}"])
+        assert status == 1
+        assert out["error"] == {"kind": "domain", "message": message}
 
 
 # -- fuzzing -----------------------------------------------------------------

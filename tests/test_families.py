@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
-from sphsys import families
+from sphsys import cli, families
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
+from test_acceptance import diagrams_up_to_rank
 
 # one member per family at the smallest admissible parameters
 MINIMAL = {
@@ -152,6 +155,44 @@ def test_b2_expansion_labels():
     assert labels == ["bo(1+1)", "b(2)", "b'(2)", "b*(2)", "bc'(2)"]
 
 
+def test_catalog_listing_is_pinned(capsys):
+    # sha256 of `sphsys catalog families`, recorded when every family still
+    # spelled out its display template by hand
+    assert cli.run(["catalog", "families"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "bbfd04c726a1b7a29578df876ae9215565963a1b200530bd08a2c1f7be7a058f"
+
+
+def test_expansion_is_pinned():
+    # sha256 over the expansion reprs of the 245 diagrams of rank <= 7,
+    # recorded from the list built before the orbit index: labels, order
+    # and the earliest-family-wins rule all stay
+    text = "\n".join(repr(families.expand_catalog(spec))
+                     for spec in diagrams_up_to_rank(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "cb961c96dd7f4367801427fc0034f5516dbdbd41cdf50b435c7bb5e9e161da3c"
+
+
+def test_members_live_on_few_components():
+    # the catalog's traffic: keys are only ever compared on these diagrams,
+    # where the automorphism group is small (D4,D4 has the most, 72)
+    carrying = [parse_diagram(spec) for spec in diagrams_up_to_rank(8)
+                if families.expand_catalog(spec)]
+    assert len(carrying) == 55
+    assert max(len(d.components) for d in carrying) == 2
+    assert max(len(d.automorphisms) for d in carrying) == 72
+
+
+def test_index_is_keyed_by_orbit():
+    index = families.catalog_index("B4")
+    assert list(index.values()) == list(families.expand_catalog("B4"))
+    for key, entry in index.items():
+        assert entry.system.canonical_key() == key
+    with pytest.raises(TypeError):
+        index["x"] = None
+
+
 def test_length_two_head_collapses_to_earlier_family():
     # a length-2 consecutive-sum head is a single root, so the ac* recipes
     # at p=2 rebuild members already produced by the plain-head recipes
@@ -223,6 +264,19 @@ def test_classify_rejects_non_members():
     d = parse_diagram("A2")
     assert families.classify(SphericalSystem(d, (), [(2, 0)])) is None
     assert families.classify(SphericalSystem(d, (), ())) is None
+
+
+def test_classify_keys_nothing_on_a_memberless_diagram(monkeypatch):
+    # A1 x 7 carries no member, and one key there minimises over 5,040
+    # permutations: classify must answer without computing it
+    d = parse_diagram("A1,A1,A1,A1,A1,A1,A1")
+    sys = SphericalSystem(d, (), [tuple(2 * (i == j) for j in range(7))
+                                  for i in range(7)])
+
+    def refuse(self):
+        raise AssertionError("canonical_key called")
+    monkeypatch.setattr(SphericalSystem, "canonical_key", refuse)
+    assert families.classify(sys) is None
 
 
 # -- structure spot checks --------------------------------------------------------
