@@ -1,8 +1,9 @@
 """Search budget shared by the combinatorial kernels.
 
-SPHSYS_MAX_STATES bounds state explosion in the Hilbert basis completion and
-the inequality elimination; both fault loudly instead of degrading.  Unset
-or empty it means 1 000 000; any other value must be a decimal count.
+SPHSYS_MAX_STATES bounds state explosion in the search walk, the Hilbert
+basis completion and the inequality elimination; each faults loudly instead
+of degrading.  Unset or empty it means 1 000 000; any other value must be a
+decimal count.
 """
 
 import os
@@ -21,4 +22,14 @@ def max_states() -> int:
 
 
 class BudgetExceeded(RuntimeError):
-    pass
+    """A kernel ran past max_states().  layer names the kernel ("search",
+    "hilbert" or "feasible"), count how far it got when it stopped, cap the
+    budget, and input what it was working on, as a JSON-ready value."""
+
+    def __init__(self, message, layer=None, count=None, cap=None,
+                 input=None):
+        super().__init__(message)
+        self.layer = layer
+        self.count = count
+        self.cap = cap
+        self.input = input

@@ -307,7 +307,9 @@ def run(argv=None) -> int:
                          "line": e.lineno, "column": e.colno}})
         return 1
     except BudgetExceeded as e:
-        _emit({"error": {"kind": "budget", "message": str(e)}})
+        _emit({"error": {"kind": "budget", "message": str(e),
+                         "layer": e.layer, "count": e.count, "cap": e.cap,
+                         "input": e.input}})
         return 1
     except (ValueError, LookupError, OSError) as e:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else str(e)

@@ -74,11 +74,10 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
     strict = frozenset(strict)
     if n_vars == 0:
         return ()
+    rows = [tuple(r) for r in rows]
     shift = [1 if i in strict else 0 for i in range(n_vars)]
     # substitute x = y + shift: rows become  row.y >= -row.shift,  y >= 0
-    system = []
-    for r in rows:
-        system.append((tuple(r), -sum(a * s for a, s in zip(r, shift))))
+    system = [(r, -sum(a * s for a, s in zip(r, shift))) for r in rows]
     for i in range(n_vars):
         system.append((tuple(int(j == i) for j in range(n_vars)), 0))
 
@@ -93,7 +92,10 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
         size = len(new) + len(pos) * len(neg)
         if size > cap:
             raise BudgetExceeded(
-                f"elimination would produce {size} rows (cap {cap})")
+                f"elimination would produce {size} rows (cap {cap})",
+                layer="feasible", count=size, cap=cap,
+                input={"rows": [list(r) for r in rows],
+                       "strict": sorted(strict)})
         for pc, pb in pos:
             for nc, nb in neg:
                 mp, mn = -nc[var], pc[var]

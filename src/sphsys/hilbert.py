@@ -90,7 +90,9 @@ def _completion(a, n_vars):
                     seen.add(u)
                     if len(seen) > cap:
                         raise BudgetExceeded(
-                            f"hilbert search exceeded {cap} states")
+                            f"hilbert search exceeded {cap} states",
+                            layer="hilbert", count=len(seen), cap=cap,
+                            input={"rows": [list(r) for r in a]})
                     values[u] = tuple(x + y for x, y in zip(v, cols[i]))
                     nxt.append(u)
         frontier = nxt

@@ -5,7 +5,8 @@ space is finite: walk independent, pairwise-admissible subsets of those
 weights, then attach every parabolic set the trace conditions allow.  The
 candidates, their RootFacts and the pair matrix (system.pairwise_faults on
 each pair) are built once per diagram.  The final validation gate keeps the
-walk honest; the pruning rules are only necessary conditions.
+walk honest; each pruning rule either is only a necessary condition on a
+valid system or drops a subtree that holds no system the mode keeps.
 
 ``verify_catalog`` compares the primitive systems found this way with the
 members the family catalog predicts on the same diagram.
@@ -42,13 +43,17 @@ def _walk_table(d) -> tuple:
     bitmask of the components that candidate i's support meets."""
     cands = candidate_roots(d)
     facts = tuple(root_facts(d, w) for w in cands)
-    compat = tuple(tuple(not any(pairwise_faults(d, (a, b), (fa, fb)))
-                         for b, fb in zip(cands, facts))
-                   for a, fa in zip(cands, facts))
+    n = len(cands)
+    compat = [[True] * n for _ in range(n)]
+    # the pair test is symmetric in its two roots: fill i <= j and mirror
+    for i in range(n):
+        for j in range(i, n):
+            compat[i][j] = compat[j][i] = not any(pairwise_faults(
+                (cands[i], cands[j]), (facts[i], facts[j])))
     component = [ci for ci in range(len(d.components))
                  for _ in d.component_nodes(ci)]
     spans = tuple(sum({1 << component[i] for i in f.support}) for f in facts)
-    return cands, facts, compat, spans
+    return cands, facts, tuple(map(tuple, compat)), spans
 
 
 def _linked(spans, full) -> bool:
@@ -65,22 +70,36 @@ def _linked(spans, full) -> bool:
     return reached == full
 
 
+def _consistent(f, assignments, covered) -> bool:
+    """Whether a root with RootFacts f has an admissible trace that agrees
+    on `covered` with one of the assignments."""
+    return any(a & f.support == t & covered
+               for a in assignments for t in f.traces)
+
+
 def enumerate_systems(diagram, cuspidal_only=False,
                       primitive_only=False) -> tuple:
     """Every valid spherical system on the diagram, in walk order.
 
+    The walk chooses candidates in increasing index order and carries
+    `live` down from parent to child, as Bron and Kerbosch carry their
+    candidate set ("Finding all cliques of an undirected graph", CACM 16(9),
+    1973): the candidates after the last chosen one that pass the pair
+    matrix with every chosen root and have an admissible trace consistent
+    with at least one trace assignment of the chosen roots.  Only they can
+    join a root set below, so a child's `live` is read off its parent's.
+
     With cuspidal_only only root sets whose supports cover the whole
-    diagram are kept.  The walk visits and ticks the same nodes either
-    way; emit returns early at the others, so no system is built or
-    validated for them.
+    diagram are kept, and a walk node returns at once when even its chosen
+    and live supports together leave a node uncovered.
 
     primitive_only keeps the cuspidal systems that ops.is_primitive
-    accepts, in the same order, and prunes the walk and its ticks: on a
-    product diagram it drops every subtree whose root sets can no longer
-    couple all components.  The prune is exact by this lemma.  Call a
-    cuspidal system split when its components fall into two groups G and H
-    and no root's support meets both.  Then it decomposes along the colours
-    C_G living on G and the colours C_H living on H:
+    accepts, in the same order: on a product diagram it also drops every
+    subtree whose root sets can no longer couple all components.  The prune
+    is exact by this lemma.  Call a cuspidal system split when its
+    components fall into two groups G and H and no root's support meets
+    both.  Then it decomposes along the colours C_G living on G and the
+    colours C_H living on H:
 
     - Every colour lives in one group: a colour is a piece of the non-sp
       nodes joined through orthogonal pair roots, and each such root lies
@@ -111,12 +130,13 @@ def enumerate_systems(diagram, cuspidal_only=False,
     So ops.decomposes(s, C_G, C_H) holds, and since is_decomposable tries
     every disjoint pair of colour subsets, is_primitive is False.
     validate() and is_primitive still run on every system that survives
-    the prune.  A leaf whose own roots leave the components unlinked is
+    the prunes.  A leaf whose own roots leave the components unlinked is
     not skipped: is_primitive rejects its split systems.
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
     cuspidal_only = cuspidal_only or primitive_only
+    nodes = frozenset(range(d.n_nodes))
     full = (1 << len(d.components)) - 1
     # on a connected diagram every root set couples the lone component
     coupling = primitive_only and full > 1
@@ -128,7 +148,9 @@ def enumerate_systems(diagram, cuspidal_only=False,
         state["count"] += 1
         if state["count"] > budget:
             raise BudgetExceeded(
-                f"enumeration on {d.spec()} exceeded {budget} states")
+                f"enumeration on {d.spec()} exceeded {budget} states",
+                layer="search", count=state["count"], cap=budget,
+                input=d.spec())
 
     def emit(chosen, covered, assignments):
         outside = [i for i in range(d.n_nodes) if i not in covered]
@@ -151,44 +173,44 @@ def enumerate_systems(diagram, cuspidal_only=False,
                                           or ops.is_primitive(sys)):
                     out.append(sys)
 
-    def walk(chosen, basis, start, covered, assignments, links):
+    def walk(chosen, basis, covered, assignments, live):
         """`assignments` holds the sp-part on `covered`, the union of the
         chosen supports, of each choice of one admissible trace per chosen
-        root that agrees on shared nodes.  In the primitive mode `links`
-        holds the cross candidates, those whose support meets two or more
-        components, at index >= start and compatible with every chosen
-        root."""
+        root that agrees on shared nodes; it is never empty.  `live` holds
+        the later candidates that can still join `chosen`, as above."""
         tick()
-        # Only necessary: every valid system has a consistent assignment and
-        # a superset of inconsistent roots stays inconsistent, so the whole
-        # subtree is dead; a nonempty set proves nothing.
-        if not assignments:
+        # Exact: every root chosen below comes from `live`, so a node that
+        # no live support covers stays uncovered in the whole subtree.
+        if cuspidal_only and covered.union(
+                *(facts[k].support for k in live)) != nodes:
             return
-        # Exact by the lemma above: every later root is among `links` or
-        # meets one component, so if even all of them together with the
-        # chosen roots leave the components unlinked, every cuspidal system
-        # below is split and none is primitive.
-        if coupling and not _linked(
-                [spans[k] for k in chosen] + [spans[k] for k in links], full):
+        # Exact by the lemma above: every root chosen below comes from
+        # `live`, so if even all of them together with the chosen roots
+        # leave the components unlinked, every cuspidal system below is
+        # split and none is primitive.
+        if coupling and not _linked([spans[k] for k in chosen + live], full):
             return
         emit(chosen, covered, assignments)
-        for k in range(start, len(cands)):
-            # Only necessary: compat sees two roots at once, validate() the set
-            if not all(compat[j][k] for j in chosen):
-                continue
+        for x, k in enumerate(live):
             # Only necessary: independence is one axiom, validate() checks
             # the rest.
             nb = echelon_extend(basis, cands[k])
             if nb is None:
                 continue
             supp = facts[k].support
-            walk(chosen + [k], nb, k + 1, covered | supp,
-                 {a | t for a in assignments for t in facts[k].traces
-                  if a & supp == t & covered},
-                 links and [j for j in links if j > k and compat[k][j]])
+            grown = covered | supp
+            # nonempty, since k is live
+            below = {a | t for a in assignments for t in facts[k].traces
+                     if a & supp == t & covered}
+            # The pair test is only necessary: compat sees two roots at
+            # once, validate() the set.  The trace filter is exact: the
+            # assignments below restrict to `below` on `grown`, so a
+            # candidate inconsistent with `below` stays so further down.
+            walk(chosen + [k], nb, grown, below,
+                 [j for j in live[x + 1:] if compat[k][j]
+                  and _consistent(facts[j], below, grown)])
 
-    walk([], [], 0, frozenset(), {frozenset()},
-         [k for k, s in enumerate(spans) if s & (s - 1)] if coupling else [])
+    walk([], [], frozenset(), {frozenset()}, list(range(len(cands))))
     return tuple(out)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import operator
 from copy import deepcopy
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -97,44 +96,50 @@ def root_facts(d: Diagram, g) -> RootFacts:
     return facts
 
 
-def pairwise_faults(d: Diagram, sigma, roots) -> tuple[list, list]:
-    """The report's (pairwise_doubled, pairwise_orthogonal) entries on sigma,
-    whose RootFacts are roots: a root other than 2*alpha_i pairs with alpha_i
-    to an even nonpositive integer, and i and j pair equally with every root
-    when alpha_i + alpha_j is an orthogonal pair root."""
-    doubled, orthogonal = [], []
+def pairwise_faults(sigma, roots):
+    """The pairwise axioms on sigma, whose RootFacts are roots, as raw fault
+    records: a root other than 2*alpha_i pairs with alpha_i to an even
+    nonpositive integer, and i and j pair equally with every root when
+    alpha_i + alpha_j is an orthogonal pair root.  Yields ("doubled", i, g,
+    pairing) and then ("orthogonal", (i, j), h, (pairing_i, pairing_j)), in
+    report order, lazily, so a yes/no test stops at the first fault."""
     for i in sorted({f.doubled for f in roots} - {None}):
         for g, f in zip(sigma, roots):
             if f.doubled == i:
                 continue
             v = f.pairings[i]
             if v % 2 or v > 0:
-                doubled.append({"alpha": d.node_id(i), "gamma": list(g),
-                                "pairing": v})
+                yield "doubled", i, g, v
     for f in roots:
         if f.pair is not None:
             i, j = f.pair
             for h, fh in zip(sigma, roots):
                 vi, vj = fh.pairings[i], fh.pairings[j]
                 if vi != vj:
-                    orthogonal.append(
-                        {"pair": [d.node_id(i), d.node_id(j)],
-                         "gamma": list(h), "pairings": [vi, vj]})
-    return doubled, orthogonal
+                    yield "orthogonal", f.pair, h, (vi, vj)
 
 
 @lru_cache(maxsize=1)
 def _sigma_checks(d: Diagram, sigma: tuple) -> tuple:
     """What validate asks of sigma alone: its RootFacts, the (duplicates,
-    simple_roots) and pairwise_faults entries, and linear dependence.  The
-    search validates one root tuple under each of its parabolic sets in a
-    row, so a memo of the last tuple keeps every hit."""
+    simple_roots) and (pairwise_doubled, pairwise_orthogonal) entries, and
+    linear dependence.  The search validates one root tuple under each of
+    its parabolic sets in a row, so a memo of the last tuple keeps every
+    hit."""
     roots = tuple(root_facts(d, g) for g in sigma)
     duplicates = [{"gamma": list(g), "positions": [sigma.index(g), k]}
                   for k, g in enumerate(sigma) if sigma.index(g) < k]
     simple = [{"gamma": list(g)} for g, f in zip(sigma, roots)
               if f.simple is not None]
-    return (roots, (duplicates, simple), pairwise_faults(d, sigma, roots),
+    doubled, orthogonal = [], []
+    for kind, at, g, v in pairwise_faults(sigma, roots):
+        if kind == "doubled":
+            doubled.append({"alpha": d.node_id(at), "gamma": list(g),
+                            "pairing": v})
+        else:
+            orthogonal.append({"pair": [d.node_id(i) for i in at],
+                               "gamma": list(g), "pairings": list(v)})
+    return (roots, (duplicates, simple), (doubled, orthogonal),
             rank(sigma) < len(sigma))
 
 
@@ -145,25 +150,74 @@ def _listed(value, message) -> list:
     return list(value)
 
 
-@dataclass(frozen=True)
 class Colour:
     """An equivalence class of active simple roots.
 
     doubled means twice the representative is itself a spherical root; its
     functional then takes half pairings.
     """
-    nodes: frozenset
-    doubled: bool
+    __slots__ = ("nodes", "doubled")
+
+    def __init__(self, nodes: frozenset, doubled: bool):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "doubled", doubled)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Colour is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Colour is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.doubled) == (other.nodes, other.doubled)
+
+    def __hash__(self):
+        return hash((self.nodes, self.doubled))
+
+    def __repr__(self):
+        return f"Colour(nodes={self.nodes!r}, doubled={self.doubled!r})"
+
+    def __reduce__(self):   # copy and pickle rebuild through __init__
+        return Colour, (self.nodes, self.doubled)
 
 
-@dataclass
 class ValidationReport:
-    pairwise_doubled: list = field(default_factory=list)   # axiom on 2*alpha roots
-    pairwise_orthogonal: list = field(default_factory=list)  # axiom on alpha+beta roots
-    rank_one: list = field(default_factory=list)
-    simple_roots: list = field(default_factory=list)
-    duplicates: list = field(default_factory=list)
-    dependent: bool = False
+    """The faults validate found, one list per axiom; ok when there are
+    none."""
+    _FIELDS = ("pairwise_doubled",      # axiom on 2*alpha roots
+               "pairwise_orthogonal",   # axiom on alpha+beta roots
+               "rank_one", "simple_roots", "duplicates", "dependent")
+    __slots__ = _FIELDS
+    __hash__ = None     # mutable, like the lists it holds
+
+    def __init__(self, pairwise_doubled=None, pairwise_orthogonal=None,
+                 rank_one=None, simple_roots=None, duplicates=None,
+                 dependent=False):
+        # a list left out is a fresh one, never shared between reports;
+        # one assignment each, since validate builds a report per system
+        self.pairwise_doubled = (
+            [] if pairwise_doubled is None else pairwise_doubled)
+        self.pairwise_orthogonal = (
+            [] if pairwise_orthogonal is None else pairwise_orthogonal)
+        self.rank_one = [] if rank_one is None else rank_one
+        self.simple_roots = [] if simple_roots is None else simple_roots
+        self.duplicates = [] if duplicates is None else duplicates
+        self.dependent = dependent
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "ValidationReport(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._FIELDS, self._values())) + ")"
 
     @property
     def ok(self) -> bool:
@@ -172,15 +226,7 @@ class ValidationReport:
                     or self.duplicates or self.dependent)
 
     def to_json(self) -> dict:
-        return {
-            "valid": self.ok,
-            "pairwise_doubled": self.pairwise_doubled,
-            "pairwise_orthogonal": self.pairwise_orthogonal,
-            "rank_one": self.rank_one,
-            "simple_roots": self.simple_roots,
-            "duplicates": self.duplicates,
-            "dependent": self.dependent,
-        }
+        return {"valid": self.ok, **dict(zip(self._FIELDS, self._values()))}
 
 
 class SphericalSystem:

@@ -189,6 +189,8 @@ class TestPlumbing:
         assert {m for m in loaded if m.split(".")[0] == "sphsys"} == {
             "sphsys", "sphsys.budget", "sphsys.dynkin", "sphsys.feasible",
             "sphsys.rankone", "sphsys.system"}
+        # dataclasses pulls in inspect, which no validate call needs
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_output_is_stable(self, capsys, system_file):
         path = system_file("b(n)", n=3)
@@ -352,6 +354,15 @@ class TestSearchAndCatalog:
         status, out = run_json(capsys, ["enumerate", "--diagram", "A1"])
         assert status == 0
         assert len(out) == 3
+
+    def test_budget_error_names_the_layer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "10")
+        status, out = run_json(capsys, ["enumerate", "--diagram", "B3"])
+        assert status == 1
+        assert out["error"] == {
+            "kind": "budget",
+            "message": "enumeration on B3 exceeded 10 states",
+            "layer": "search", "count": 11, "cap": 10, "input": "B3"}
 
     def test_classify(self, capsys, system_file):
         status, out = run_json(

@@ -70,6 +70,17 @@ def test_budget_fault(monkeypatch):
         feasible_nonneg(rows, 3, strict={0, 1, 2})
 
 
+def test_budget_fault_names_the_elimination(monkeypatch):
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "1")
+    rows = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
+    with pytest.raises(BudgetExceeded) as err:
+        feasible_nonneg(iter(rows), 3, strict={2, 0})
+    e = err.value
+    assert str(e) == f"elimination would produce {e.count} rows (cap 1)"
+    assert (e.layer, e.cap) == ("feasible", 1) and e.count > 1
+    assert e.input == {"rows": [list(r) for r in rows], "strict": [0, 2]}
+
+
 @pytest.mark.parametrize("raw", ["abc", "1e3", "-5", " 10"])
 def test_malformed_budget_fails_loudly(monkeypatch, raw):
     monkeypatch.setenv("SPHSYS_MAX_STATES", raw)

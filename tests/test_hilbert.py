@@ -72,6 +72,16 @@ def test_cap_faults(monkeypatch):
         hilbert_basis([(6, -1, -1)], 3)
 
 
+def test_cap_fault_names_the_completion(monkeypatch):
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "3")
+    with pytest.raises(BudgetExceeded) as err:
+        hilbert_basis([(6, -1, -1)], 3)
+    e = err.value
+    assert str(e) == "hilbert search exceeded 3 states"
+    assert (e.layer, e.count, e.cap) == ("hilbert", 4, 3)
+    assert e.input == {"rows": [[6, -1, -1]]}
+
+
 def test_against_box_oracle_randomized(monkeypatch):
     monkeypatch.setenv("SPHSYS_MAX_STATES", "200000")
     rng = random.Random(20260816)

@@ -129,10 +129,11 @@ class TestEnumerate:
         assert len(search.enumerate_systems("G2")) == 10
 
     def test_cuspidal_flag_matches_filter(self):
-        for spec in ("A2", "B2", "A1,A1"):
+        # in emitted order: the cover prune cuts no cuspidal system
+        for spec in ORACLE_DIAGRAMS + PRUNED_PRODUCTS:
             cusp = search.enumerate_systems(spec, cuspidal_only=True)
             full = [s for s in search.enumerate_systems(spec) if s.is_cuspidal]
-            assert sorted(repr(s) for s in cusp) == sorted(repr(s) for s in full)
+            assert list(map(repr, cusp)) == list(map(repr, full)), spec
 
     def test_all_emitted_systems_validate(self):
         for s in search.enumerate_systems("B3"):
@@ -161,6 +162,14 @@ class TestEnumerate:
         monkeypatch.setenv("SPHSYS_MAX_STATES", "10")
         with pytest.raises(BudgetExceeded):
             search.enumerate_systems("B3")
+
+    def test_budget_names_the_walk(self, monkeypatch):
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "10")
+        with pytest.raises(BudgetExceeded) as err:
+            search.enumerate_systems("B3")
+        e = err.value
+        assert str(e) == "enumeration on B3 exceeded 10 states"
+        assert (e.layer, e.count, e.cap, e.input) == ("search", 11, 10, "B3")
 
 
 class TestPrimitive:
@@ -229,8 +238,9 @@ class TestPrimitiveMode:
         assert split == 3022
 
     def test_prune_cuts_the_walk(self, monkeypatch):
-        # F4,F4 takes 1,973 walk states with the prune and 9,427 without
-        monkeypatch.setenv("SPHSYS_MAX_STATES", "3000")
+        # F4,F4 takes 228 walk states in the primitive mode and 1,398 in
+        # the cuspidal mode, which has no coupling prune
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "1000")
         assert len(search.enumerate_primitive("F4,F4")) == 1
         with pytest.raises(BudgetExceeded):
             search.enumerate_systems("F4,F4", cuspidal_only=True)

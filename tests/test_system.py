@@ -6,8 +6,9 @@ import pytest
 from sphsys import rankone, search
 from sphsys.dynkin import parse_diagram, support
 from sphsys.feasible import rank
-from sphsys.system import (SphericalSystem, ValidationReport, doubled_node,
-                           orthogonal_pair, root_facts, simple_node)
+from sphsys.system import (Colour, SphericalSystem, ValidationReport,
+                           doubled_node, orthogonal_pair, root_facts,
+                           simple_node)
 
 
 def make(spec, sp, sigma):
@@ -23,6 +24,26 @@ def test_root_shapes():
     assert orthogonal_pair(d, (1, 0, 1)) == (0, 2)
     assert orthogonal_pair(d, (0, 1, 1)) is None    # adjacent nodes
     assert orthogonal_pair(d, (1, 0, 2)) is None
+
+
+def test_value_classes():
+    c = Colour(frozenset({1, 2}), False)
+    assert c == Colour(frozenset({2, 1}), False) != Colour(c.nodes, True)
+    assert c != (c.nodes, c.doubled)
+    assert {c, Colour(frozenset({1, 2}), False)} == {c}
+    assert repr(c) == "Colour(nodes=frozenset({1, 2}), doubled=False)"
+    with pytest.raises(AttributeError):
+        c.doubled = True
+    rep, other = ValidationReport(), ValidationReport()
+    assert rep == other and rep.ok
+    rep.rank_one.append({"gamma": [1]})   # no list is shared
+    assert rep != other and not rep.ok and other.rank_one == []
+    assert ValidationReport([], [], [], [], [], True) != other
+    with pytest.raises(TypeError):
+        hash(rep)
+    assert repr(other) == (
+        "ValidationReport(pairwise_doubled=[], pairwise_orthogonal=[], "
+        "rank_one=[], simple_roots=[], duplicates=[], dependent=False)")
 
 
 class TestValidation:
