@@ -8,8 +8,8 @@ decomposable systems.  The CLI's ``components`` subcommand reports this
 analysis; the exhaustive search in sphsys.search does not use it.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .dynkin import pieces, support
 from .ops import decomposes, distinguished_witness, localize, quotient
@@ -58,8 +58,7 @@ def delta_of(sys, roots) -> tuple:
                  if all(sys.rho(cols[i], g) == 0 for g in outside))
 
 
-@dataclass(frozen=True)
-class ComponentAnalysis:
+class ComponentAnalysis(NamedTuple):
     component: tuple
     delta_of: tuple
     isolated: bool

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 _FAMILIES = "ABCDEFG"
@@ -189,10 +189,10 @@ class Diagram:
 
     Components are canonicalized (see canonicalize_component) and sorted, so
     two diagrams with the same content compare equal.  At most MAX_RANK
-    nodes in all.
+    nodes in all.  Derived data (nodes, Cartan matrix, automorphisms, ...)
+    is computed on first read by cached_property, which stores it in the
+    instance dict directly and so passes the raising __setattr__.
     """
-
-    __slots__ = ("components", "_cache")
 
     def __init__(self, components):
         flat: list[tuple[str, int]] = []
@@ -207,7 +207,6 @@ class Diagram:
             raise DiagramError(f"a diagram of rank {rank} exceeds the cap of "
                                f"{MAX_RANK} nodes")
         object.__setattr__(self, "components", tuple(flat))
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -226,15 +225,18 @@ class Diagram:
 
     # -- nodes -------------------------------------------------------------
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[tuple[int, int], ...]:
         """All (component, position) pairs in index order."""
-        if "nodes" not in self._cache:
-            out = []
-            for ci, (_f, rank) in enumerate(self.components):
-                out.extend((ci, p) for p in range(1, rank + 1))
-            self._cache["nodes"] = tuple(out)
-        return self._cache["nodes"]
+        out = []
+        for ci, (_f, rank) in enumerate(self.components):
+            out.extend((ci, p) for p in range(1, rank + 1))
+        return tuple(out)
+
+    @cached_property
+    def _index(self) -> dict:
+        """Index of each (component, position) pair."""
+        return {nd: i for i, nd in enumerate(self.nodes)}
 
     @property
     def n_nodes(self) -> int:
@@ -251,12 +253,10 @@ class Diagram:
             ci, _, pos = node.partition(".")
             if ci.isdecimal() and pos.isdecimal():
                 node = (int(ci), int(pos))
-        if "index" not in self._cache:
-            self._cache["index"] = {nd: i for i, nd in enumerate(self.nodes)}
         try:
             if bool in map(type, node):
                 raise TypeError
-            return self._cache["index"][tuple(node)]
+            return self._index[tuple(node)]
         except (KeyError, TypeError):
             raise DiagramError(f"no node {node!r} in {self.spec()}") from None
 
@@ -270,21 +270,19 @@ class Diagram:
 
     # -- Cartan pairings ---------------------------------------------------
 
-    @property
+    @cached_property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
         """Block-diagonal Cartan matrix, cartan[i][j] = <alpha_i^vee, alpha_j>."""
-        if "cartan" not in self._cache:
-            n = self.n_nodes
-            m = [[0] * n for _ in range(n)]
-            off = 0
-            for fam, rank in self.components:
-                block = _component_cartan(fam, rank)
-                for i in range(rank):
-                    for j in range(rank):
-                        m[off + i][off + j] = block[i][j]
-                off += rank
-            self._cache["cartan"] = tuple(tuple(row) for row in m)
-        return self._cache["cartan"]
+        n = self.n_nodes
+        m = [[0] * n for _ in range(n)]
+        off = 0
+        for fam, rank in self.components:
+            block = _component_cartan(fam, rank)
+            for i in range(rank):
+                for j in range(rank):
+                    m[off + i][off + j] = block[i][j]
+            off += rank
+        return tuple(tuple(row) for row in m)
 
     def pairing(self, i: int, j: int) -> int:
         return self.cartan[i][j]
@@ -300,7 +298,7 @@ class Diagram:
     def orthogonal(self, i: int, j: int) -> bool:
         return i != j and self.cartan[i][j] == 0
 
-    @property
+    @cached_property
     def symmetrizers(self) -> tuple[int, ...]:
         """Least positive integers d_i making (d_i * cartan[i][j]) symmetric
         with one common weight L on the first node of every component.
@@ -308,24 +306,22 @@ class Diagram:
         The ratios d_j/d_i = cartan[i][j]/cartan[j][i] along edges pin the
         rest; L is 2 when a B or F component is present, else 1.
         """
-        if "symmetrizers" not in self._cache:
-            a = self.cartan
-            d = [0] * self.n_nodes
-            for ci in range(len(self.components)):
-                nodes = self.component_nodes(ci)
-                d[nodes[0]] = d[0] or 1
-                queue = [nodes[0]]
-                while queue:
-                    i = queue.pop()
-                    for j in nodes:
-                        if not d[j] and a[i][j]:
-                            # rescale all when the edge ratio does not divide
-                            m = -a[j][i] // gcd(d[i] * a[i][j], a[j][i])
-                            d = [m * v for v in d]
-                            d[j] = d[i] * a[i][j] // a[j][i]
-                            queue.append(j)
-            self._cache["symmetrizers"] = tuple(d)
-        return self._cache["symmetrizers"]
+        a = self.cartan
+        d = [0] * self.n_nodes
+        for ci in range(len(self.components)):
+            nodes = self.component_nodes(ci)
+            d[nodes[0]] = d[0] or 1
+            queue = [nodes[0]]
+            while queue:
+                i = queue.pop()
+                for j in nodes:
+                    if not d[j] and a[i][j]:
+                        # rescale all when the edge ratio does not divide
+                        m = -a[j][i] // gcd(d[i] * a[i][j], a[j][i])
+                        d = [m * v for v in d]
+                        d[j] = d[i] * a[i][j] // a[j][i]
+                        queue.append(j)
+        return tuple(d)
 
     def inner(self, w1, w2) -> int:
         """Weyl-invariant inner product of two weight tuples, in the scale
@@ -362,7 +358,7 @@ class Diagram:
 
     # -- automorphisms -----------------------------------------------------
 
-    @property
+    @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All diagram automorphisms as node-index permutations.
 
@@ -370,11 +366,6 @@ class Diagram:
         of each component (A_n flip, D_n fork swap, D4 triality, E6 flip),
         read off the Bourbaki orders of the components.
         """
-        if "auts" not in self._cache:
-            self._cache["auts"] = self._build_automorphisms()
-        return self._cache["auts"]
-
-    def _build_automorphisms(self):
         # Each component goes onto one of the same type, numbered there in
         # one of that component's Bourbaki orders.
         orders = [[o for _f, _r, o in

@@ -89,6 +89,7 @@ def is_distinguished(sys: SphericalSystem, subset) -> bool:
     return distinguished_witness(sys, subset) is not None
 
 
+# a dataclass, since perfbench/selftest.py copies it with dataclasses.replace
 @dataclass(frozen=True)
 class QuotientResult:
     system: SphericalSystem

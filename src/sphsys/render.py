@@ -14,7 +14,7 @@ connector topology cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from sphsys.dynkin import Diagram, support
 from sphsys.system import SphericalSystem, doubled_node
@@ -23,16 +23,14 @@ __all__ = ["DiagramScene", "build_scene", "render_text", "render_svg",
            "render_diagram_text", "render_diagram_svg"]
 
 
-@dataclass(frozen=True)
-class NodeGlyph:
+class NodeGlyph(NamedTuple):
     index: int
     label: str        # Bourbaki position inside its component
     col: int          # grid column, 6 per step
     riser: bool       # drawn above the spine (branch node of D or E)
 
 
-@dataclass(frozen=True)
-class EdgeGlyph:
+class EdgeGlyph(NamedTuple):
     a: int
     b: int
     bond: int                 # 1, 2 or 3 strokes
@@ -40,22 +38,19 @@ class EdgeGlyph:
     riser: bool
 
 
-@dataclass(frozen=True)
-class CircleGlyph:
+class CircleGlyph(NamedTuple):
     node: int
     colour: int
     under: bool
     shadow: bool
 
 
-@dataclass(frozen=True)
-class Connector:
+class Connector(NamedTuple):
     colour: int
     nodes: tuple
 
 
-@dataclass(frozen=True)
-class RootMark:
+class RootMark(NamedTuple):
     gamma: tuple
     label: str | None
     kind: str        # "span" | "zigzag" | "zigzag2" | "two" | "join"
@@ -63,8 +58,7 @@ class RootMark:
     shadows: tuple   # circled support nodes kept positive by the functional
 
 
-@dataclass(frozen=True)
-class DiagramScene:
+class DiagramScene(NamedTuple):
     diagram: Diagram
     nodes: tuple
     edges: tuple
@@ -349,9 +343,7 @@ def render_svg(sys: SphericalSystem) -> str:
     circ = {c.node: c for c in scene.circles}
 
     def drop_y(i):
-        # where a joining line leaves the circle at node i
-        if i in riser_set:
-            return y[i] + 14
+        # where a joining line leaves the circle at spine node i
         return y[i] + (34 if circ[i].under else 14)
 
     body = []

@@ -335,17 +335,15 @@ class SphericalSystem:
     @property
     def colours(self) -> tuple[Colour, ...]:
         if "colours" not in self._cache:
-            self._cache["colours"] = self._build_colours()
+            d = self.diagram
+            joined = {orthogonal_pair(d, g) for g in self.sigma}
+            doubled = {doubled_node(g) for g in self.sigma}
+            active = [i for i in range(d.n_nodes) if i not in self.sp]
+            classes = pieces(active,
+                             lambda i, j: (min(i, j), max(i, j)) in joined)
+            self._cache["colours"] = tuple(
+                Colour(frozenset(c), min(c) in doubled) for c in classes)
         return self._cache["colours"]
-
-    def _build_colours(self):
-        d = self.diagram
-        joined = {orthogonal_pair(d, g) for g in self.sigma}
-        doubled = {doubled_node(g) for g in self.sigma}
-        active = [i for i in range(d.n_nodes) if i not in self.sp]
-        classes = pieces(active,
-                         lambda i, j: (min(i, j), max(i, j)) in joined)
-        return tuple(Colour(frozenset(c), min(c) in doubled) for c in classes)
 
     def rho(self, colour: Colour, gamma) -> int:
         """Value of the colour's functional on a weight.
@@ -424,14 +422,10 @@ class SphericalSystem:
         """Smallest (sp, sigma) over all diagram automorphisms."""
         if "canon" not in self._cache:
             d = self.diagram
-            best = None
-            for perm in d.automorphisms:
-                key = (tuple(sorted(perm[i] for i in self.sp)),
-                       tuple(sorted(d.permute_weight(perm, g)
-                                    for g in self.sigma)))
-                if best is None or key < best:
-                    best = key
-            self._cache["canon"] = best
+            self._cache["canon"] = min(
+                (tuple(sorted(perm[i] for i in self.sp)),
+                 tuple(sorted(d.permute_weight(perm, g) for g in self.sigma)))
+                for perm in d.automorphisms)
         return self._cache["canon"]
 
     # -- serialization ---------------------------------------------------------

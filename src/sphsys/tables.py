@@ -174,8 +174,12 @@ def symmetric_instance(label: str, **params):
     for row in _resolve_rows(label):
         try:
             hits.append((row, row.realise(**params)))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             errors.append(f"{row.label}: {exc}")
+        except TypeError:
+            # the recipe's own text names a lambda, not the row
+            errors.append(f"{row.label} takes "
+                          + (", ".join(row.params) or "no parameters"))
     if len(hits) == 1:
         return hits[0]
     if not hits:

@@ -39,6 +39,25 @@ def run_json(capsys, argv):
     return status, json.loads(out)
 
 
+def _child_imports(argv, stdin):
+    """Run the CLI in a child; return the process and the modules it
+    imported.  -X importtime lists every one on stderr; sphsys.cli itself
+    runs as __main__, so it is not among them."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sphsys.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=CHILD_ENV)
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    return proc, loaded
+
+
+_BASE = {"sphsys", "sphsys.budget", "sphsys.dynkin", "sphsys.feasible",
+         "sphsys.rankone", "sphsys.system"}
+_DRAW = _BASE | {"sphsys.render"}
+_QUOTIENT = _BASE | {"sphsys.hilbert", "sphsys.ops"}
+
+
 class TestPlumbing:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.run(["frobnicate"]) == 2
@@ -174,23 +193,33 @@ class TestPlumbing:
         assert json.loads(proc.stdout) == {"label": "aa(1,1)"}
 
     def test_validate_child_loads_only_what_it_runs(self, system_file):
-        # -X importtime lists every module the child imports on stderr;
-        # sphsys.cli itself runs as __main__, so it is not among them
         raw = open(system_file("b(n)", n=3)).read()
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "sphsys.cli",
-             "validate"], input=raw, capture_output=True, text=True,
-            env=CHILD_ENV)
+        proc, loaded = _child_imports(["validate"], raw)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
-        loaded = {line.rsplit("|", 1)[1].strip()
-                  for line in proc.stderr.splitlines()
-                  if line.startswith("import time:") and "|" in line}
         assert {m for m in loaded if m.split(".")[0] == "sphsys"} == {
             "sphsys", "sphsys.budget", "sphsys.dynkin", "sphsys.feasible",
             "sphsys.rankone", "sphsys.system"}
         # dataclasses pulls in inspect, which no validate call needs
         assert not loaded & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv,modules", [
+        (["diagram", "--diagram", "F4"], _DRAW),
+        (["diagram", "--diagram", "F4", "--format", "svg"], _DRAW),
+        (["catalog", "rank1"], _DRAW),
+        (["quotient", "--colours", "D0"], _QUOTIENT),
+        (["components", "--classify"], _QUOTIENT | {"sphsys.connect"}),
+    ], ids=["diagram", "diagram-svg", "catalog-rank1", "quotient",
+            "components-classify"])
+    def test_child_loads_only_what_it_runs(self, system_file, argv,
+                                           modules):
+        raw = open(system_file("b(n)", n=3)).read()
+        proc, loaded = _child_imports(argv, raw)
+        assert proc.returncode == 0
+        assert {m for m in loaded if m.split(".")[0] == "sphsys"} == modules
+        # only ops keeps a dataclass, so only its callers load dataclasses
+        if "sphsys.ops" not in modules:
+            assert not loaded & {"dataclasses", "inspect"}
 
     def test_output_is_stable(self, capsys, system_file):
         path = system_file("b(n)", n=3)
@@ -397,6 +426,12 @@ class TestSearchAndCatalog:
             capsys, ["catalog", "rank1", "--label", "zz(9)"])
         assert status == 1
 
+    def test_catalog_families_unknown_label(self, capsys):
+        status, out = run_json(
+            capsys, ["catalog", "families", "--label", "nope"])
+        assert status == 1
+        assert out["error"]["message"] == "no catalog family called 'nope'"
+
 
 class TestDiagram:
     def test_system_text(self, capsys, system_file):
@@ -435,6 +470,18 @@ class TestAppendixCommands:
             capsys, ["symmetric", "--label", "A I", "--n", "3",
                      "--variant", "halved"])
         assert status == 1
+
+    def test_symmetric_names_the_parameters_a_row_takes(self, capsys):
+        status, out = run_json(
+            capsys, ["symmetric", "--label", "E I", "--n", "3"])
+        assert status == 1
+        assert out["error"]["message"] == (
+            "no sub-case of 'E I' accepts {'n': 3} (E I takes no parameters)")
+        status, out = run_json(
+            capsys, ["symmetric", "--label", "A III", "--n", "3"])
+        assert status == 1
+        assert "A III (q >= 2) takes p, q" in out["error"]["message"]
+        assert "lambda" not in out["error"]["message"]
 
     def test_orbit_g2(self, capsys):
         status, out = run_json(

@@ -1,3 +1,6 @@
+import json
+import pickle
+
 import pytest
 
 from sphsys.dynkin import (MAX_RANK, Diagram, DiagramError, bourbaki_orders,
@@ -146,6 +149,26 @@ def test_json_roundtrip():
     assert Diagram.from_json(d.to_json()) == d
     assert d.to_json() == {"components": [
         {"family": "A", "rank": 1}, {"family": "C", "rank": 3}]}
+    assert Diagram.from_json(json.dumps(d.to_json())) == d
+
+
+def test_parse_accepts_pairs_and_names_d1():
+    assert parse_diagram([("B", 3)]) == parse_diagram("B3")
+    with pytest.raises(DiagramError, match="D1 is not a Dynkin component"):
+        parse_diagram("D1")
+
+
+def test_derived_data_is_computed_once_and_read_only():
+    d = parse_diagram("B3")
+    assert d.cartan is d.cartan
+    assert d.automorphisms is d.automorphisms
+    with pytest.raises(AttributeError, match="immutable"):
+        d.cartan = ((2,),)
+    with pytest.raises(AttributeError, match="immutable"):
+        d.components = ()
+    assert d.cartan[2][1] == -2 and d.components == (("B", 3),)
+    # no slots: copies and pickles restore the instance dict as it is
+    assert pickle.loads(pickle.dumps(d)) == d
 
 
 def test_support():

@@ -143,3 +143,45 @@ class TestExamples:
         for slug, sys in FIXTURES:
             doc = xml.dom.minidom.parseString(render.render_svg(sys))
             assert doc.documentElement.tagName == "svg", slug
+
+
+class TestLayoutPaths:
+    def test_disjoint_connectors_share_one_lane(self):
+        sys = SphericalSystem("A1,A1,A1,A1", [], [[1, 1, 0, 0], [0, 0, 1, 1]])
+        scene = render.build_scene(sys)
+        assert scene.connectors == (render.Connector(0, (0, 1)),
+                                    render.Connector(1, (2, 3)))
+        assert render.render_text(sys) == (
+            "A1,A1,A1,A1\n"
+            "  1        1        1        1\n"
+            "  o        o        o        o\n"
+            "  +--------+        +--------+\n"
+            "\n"
+            "  aa(1,1): a0.1+a1.1  [join 0.1-1.1]\n"
+            "  aa(1,1): a2.1+a3.1  [join 2.1-3.1]\n")
+        svg = render.render_svg(sys)
+        assert 'height="164"' in svg           # one lane below the spine
+        assert ('<polyline id="conn-0" points="30,98 30,136 120,136 '
+                '120,98"') in svg
+        assert ('<polyline id="conn-1" points="210,98 210,136 300,136 '
+                '300,98"') in svg
+
+    def test_connector_to_a_branch_node_is_a_note_and_a_straight_line(self):
+        sys = SphericalSystem("D4", [], [[1, 0, 0, 1]])
+        scene = render.build_scene(sys)
+        assert scene.connectors == (render.Connector(0, (0, 3)),)
+        assert [g.index for g in scene.nodes if g.riser] == [3]
+        assert render.render_text(sys) == (
+            "D4\n"
+            "        o\n"
+            "        4\n"
+            "        |\n"
+            "  1 --- 2 --- 3\n"
+            "  o     o     o\n"
+            "  joined: 1,4\n"
+            "\n"
+            "  aa(1,1): a1+a4  [join 1-4]\n")
+        svg = render.render_svg(sys)
+        assert ('<line id="conn-0" x1="30" y1="84" x2="90" y2="24" '
+                'stroke="#000" stroke-width="1.2"/>') in svg
+        assert "polyline" not in svg

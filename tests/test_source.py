@@ -39,6 +39,28 @@ def test_no_fractions(path):
     assert lines == [], f"fractions used in {path.name} at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dataclasses_only_in_ops(path):
+    # importing dataclasses pulls in inspect, about 15 ms of every CLI call
+    # that loads the module, so records are NamedTuples or __slots__
+    # classes; ops keeps QuotientResult a dataclass because
+    # perfbench/selftest.py copies it with dataclasses.replace
+    if path.name == "ops.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        if "dataclasses" in names:
+            lines.append(node.lineno)
+    assert lines == [], f"dataclasses imported in {path.name} at {lines}"
+
+
 def _unused_imports(tree) -> list:
     imported = {}
     for node in tree.body:

@@ -230,6 +230,12 @@ def test_json_roundtrip():
     assert back == sys and back.sigma == sys.sigma
 
 
+def test_from_json_accepts_a_json_string():
+    sys = make("A1,C3", {3}, [(1, 1, 0, 0), (0, 1, 2, 1)])
+    back = SphericalSystem.from_json(json.dumps(sys.to_json()))
+    assert back == sys and back.sigma == sys.sigma
+
+
 def test_equality_ignores_sigma_order():
     a = make("A3", set(), [(2, 0, 0), (0, 0, 2)])
     b = make("A3", set(), [(0, 0, 2), (2, 0, 0)])

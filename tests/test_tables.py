@@ -127,6 +127,19 @@ class TestSymmetricTable:
         with pytest.raises(ValueError):
             tables.symmetric_instance("nonsense")
 
+    @pytest.mark.parametrize("label,params,message", [
+        ("E I", {"n": 3}, "E I takes no parameters"),
+        ("A I", {}, "A I takes n"),
+        ("A III", {"n": 3}, "A III (q >= 2) takes p, q; "
+                            "A III (q = 1) takes p"),
+    ])
+    def test_wrong_parameters_name_what_the_row_takes(self, label, params,
+                                                      message):
+        with pytest.raises(ValueError) as exc:
+            tables.symmetric_instance(label, **params)
+        assert str(exc.value) == (f"no sub-case of {label!r} accepts "
+                                  f"{params!r} ({message})")
+
     def test_subcase_resolution_by_parameters(self):
         row, _ = tables.symmetric_instance("A III", p=1, q=1)
         assert row.label == "A III (q = 1)"
