@@ -7,6 +7,7 @@ Quotient systems are constructed and validated, never assumed valid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from sphsys.dynkin import (Diagram, DiagramError, bourbaki_orders, pieces,
@@ -70,15 +71,21 @@ def _subset_rows(sys, subset):
             for j in range(len(sys.sigma))]
 
 
-def distinguished_witness(sys: SphericalSystem, subset):
-    """Positive integer colour multiplicities phi with <rho(phi), gamma> >= 0
-    for every spherical root, or None.  Raises ValueError on a colour index
-    the system does not have."""
+def _colour_subset(sys, subset) -> tuple:
+    """subset sorted; ValueError on a colour index the system lacks."""
     subset = tuple(sorted(subset))
     n = len(sys.colours)
     for c in subset:
         if not 0 <= c < n:
             raise ValueError(f"no colour D{c}: the system has {n} colour(s)")
+    return subset
+
+
+def distinguished_witness(sys: SphericalSystem, subset):
+    """Positive integer colour multiplicities phi with <rho(phi), gamma> >= 0
+    for every spherical root, or None.  Raises ValueError on a colour index
+    the system does not have."""
+    subset = _colour_subset(sys, subset)
     if not subset:
         return ()
     rows = _subset_rows(sys, subset)
@@ -86,6 +93,13 @@ def distinguished_witness(sys: SphericalSystem, subset):
 
 
 def is_distinguished(sys: SphericalSystem, subset) -> bool:
+    """Whether distinguished_witness(sys, subset) exists."""
+    subset = _colour_subset(sys, subset)
+    rho = sys.rho_matrix
+    # phi = (1, ..., 1) is a witness when no column sum of the subset's rows
+    # is negative; only sufficient, so Fourier-Motzkin decides the rest
+    if all(sum(col) >= 0 for col in zip(*(rho[c] for c in subset))):
+        return True
     return distinguished_witness(sys, subset) is not None
 
 
@@ -162,11 +176,18 @@ def support_colour_set(sys: SphericalSystem) -> tuple:
 # -- decompositions ----------------------------------------------------------
 
 
-def _moved_roots(sys, subset) -> int:
+def _moved_masks(sys) -> list:
+    """Per colour, the bitmask of the spherical roots it pairs with."""
+    return [sum(1 << j for j, v in enumerate(row) if v)
+            for row in sys.rho_matrix]
+
+
+def _moved(masks, subset) -> int:
     """Bitmask of the spherical roots some colour of the subset pairs with."""
-    rho = sys.rho_matrix
-    return sum(1 << j for j in range(len(sys.sigma))
-               if any(rho[c][j] for c in subset))
+    out = 0
+    for c in subset:
+        out |= masks[c]
+    return out
 
 
 def decomposes(sys: SphericalSystem, s1, s2) -> bool:
@@ -184,7 +205,8 @@ def decomposes(sys: SphericalSystem, s1, s2) -> bool:
         raise ValueError("decomposition subsets must be disjoint")
     if not (is_distinguished(sys, s1) and is_distinguished(sys, s2)):
         return False
-    if _moved_roots(sys, s1) & _moved_roots(sys, s2):
+    masks = _moved_masks(sys)
+    if _moved(masks, s1) & _moved(masks, s2):
         return False
     return _splits(sys, s1, s2)
 
@@ -209,37 +231,43 @@ def _splits(sys, s1, s2) -> bool:
 def is_decomposable(sys: SphericalSystem):
     """First pair of colour subsets decomposing the system, else None.
 
-    Pairs come in (size, indices) order of their subsets; the cheap
-    disjointness tests run first and each subset's distinguishedness is
-    decided at most once.
+    Pairs (a, b) come in (size, indices) order of their subsets, a before
+    b, and each subset's distinguishedness is decided at most once.  The
+    factors of a decomposition use disjoint colours and move disjoint roots
+    (_splits() tests the rest), so three cuts keep the answer exact:
+    - a colour sharing a moved root with every other colour is in neither
+      factor, so a and b are drawn from the other, loose colours;
+    - b comes in (size, indices) order after a, so |a| <= |b| and a has at
+      most half the loose colours;
+    - b is drawn from the loose colours outside a that move no root of a.
+    is_distinguished accepts phi = (1, ..., 1) without elimination, a
+    witness that is only sufficient, so elimination decides the rest.
     """
     n = len(sys.colours)
-    subsets = sorted((tuple(i for i in range(n) if mask >> i & 1)
-                      for mask in range(1, 1 << n)),
-                     key=lambda s: (len(s), s))
-    masks = [sum(1 << i for i in s) for s in subsets]
-    by_colour = [_moved_roots(sys, (c,)) for c in range(n)]
-    moved = [0] * len(subsets)
-    for a, s in enumerate(subsets):
-        for c in s:
-            moved[a] |= by_colour[c]
+    masks = _moved_masks(sys)
+    loose = [c for c in range(n)
+             if any(not masks[c] & masks[e] for e in range(n) if e != c)]
     dist = {}
 
-    def distinguished(a):
-        if a not in dist:
-            dist[a] = is_distinguished(sys, subsets[a])
-        return dist[a]
+    def distinguished(s):
+        if s not in dist:
+            dist[s] = is_distinguished(sys, s)
+        return dist[s]
 
-    for a in range(len(subsets)):
-        for b in range(a + 1, len(subsets)):
-            # Only necessary: factors must use disjoint colours and move
-            # disjoint roots, and _splits() still tests the rest.
-            if masks[a] & masks[b] or moved[a] & moved[b]:
-                continue
-            if not distinguished(a):
-                break
-            if distinguished(b) and _splits(sys, subsets[a], subsets[b]):
-                return (subsets[a], subsets[b])
+    for size in range(1, len(loose) // 2 + 1):
+        for a in itertools.combinations(loose, size):
+            moved = _moved(masks, a)
+            pool = [c for c in loose if c not in a and not masks[c] & moved]
+            partners = itertools.chain.from_iterable(
+                itertools.combinations(pool, r)
+                for r in range(size, len(pool) + 1))
+            for b in partners:
+                if len(b) == size and b < a:
+                    continue      # b precedes a: came as (b, a)
+                if not distinguished(a):
+                    break
+                if distinguished(b) and _splits(sys, a, b):
+                    return (a, b)
     return None
 
 

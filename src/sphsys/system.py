@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from sphsys import rankone
-from sphsys.dynkin import Diagram, parse_diagram, pieces, support
+from sphsys.dynkin import Diagram, parse_diagram, support
 from sphsys.feasible import rank
 
 
@@ -281,6 +281,10 @@ class SphericalSystem:
     def __setattr__(self, name, value):
         raise AttributeError("SphericalSystem is immutable")
 
+    def __reduce__(self):   # copy and pickle rebuild with an empty cache
+        return SphericalSystem._from_normal, (self.diagram, self.sp,
+                                              self.sigma)
+
     def __eq__(self, other):
         return (isinstance(other, SphericalSystem)
                 and self.diagram == other.diagram
@@ -336,13 +340,20 @@ class SphericalSystem:
     def colours(self) -> tuple[Colour, ...]:
         if "colours" not in self._cache:
             d = self.diagram
-            joined = {orthogonal_pair(d, g) for g in self.sigma}
-            doubled = {doubled_node(g) for g in self.sigma}
-            active = [i for i in range(d.n_nodes) if i not in self.sp]
-            classes = pieces(active,
-                             lambda i, j: (min(i, j), max(i, j)) in joined)
+            roots = [root_facts(d, g) for g in self.sigma]
+            doubled = {f.doubled for f in roots}
+            # the class of each active node; alpha_i + alpha_j joins two
+            cls = {i: {i} for i in range(d.n_nodes) if i not in self.sp}
+            for f in roots:
+                if f.pair is not None:
+                    i, j = f.pair
+                    if i in cls and j in cls and cls[i] is not cls[j]:
+                        joined = cls[i] | cls[j]
+                        for k in joined:
+                            cls[k] = joined
             self._cache["colours"] = tuple(
-                Colour(frozenset(c), min(c) in doubled) for c in classes)
+                Colour(frozenset(c), i in doubled)
+                for i, c in cls.items() if min(c) == i)
         return self._cache["colours"]
 
     def rho(self, colour: Colour, gamma) -> int:
@@ -352,26 +363,32 @@ class SphericalSystem:
         unequally, or a doubled colour pairing oddly (only on systems that
         break a pairwise axiom)."""
         pairings = root_facts(self.diagram, gamma).pairings
-        vals = set()
-        for a in colour.nodes:
-            v = pairings[a]
-            if colour.doubled:
-                v = None if v % 2 else v // 2
-            vals.add(v)
-        if len(vals) != 1 or None in vals:
+        v = pairings[min(colour.nodes)]
+        if (colour.doubled and v % 2) or any(pairings[a] != v
+                                             for a in colour.nodes):
             d = self.diagram
             nodes = ", ".join(d.node_id(i) for i in sorted(colour.nodes))
             raise ValueError(f"colour {{{nodes}}} does not pair to one "
                              f"integer with root {list(gamma)}")
-        return vals.pop()
+        return v // 2 if colour.doubled else v
 
     @property
     def rho_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Rows per colour (in colour order), columns per spherical root."""
         if "rho" not in self._cache:
-            self._cache["rho"] = tuple(
-                tuple(self.rho(c, g) for g in self.sigma)
-                for c in self.colours)
+            d = self.diagram
+            # per node, its pairings with the roots: one lookup per root
+            by_node = tuple(zip(*(root_facts(d, g).pairings
+                                  for g in self.sigma))) or ((),) * d.n_nodes
+            rows = []
+            for c in self.colours:
+                row = by_node[min(c.nodes)]
+                if (any(by_node[a] != row for a in c.nodes)
+                        or c.doubled and any(v % 2 for v in row)):
+                    for g in self.sigma:
+                        self.rho(c, g)    # raises, naming the first bad root
+                rows.append(tuple(v // 2 for v in row) if c.doubled else row)
+            self._cache["rho"] = tuple(rows)
         return self._cache["rho"]
 
     # -- derived predicates ---------------------------------------------------

@@ -6,6 +6,9 @@ from sphsys import ops, search
 from sphsys.families import expand_catalog, instantiate
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
+from test_acceptance import ENUMERATION_DIAGRAMS
+from test_search import PRUNED_PRODUCTS
+from test_system import ORACLE_DIAGRAMS
 
 
 def make(spec, sp, sigma):
@@ -87,6 +90,29 @@ class TestDistinguished:
         assert ops.is_distinguished(sys, {1})
         assert ops.is_distinguished(sys, {0, 2})
         assert ops.is_distinguished(sys, {0, 1, 2})
+
+    @pytest.mark.parametrize("spec", ENUMERATION_DIAGRAMS)
+    def test_shortcut_agrees_with_witness(self, spec):
+        # is_distinguished may accept phi = (1, ..., 1) without elimination;
+        # distinguished_witness always eliminates
+        for entry in expand_catalog(spec):
+            sys = entry.system
+            n = len(sys.colours)
+            for r in range(1, n + 1):
+                for subset in itertools.combinations(range(n), r):
+                    assert ops.is_distinguished(sys, subset) == (
+                        ops.distinguished_witness(sys, subset) is not None), (
+                        entry.label, subset)
+
+    def test_colour_out_of_range(self):
+        # -1 must not read the last row, which pairs nonnegatively here
+        sys = make("B2", {1}, [(1, 1)])
+        assert ops.is_distinguished(sys, {0})
+        for c in (-1, len(sys.colours)):
+            with pytest.raises(ValueError, match=f"no colour D{c}"):
+                ops.is_distinguished(sys, {c})
+            with pytest.raises(ValueError, match=f"no colour D{c}"):
+                ops.distinguished_witness(sys, {0, c})
 
 
 class TestQuotient:
@@ -178,8 +204,8 @@ class TestDecompose:
         assert ops.decomposes(sys, {0}, {2})
         assert ops.is_decomposable(sys) == ((0,), (2,))
 
-    @pytest.mark.parametrize("spec", ["B3", "C3", "D4", "A1,A3", "B2,B2",
-                                      "G2,G2"])
+    @pytest.mark.parametrize(
+        "spec", dict.fromkeys(ORACLE_DIAGRAMS + PRUNED_PRODUCTS + ("G2,G2",)))
     def test_first_pair_matches_public_decomposes(self, spec):
         # Oracle: the first pair in (len, indices) order for which the
         # public decomposes() holds, each pair tested in full.

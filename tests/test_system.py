@@ -1,9 +1,11 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
 
-from sphsys import rankone, search
+from sphsys import ops, rankone, search
 from sphsys.dynkin import parse_diagram, support
 from sphsys.feasible import rank
 from sphsys.system import (Colour, SphericalSystem, ValidationReport,
@@ -190,6 +192,22 @@ class TestColours:
         assert sys.is_valid
         assert sys.rho_matrix == ((2, -3), (-1, 2))
 
+    @pytest.mark.parametrize("args, bad", [
+        # alpha_1 + alpha_3 joins nodes pairing 1 and -1 with alpha_1 + alpha_2
+        (("A3", [], [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+         ("0.1, 0.3", [1, 1, 0])),
+        # 2*alpha_1 doubles a colour pairing 1 with alpha_1 + alpha_2
+        (("A3", [], [(0, 0, 2), (2, 0, 0), (1, 1, 0)]), ("0.1", [1, 1, 0])),
+    ])
+    def test_no_integer_pairing_raises(self, args, bad):
+        message = (f"colour {{{bad[0]}}} does not pair to one integer with "
+                   f"root {bad[1]}")
+        for read in (lambda s: s.rho_matrix, ops.is_decomposable,
+                     ops.affine_witness):
+            with pytest.raises(ValueError) as err:
+                read(make(*args))
+            assert str(err.value) == message
+
 
 class TestStrictness:
     def test_b_row_doubles(self):
@@ -234,6 +252,20 @@ def test_from_json_accepts_a_json_string():
     sys = make("A1,C3", {3}, [(1, 1, 0, 0), (0, 1, 2, 1)])
     back = SphericalSystem.from_json(json.dumps(sys.to_json()))
     assert back == sys and back.sigma == sys.sigma
+
+
+@pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)),
+                                    copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_copy_and_pickle_round_trip(copier):
+    sys = make("B3", {1, 2}, [(1, 1, 1)])
+    assert sys.is_valid and sys.rho_matrix
+    again = copier(sys)
+    assert again == sys and hash(again) == hash(sys)
+    assert (again.diagram, again.sp, again.sigma) == (
+        sys.diagram, sys.sp, sys.sigma)
+    assert again._cache == {}
+    assert again.rho_matrix == sys.rho_matrix
 
 
 def test_equality_ignores_sigma_order():
