@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .dynkin import pieces, support
-from .ops import decomposes, distinguished_witness, localize, quotient
+from .ops import decomposes, is_distinguished, localize, quotient
 
 __all__ = [
     "ComponentAnalysis",
@@ -100,7 +100,7 @@ def classify_component(sys, roots) -> ComponentAnalysis:
     erasable = quasi = False
     for r in range(1, len(dlt) + 1):
         for sub in combinations(dlt, r):
-            if distinguished_witness(sys, sub) is None:
+            if not is_distinguished(sys, sub):
                 continue
             q = quotient(sys, sub)
             erasable = erasable or q.smooth

@@ -349,7 +349,7 @@ def _b_ed6():
         (1, 0, 1, 1, 1, 1), (0, 2, 1, 2, 1, 0)])
 
 
-# the two long weights of ef(n), shared with sphsys.tables
+# the two long weights of ef(n) on the E6 nodes, shared with ef(6)+a(2)
 _EF_ROOTS = ((2, 1, 2, 2, 1, 0), (0, 1, 1, 2, 2, 2))
 
 

@@ -52,7 +52,12 @@ def hilbert_basis(rows, n_vars: int):
 
 
 def _completion(a, n_vars):
-    """Contejean-Devie completion; the minimal solutions, in any order."""
+    """Contejean-Devie completion; the minimal solutions, in any order.
+
+    No found s lies below another found u: every column of a is nonzero, so
+    the kernel vector u - s has entry sum >= 2, u is made from the frontier
+    of sum |u| - 1 > |s| after s joined the basis, and the domination check
+    skips it."""
     cap = max_states()
 
     def image(x):
@@ -96,10 +101,4 @@ def _completion(a, n_vars):
                     values[u] = tuple(x + y for x, y in zip(v, cols[i]))
                     nxt.append(u)
         frontier = nxt
-    # defensive minimality sweep; completion already avoids dominated states
-    out = []
-    for x in sorted(basis):
-        if not any(all(b <= xi for b, xi in zip(bb, x))
-                   for bb in out):
-            out.append(x)
-    return out
+    return basis

@@ -132,7 +132,7 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     ValueError when the subset is not distinguished.
     """
     subset = tuple(sorted(subset))
-    if distinguished_witness(sys, subset) is None:
+    if not is_distinguished(sys, subset):
         raise ValueError("quotient by a non-distinguished subset")
     coeffs, sigma_out = _new_roots(sys, subset)
     for g in sigma_out:

@@ -76,7 +76,6 @@ def _connected_subsets(d: Diagram):
     return found
 
 
-@lru_cache(maxsize=None)
 def _segments(d: Diagram):
     segs: dict[tuple[str, int], list[tuple[int, ...]]] = {}
     for subset in sorted(_connected_subsets(d), key=sorted):

@@ -3,8 +3,8 @@
 The rank-one table lists every weight a root set may contain, so the search
 space is finite: walk independent, pairwise-admissible subsets of those
 weights, then attach every parabolic set the trace conditions allow.  The
-candidates, their RootFacts and the pair matrix (system.pairwise_faults on
-each pair) are built once per diagram.  The final validation gate keeps the
+candidates, their RootFacts and the pair matrix (one system.pairwise_faults
+pass) are built once per diagram.  The final validation gate keeps the
 walk honest; each pruning rule either is only a necessary condition on a
 valid system or drops a subtree that holds no system the mode keeps.
 
@@ -43,16 +43,16 @@ def _walk_table(d) -> tuple:
     bitmask of the components that candidate i's support meets."""
     cands = candidate_roots(d)
     facts = tuple(root_facts(d, w) for w in cands)
-    n = len(cands)
-    compat = [[True] * n for _ in range(n)]
-    # the pair test is symmetric in its two roots: fill i <= j and mirror
-    for i in range(n):
-        for j in range(i, n):
-            compat[i][j] = compat[j][i] = not any(pairwise_faults(
-                (cands[i], cands[j]), (facts[i], facts[j])))
-    component = [ci for ci in range(len(d.components))
-                 for _ in d.component_nodes(ci)]
-    spans = tuple(sum({1 << component[i] for i in f.support}) for f in facts)
+    compat = [[True] * len(cands) for _ in cands]
+    # each axiom compares a shaped root (2*alpha_i, alpha_i + alpha_j) with
+    # another root, so a pair's faults are the whole list's records naming both
+    shaped = {f.pair if f.doubled is None else f.doubled: k
+              for k, f in enumerate(facts)}
+    index = {w: k for k, w in enumerate(cands)}
+    for _, at, g, _ in pairwise_faults(cands, facts):
+        k, j = shaped[at], index[g]
+        compat[k][j] = compat[j][k] = False
+    spans = tuple(sum({1 << d.nodes[i][0] for i in f.support}) for f in facts)
     return cands, facts, tuple(map(tuple, compat)), spans
 
 

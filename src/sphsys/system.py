@@ -5,7 +5,7 @@ sigma a sequence of weights.  Validation checks the two pairwise axioms on
 sigma, rank-one realizability of every root against the table in
 sphsys.rankone, that no root is simple, that roots are distinct, and linear
 independence.  Only rank-one realizability reads sp, so the rest is decided
-once per root tuple; pairwise_faults is also the search's pair test.
+once per root tuple; pairwise_faults also fills the search's pair matrix.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
@@ -102,7 +102,7 @@ def pairwise_faults(sigma, roots):
     nonpositive integer, and i and j pair equally with every root when
     alpha_i + alpha_j is an orthogonal pair root.  Yields ("doubled", i, g,
     pairing) and then ("orthogonal", (i, j), h, (pairing_i, pairing_j)), in
-    report order, lazily, so a yes/no test stops at the first fault."""
+    report order."""
     for i in sorted({f.doubled for f in roots} - {None}):
         for g, f in zip(sigma, roots):
             if f.doubled == i:

@@ -7,6 +7,7 @@ a single PASS line, so ``pytest -v tests/test_acceptance.py`` doubles as
 the acceptance report.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -193,6 +194,29 @@ def test_2e_every_diagram_of_rank_eight_matches_catalog():
     elapsed = time.perf_counter() - start
     _report("2e", f"exhaustive search equals catalog on all {len(specs)} "
                   f"diagrams of rank 8 ({len(connected)} connected), "
+                  f"{primitives} primitives ({elapsed:.1f}s)")
+
+
+def test_2f_every_diagram_of_rank_nine_matches_catalog():
+    start = time.perf_counter()
+    smaller = set(diagrams_up_to_rank(8))
+    specs = [spec for spec in diagrams_up_to_rank(9) if spec not in smaller]
+    connected = [spec for spec in specs if "," not in spec]
+    assert (len(connected), len(specs)) == (4, 390)
+    checks = [search.verify_catalog(spec) for spec in specs]
+    for spec, check in zip(specs, checks):
+        assert check.ok, (spec, check.missing, check.extra)
+        assert check.found == check.expected, spec
+    primitives = sum(check.found for check in checks)
+    assert primitives == 92
+    # sha256 over the reprs in spec order, recorded before the pair matrix
+    # was filled from one pairwise_faults pass
+    text = "\n".join(map(repr, checks))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f87a0c15c1cea0af3e3817c5792330a687420aa2f2e8dafe4ea33db7077a40e0"
+    elapsed = time.perf_counter() - start
+    _report("2f", f"exhaustive search equals catalog on all {len(specs)} "
+                  f"diagrams of rank 9 ({len(connected)} connected), "
                   f"{primitives} primitives ({elapsed:.1f}s)")
 
 

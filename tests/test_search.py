@@ -65,7 +65,11 @@ def compatible(d, w1, w2) -> bool:
 
 
 class TestCompatibility:
-    @pytest.mark.parametrize("spec", ORACLE_DIAGRAMS)
+    # A1,A1,A1 is in both lists; at rank 8, E8 has the most candidates and
+    # A1 x 8 the most components
+    @pytest.mark.parametrize("spec", ORACLE_DIAGRAMS + tuple(
+        s for s in PRUNED_PRODUCTS if s not in ORACLE_DIAGRAMS) + (
+        "E8", "A1,A1,A1,A1,A1,A1,A1,A1"))
     def test_pair_matrix_matches_oracle(self, spec):
         d = parse_diagram(spec)
         cands = search.candidate_roots(d)
