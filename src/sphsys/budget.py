@@ -1,9 +1,9 @@
 """Search budget shared by the combinatorial kernels.
 
 SPHSYS_MAX_STATES bounds state explosion in the search walk, the Hilbert
-basis completion and the inequality elimination; each faults loudly instead
-of degrading.  Unset or empty it means 1 000 000; any other value must be a
-decimal count.
+basis completion, the inequality elimination and the extreme-ray
+enumeration; each faults loudly instead of degrading.  Unset or empty it
+means 1 000 000; any other value must be a decimal count.
 """
 
 import os

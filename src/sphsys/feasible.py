@@ -1,12 +1,16 @@
-"""Exact integer linear algebra: rank, a kernel line, and the feasibility
-of 'Mx >= 0, x >= 0, some x_i >= 1' systems.
+"""Exact integer linear algebra: rank, a kernel line, the feasibility
+of 'Mx >= 0, x >= 0, some x_i >= 1' systems, and the supports of the
+extreme rays of the cone 'Mx >= 0, x >= 0'.
 
 Rank and the kernel line come from a fraction-free echelon step.
 Feasibility is Fourier-Motzkin elimination on integer rows, each new row
-divided by the gcd of its coefficients and constant; a satisfying point is
+divided by the gcd of its coefficients and constant, with Chernikov's rule
+dropping the combinations of too many source rows; a satisfying point is
 found by back-substitution and returned as its least integer multiple (the
 system is invariant under scaling by integers >= 1), None means infeasible.
 Both back-substitutions stay in integers through one step, _set_entry.
+The extreme rays come from the double description method, which adds one
+row at a time to the rays of the orthant.
 """
 
 from __future__ import annotations
@@ -81,6 +85,12 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
     for i in range(n_vars):
         system.append((tuple(int(j == i) for j in range(n_vars)), 0))
 
+    # each row carries the bitmask of the input rows it was combined from;
+    # after eliminating var + 1 variables, a combination of more than
+    # var + 2 of them is implied by the rows kept (Chernikov, 1965), so
+    # skipping it keeps the projection, and back-substitution never finds
+    # it strictly tightest
+    system = [(c, b, 1 << i) for i, (c, b) in enumerate(system)]
     cap = max_states()
     stages = []
     for var in range(n_vars):
@@ -96,8 +106,12 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
                 layer="feasible", count=size, cap=cap,
                 input={"rows": [list(r) for r in rows],
                        "strict": sorted(strict)})
-        for pc, pb in pos:
-            for nc, nb in neg:
+        most = var + 2
+        for pc, pb, ph in pos:
+            for nc, nb, nh in neg:
+                sources = ph | nh
+                if sources.bit_count() > most:
+                    continue
                 mp, mn = -nc[var], pc[var]
                 coeffs = [mp * a + mn * b for a, b in zip(pc, nc)]
                 const = mp * pb + mn * nb
@@ -105,10 +119,10 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
                 if g > 1:
                     coeffs = [a // g for a in coeffs]
                     const //= g
-                new.append((tuple(coeffs), const))
+                new.append((tuple(coeffs), const, sources))
         system = _drop_redundant(new, var + 1)
 
-    if any(b > 0 for _c, b in system):
+    if any(b > 0 for _c, b, _h in system):
         return None
 
     # back-substitute, tightest lower bound first, in homogeneous integer
@@ -117,7 +131,7 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
     y = [0] * n_vars + [1]
     for var in reversed(range(n_vars)):
         lo, lo_den = 0, 1
-        for coeffs, const in stages[var]:
+        for coeffs, const, _h in stages[var]:
             c = coeffs[var]
             if c > 0:
                 bound = const * y[-1] - sum(
@@ -128,6 +142,62 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
     x = [v + s * y[-1] for v, s in zip(y, shift)]
     g = gcd(y[-1], *x)
     return tuple(v // g for v in x)
+
+
+def extreme_ray_supports(rows, n_vars: int) -> tuple:
+    """Supports of the extreme rays of {x : row.x >= 0 for all rows, x >= 0}
+    as bitmasks, bit i for x_i > 0, sorted and without repeats (two rays
+    may share a support).
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall, 1953): start
+    from the unit vectors, the extreme rays of the orthant, and add one row
+    at a time.  The rays on the row's nonnegative side stay, and each
+    adjacent pair of a ray p on its positive side and a ray q on its
+    negative side gives the new ray (row.p) q - (row.q) p, where the edge
+    between them crosses the row.  Each ray carries the bitmask of the
+    constraints tight on it: bit i for x_i = 0, bit n_vars + j for row j.
+    The cone lies in the orthant, so it is pointed, and p and q are
+    adjacent exactly when no third ray is tight on every constraint tight
+    on both (the combinatorial test: those constraints cut out the least
+    face holding p and q, and its extreme rays are the rays tight on them
+    all).  Raises BudgetExceeded when a row has more pairs to test than
+    max_states().
+    """
+    rows = [tuple(r) for r in rows]
+    signs = (1 << n_vars) - 1     # the constraints x_i >= 0
+    rays = [(tuple(int(j == i) for j in range(n_vars)), signs ^ (1 << i))
+            for i in range(n_vars)]
+    cap = max_states()
+    for k, row in enumerate(rows):
+        bit = 1 << (n_vars + k)
+        pos, neg, out = [], [], []
+        for x, tight in rays:
+            v = sum(a * b for a, b in zip(row, x) if a)
+            if v > 0:
+                pos.append((x, tight, v))
+                out.append((x, tight))
+            elif v < 0:
+                neg.append((x, tight, v))
+            else:
+                out.append((x, tight | bit))
+        size = len(pos) * len(neg)
+        if size > cap:
+            raise BudgetExceeded(
+                f"ray enumeration would test {size} pairs (cap {cap})",
+                layer="feasible", count=size, cap=cap,
+                input={"rows": [list(r) for r in rows]})
+        for p, tp, vp in pos:
+            for q, tq, vq in neg:
+                common = tp & tq
+                # distinct extreme rays have distinct tight sets
+                if any(t & common == common
+                       for _x, t in rays if t != tp and t != tq):
+                    continue
+                x = [vp * b - vq * a for a, b in zip(p, q)]
+                g = gcd(*x)
+                out.append((tuple(v // g for v in x), common | bit))
+        rays = out
+    return tuple(sorted({signs & ~tight for _x, tight in rays}))
 
 
 def _set_entry(x, i, a, b):
@@ -146,10 +216,10 @@ def _drop_redundant(rows, start):
     positive multiples."""
     seen = set()
     out = []
-    for coeffs, const in rows:
-        key = (coeffs[start:], const)
+    for row in rows:
+        key = (row[0][start:], row[1])
         if key in seen:
             continue
         seen.add(key)
-        out.append((coeffs, const))
+        out.append(row)
     return out

@@ -1,8 +1,12 @@
 """Operations of the combinatorial dictionary on spherical systems.
 
-Everything here is exact: feasibility questions go through integer
-Fourier-Motzkin elimination and quotient monoids through Hilbert bases.
-Quotient systems are constructed and validated, never assumed valid.
+Everything here is exact.  Whether a colour subset is distinguished is
+decided in three steps, cheapest first: the witness phi = (1, ..., 1), a
+root refuting every witness, and a lookup among the supports of the
+extreme rays of the cone of witnesses, enumerated once per system.  The
+witnesses themselves come from integer Fourier-Motzkin elimination, and
+quotient monoids from Hilbert bases.  Quotient systems are constructed and
+validated, never assumed valid.
 """
 
 from __future__ import annotations
@@ -93,14 +97,40 @@ def distinguished_witness(sys: SphericalSystem, subset):
 
 
 def is_distinguished(sys: SphericalSystem, subset) -> bool:
-    """Whether distinguished_witness(sys, subset) exists."""
+    """Whether distinguished_witness(sys, subset) exists, without
+    elimination.
+
+    The subset S is distinguished when the cone C = {phi >= 0 :
+    <rho(phi), gamma> >= 0 for every spherical root gamma} has a point
+    with support exactly S.  Three tests, cheapest first:
+    1. phi = (1, ..., 1) on S is such a point when no column sum of S's
+       rho rows is negative: a witness, so True is exact.
+    2. A root pairing <= 0 with every colour of S and < 0 with one pairs
+       negatively with every phi > 0 on S: a refutation, so False is exact.
+    3. Otherwise S is distinguished iff S is the union of the supports of
+       the extreme rays of C that lie inside S.  C lies in the orthant, so
+       it is pointed, and every point of C is a nonnegative combination of
+       extreme rays (Minkowski-Weyl).  The support of a sum of nonnegative
+       vectors is the union of their supports, so a point with support S
+       is a sum of rays whose supports lie inside S and cover S.
+       Conversely, the sum of the rays inside S is a point of C whose
+       support is their union.
+    The ray supports are SphericalSystem.distinguished_rays, enumerated
+    once per system.
+    """
     subset = _colour_subset(sys, subset)
     rho = sys.rho_matrix
-    # phi = (1, ..., 1) is a witness when no column sum of the subset's rows
-    # is negative; only sufficient, so Fourier-Motzkin decides the rest
-    if all(sum(col) >= 0 for col in zip(*(rho[c] for c in subset))):
+    cols = list(zip(*(rho[c] for c in subset)))
+    if all(sum(col) >= 0 for col in cols):
         return True
-    return distinguished_witness(sys, subset) is not None
+    if any(max(col) <= 0 for col in cols if min(col) < 0):
+        return False
+    mask = sum(1 << c for c in subset)
+    union = 0
+    for ray in sys.distinguished_rays:
+        if not ray & ~mask:
+            union |= ray
+    return union == mask
 
 
 # a dataclass, since perfbench/selftest.py copies it with dataclasses.replace
@@ -240,8 +270,7 @@ def is_decomposable(sys: SphericalSystem):
     - b comes in (size, indices) order after a, so |a| <= |b| and a has at
       most half the loose colours;
     - b is drawn from the loose colours outside a that move no root of a.
-    is_distinguished accepts phi = (1, ..., 1) without elimination, a
-    witness that is only sufficient, so elimination decides the rest.
+    is_distinguished decides each subset without elimination.
     """
     n = len(sys.colours)
     masks = _moved_masks(sys)

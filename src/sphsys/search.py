@@ -129,9 +129,9 @@ def enumerate_systems(diagram, cuspidal_only=False,
 
     So ops.decomposes(s, C_G, C_H) holds, and since is_decomposable tries
     every disjoint pair of colour subsets, is_primitive is False.
-    validate() and is_primitive still run on every system that survives
-    the prunes.  A leaf whose own roots leave the components unlinked is
-    not skipped: is_primitive rejects its split systems.
+    validate() and the decomposition test still run on every system that
+    survives the prunes.  A leaf whose own roots leave the components
+    unlinked is not skipped: is_decomposable rejects its split systems.
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
@@ -169,8 +169,11 @@ def enumerate_systems(diagram, cuspidal_only=False,
             for extra in free_subsets:
                 tick()
                 sys = SphericalSystem._from_normal(d, base | extra, sigma)
-                if sys.validate().ok and (not primitive_only
-                                          or ops.is_primitive(sys)):
+                # emit returned above unless the system is cuspidal, so
+                # is_primitive reduces to the decomposition test
+                if sys.validate().ok and (
+                        not primitive_only
+                        or ops.is_decomposable(sys) is None):
                     out.append(sys)
 
     def walk(chosen, basis, covered, assignments, live):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from sphsys import rankone
 from sphsys.dynkin import Diagram, parse_diagram, support
-from sphsys.feasible import rank
+from sphsys.feasible import extreme_ray_supports, rank
 
 
 def _lone_node(w, coefficient):
@@ -390,6 +390,18 @@ class SphericalSystem:
                 rows.append(tuple(v // 2 for v in row) if c.doubled else row)
             self._cache["rho"] = tuple(rows)
         return self._cache["rho"]
+
+    @property
+    def distinguished_rays(self) -> tuple[int, ...]:
+        """Supports of the extreme rays of the cone {phi >= 0 : <rho(phi),
+        gamma> >= 0 for every spherical root gamma} of colour
+        multiplicities, as bitmasks with bit c for colour c.  A colour
+        subset is distinguished when it is the support of a point of the
+        cone; ops.is_distinguished decides that from these rays."""
+        if "rays" not in self._cache:
+            rho = self.rho_matrix
+            self._cache["rays"] = extreme_ray_supports(zip(*rho), len(rho))
+        return self._cache["rays"]
 
     # -- derived predicates ---------------------------------------------------
 

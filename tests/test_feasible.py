@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from sphsys import ops
 from sphsys.budget import BudgetExceeded, max_states
 from sphsys.families import expand_catalog
-from sphsys.feasible import (echelon_extend, feasible_nonneg, kernel_vector,
-                             rank)
+from sphsys.feasible import (echelon_extend, extreme_ray_supports,
+                             feasible_nonneg, kernel_vector, rank)
 
 
 def check(rows, n, strict=()):
@@ -164,15 +164,16 @@ def test_pinned_catalog_witnesses(spec, label):
     assert ops.affine_witness(sys) == affine
 
 
-def _corpus():
-    """2000 seeded systems: 1-5 variables, 0-4 rows with entries -4..4 and
-    a random strict set.  None needs more than a few milliseconds; a fifth
-    row lets a few blow the elimination up to about a second."""
+def _corpus(max_rows=4):
+    """2000 seeded systems: 1-5 variables, 0 to max_rows rows with entries
+    -4..4 and a random strict set.  None needs more than a few
+    milliseconds; before Chernikov's rule, a fifth row let three blow the
+    elimination up to 0.8-2.0 s, and 23 past a cap of 200 rows."""
     rng = random.Random(2024)
     for _ in range(2000):
         n = rng.randint(1, 5)
         rows = [tuple(rng.randint(-4, 4) for _ in range(n))
-                for _ in range(rng.randint(0, 4))]
+                for _ in range(rng.randint(0, max_rows))]
         yield rows, n, frozenset(i for i in range(n) if rng.random() < 0.5)
 
 
@@ -195,6 +196,97 @@ def test_corpus_outputs_pinned():
     }
     assert {name: hashlib.sha256(repr(out).encode()).hexdigest()
             for name, out in outputs.items()} == CORPUS_DIGESTS
+
+
+# sha256 of the repr of the feasible_nonneg outputs on _corpus(5), recorded
+# before Chernikov's rule, with the default cap
+FIVE_ROW_DIGEST = (
+    "2f1075650eb437c968ba58ab75935140e8bbed71076faaf702b115d4ccebd97f")
+
+
+def test_chernikov_rule_keeps_certificates_under_a_small_cap(monkeypatch):
+    # the rule drops only implied rows: same outputs, and no stage grows
+    # past 200 rows
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "200")
+    out = [feasible_nonneg(r, n, s) for r, n, s in _corpus(5)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == FIVE_ROW_DIGEST
+
+
+def _union_rule(rays, subset):
+    """Whether subset is the union of the ray supports inside it."""
+    mask = sum(1 << i for i in subset)
+    union = 0
+    for ray in rays:
+        if not ray & ~mask:
+            union |= ray
+    return union == mask
+
+
+def test_ray_supports_agree_with_elimination():
+    # a subset is the support of a point of {x >= 0 : rows >= 0} exactly
+    # when elimination finds x >= 1 on it and x = 0 off it
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 6))]
+        rays = extreme_ray_supports(rows, n)
+        assert list(rays) == sorted(set(rays)) and 0 not in rays, rows
+        for r in range(1, n + 1):
+            for subset in itertools.combinations(range(n), r):
+                sub_rows = [tuple(row[i] for i in subset) for row in rows]
+                want = feasible_nonneg(sub_rows, r, strict=range(r))
+                assert _union_rule(rays, subset) == (want is not None), (
+                    rows, subset)
+
+
+def _brute_force_ray_supports(rows, n):
+    """Supports of the extreme rays of {x >= 0 : rows >= 0}: the kernel
+    lines of n - 1 independent constraints that meet the cone."""
+    constraints = list(rows) + [tuple(int(j == i) for j in range(n))
+                                for i in range(n)]
+    out = set()
+    for chosen in itertools.combinations(constraints, n - 1):
+        v = kernel_vector(chosen, n)
+        for x in (v, v and tuple(-a for a in v)):
+            if x and all(sum(a * b for a, b in zip(c, x)) >= 0
+                         for c in constraints):
+                out.add(sum(1 << i for i, a in enumerate(x) if a))
+    return tuple(sorted(out))
+
+
+def test_ray_supports_match_brute_force():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 5))]
+        assert extreme_ray_supports(rows, n) == _brute_force_ray_supports(
+            rows, n), rows
+
+
+def test_ray_supports_of_known_cones():
+    assert extreme_ray_supports([], 0) == ()
+    assert extreme_ray_supports([], 3) == (1, 2, 4)
+    # x0 >= x1 >= x2 >= 0: rays (1,0,0), (1,1,0), (1,1,1)
+    assert extreme_ray_supports([(1, -1, 0), (0, 1, -1)], 3) == (1, 3, 7)
+    # -x0 >= 0 leaves the face x0 = 0
+    assert extreme_ray_supports([(-1, 0)], 2) == (2,)
+    assert extreme_ray_supports([(-1,)], 1) == ()
+
+
+def test_ray_enumeration_budget_names_the_layer(monkeypatch):
+    # x2 <= x0 + x1: two positive rays against one negative, two pairs
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "1")
+    rows = ((1, 1, -1),)
+    with pytest.raises(BudgetExceeded) as err:
+        extreme_ray_supports(iter(rows), 3)
+    e = err.value
+    assert str(e) == "ray enumeration would test 2 pairs (cap 1)"
+    assert (e.layer, e.count, e.cap) == ("feasible", 2, 1)
+    assert e.input == {"rows": [[1, 1, -1]]}
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "2")
+    assert extreme_ray_supports(rows, 3) == (1, 2, 5, 6)
 
 
 def _reference_rank(rows):

@@ -91,10 +91,12 @@ class TestDistinguished:
         assert ops.is_distinguished(sys, {0, 2})
         assert ops.is_distinguished(sys, {0, 1, 2})
 
-    @pytest.mark.parametrize("spec", ENUMERATION_DIAGRAMS)
+    @pytest.mark.parametrize("spec", ENUMERATION_DIAGRAMS + (
+        "A6", "B6", "C6", "D6", "E6", "A1,A5", "B3,B3", "A2,A2,A2",
+        "G2,G2,G2"))
     def test_shortcut_agrees_with_witness(self, spec):
-        # is_distinguished may accept phi = (1, ..., 1) without elimination;
-        # distinguished_witness always eliminates
+        # is_distinguished decides by two sign tests and the extreme rays;
+        # distinguished_witness, the referee, always eliminates
         for entry in expand_catalog(spec):
             sys = entry.system
             n = len(sys.colours)
@@ -103,6 +105,17 @@ class TestDistinguished:
                     assert ops.is_distinguished(sys, subset) == (
                         ops.distinguished_witness(sys, subset) is not None), (
                         entry.label, subset)
+
+    def test_no_elimination(self, monkeypatch):
+        def eliminate(*args, **kwargs):
+            raise AssertionError("is_distinguished eliminated")
+        monkeypatch.setattr(ops, "feasible_nonneg", eliminate)
+        for spec in ("B6", "E6", "B3,B3"):
+            for entry in expand_catalog(spec):
+                n = len(entry.system.colours)
+                for r in range(1, n + 1):
+                    for subset in itertools.combinations(range(n), r):
+                        ops.is_distinguished(entry.system, subset)
 
     def test_colour_out_of_range(self):
         # -1 must not read the last row, which pairs nonnegatively here
