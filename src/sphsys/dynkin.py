@@ -36,6 +36,13 @@ class DiagramError(ValueError):
     """Component spec outside the simple families, or a bad node reference."""
 
 
+def _check_rank(rank: int):
+    """Raise DiagramError when a diagram of this rank exceeds MAX_RANK."""
+    if rank > MAX_RANK:
+        raise DiagramError(f"a diagram of rank {rank} exceeds the cap of "
+                           f"{MAX_RANK} nodes")
+
+
 def canonicalize_component(family: str, rank: int) -> list[tuple[str, int]]:
     """Resolve low-rank coincidences to a canonical list of components.
 
@@ -202,10 +209,7 @@ class Diagram:
                                    "is not an integer")
             flat.extend(canonicalize_component(fam, rank))
         flat.sort()
-        rank = sum(r for _f, r in flat)
-        if rank > MAX_RANK:
-            raise DiagramError(f"a diagram of rank {rank} exceeds the cap of "
-                               f"{MAX_RANK} nodes")
+        _check_rank(sum(r for _f, r in flat))
         object.__setattr__(self, "components", tuple(flat))
 
     def __setattr__(self, name, value):

@@ -20,7 +20,8 @@ import re
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from .dynkin import _RANK_RANGE, Diagram, DiagramError, parse_diagram
+from .dynkin import (_RANK_RANGE, Diagram, DiagramError, _check_rank,
+                     parse_diagram)
 from .system import SphericalSystem
 
 
@@ -30,6 +31,9 @@ def _diag(spec: str) -> Diagram:
 
 
 def _wt(n, coeffs) -> tuple:
+    # most builders make their weights before their diagram, so the rank
+    # cap is checked here: an over-cap n raises before n^2/2 entries exist
+    _check_rank(n)
     w = [0] * n
     for i, c in coeffs.items():
         w[i] += c

@@ -60,12 +60,7 @@ def _completion(a, n_vars):
     skips it."""
     cap = max_states()
 
-    def image(x):
-        return tuple(sum(ai * xi for ai, xi in zip(row, x) if xi)
-                     for row in a)
-
-    cols = [image(tuple(int(j == i) for j in range(n_vars)))
-            for i in range(n_vars)]
+    cols = list(zip(*a))    # A.e_i, the image of each unit vector
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
@@ -73,7 +68,7 @@ def _completion(a, n_vars):
     basis: list[tuple[int, ...]] = []
     frontier = [tuple(int(j == i) for j in range(n_vars))
                 for i in range(n_vars)]
-    values = {t: image(t) for t in frontier}
+    values = dict(zip(frontier, cols))
     seen = set(frontier)
     while frontier:
         nxt = []

@@ -1,17 +1,19 @@
 """The table of rank-one behaviours and their embeddings into a diagram.
 
-Each row describes one admissible weight on a connected support of a fixed
-type, together with the exact set of support nodes that must sit inside the
+Each row describes one admissible weight on a support of a fixed type,
+together with the exact set of support nodes that must sit inside the
 parabolic part (its trace).  Embedding a row means choosing an induced
 subdiagram of the ambient diagram isomorphic to the row's support type,
-numbered by sphsys.dynkin.bourbaki_orders, and transporting weight and trace
-along the identification.
+numbered by sphsys.dynkin.bourbaki_orders (or, for the A1,A1 support of
+aa(1,1), an orthogonal node pair), and transporting weight and trace along
+the identification.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 
 from sphsys.dynkin import Diagram, bourbaki_orders
 
@@ -23,7 +25,7 @@ ROWS = (
     Row("a", "A", 2, None, lambda n: (1,) * n,
         lambda n: frozenset(range(2, n))),
     Row("a'", "A", 1, 1, lambda n: (2,), lambda n: frozenset()),
-    Row("aa", "AA", 1, 1, None, None),
+    Row("aa", "AA", 1, 1, lambda n: (1, 1), lambda n: frozenset()),
     Row("d", "A", 3, 3, lambda n: (1, 2, 1), lambda n: frozenset({1, 3})),
     Row("b", "B", 2, None, lambda n: (1,) * n,
         lambda n: frozenset(range(2, n + 1))),
@@ -59,6 +61,8 @@ def display_label(base: str, n: int) -> str:
 
 
 def _connected_subsets(d: Diagram):
+    adj = [[j for j in range(d.n_nodes) if d.adjacent(i, j)]
+           for i in range(d.n_nodes)]
     found = set()
     frontier = [frozenset([i]) for i in range(d.n_nodes)]
     found.update(frontier)
@@ -66,8 +70,8 @@ def _connected_subsets(d: Diagram):
         nxt = []
         for s in frontier:
             for i in s:
-                for j in range(d.n_nodes):
-                    if j not in s and d.adjacent(i, j):
+                for j in adj[i]:
+                    if j not in s:
                         t = s | {j}
                         if t not in found:
                             found.add(t)
@@ -77,11 +81,15 @@ def _connected_subsets(d: Diagram):
 
 
 def _segments(d: Diagram):
+    """Numberings of the row supports in d, keyed by (family, rank); the
+    disconnected support of aa(1,1), family "AA", is each orthogonal pair."""
     segs: dict[tuple[str, int], list[tuple[int, ...]]] = {}
     for subset in sorted(_connected_subsets(d), key=sorted):
         for fam, rank, order in bourbaki_orders(d, subset):
             segs.setdefault((fam, rank), []).append(order)
-    return {k: tuple(v) for k, v in segs.items()}
+    segs[("AA", 1)] = [(i, j) for i, j in combinations(range(d.n_nodes), 2)
+                       if d.orthogonal(i, j)]
+    return segs
 
 
 @lru_cache(maxsize=None)
@@ -94,18 +102,7 @@ def rank1_embeddings(d: Diagram):
     segs = _segments(d)
     n_amb = d.n_nodes
     seen = {}
-    order = []
     for row in ROWS:
-        if row.family == "AA":
-            for i in range(n_amb):
-                for j in range(i + 1, n_amb):
-                    if d.orthogonal(i, j):
-                        w = tuple(int(k in (i, j)) for k in range(n_amb))
-                        key = (w, frozenset())
-                        if key not in seen:
-                            seen[key] = "aa(1,1)"
-                            order.append(key)
-            continue
         for (fam, rank), orderings in segs.items():
             if fam != row.family or rank < row.min_rank:
                 continue
@@ -113,64 +110,51 @@ def rank1_embeddings(d: Diagram):
                 continue
             coeffs = row.coeffs(rank)
             tr = row.trace(rank)
+            label = display_label(row.base, rank)
             for nodes in orderings:
                 w = [0] * n_amb
                 for pos, c in enumerate(coeffs):
                     w[nodes[pos]] = c
                 key = (tuple(w), frozenset(nodes[p - 1] for p in tr))
-                if key not in seen:
-                    seen[key] = display_label(row.base, rank)
-                    order.append(key)
-    return tuple((seen[k], k[0], k[1]) for k in order)
+                seen.setdefault(key, label)
+    return tuple((label, w, t) for (w, t), label in seen.items())
 
 
 @lru_cache(maxsize=None)
-def _tables(d: Diagram):
-    traces: dict[tuple, set] = {}
-    labels: dict[tuple, str] = {}
+def _table(d: Diagram):
+    """Weight -> {trace: label} over the embeddings of d."""
+    table: dict[tuple, dict] = {}
     for label, w, t in rank1_embeddings(d):
-        traces.setdefault(w, set()).add(t)
-        labels[(w, t)] = label
-    return traces, labels
+        table.setdefault(w, {})[t] = label
+    return table
 
 
 def admissible_traces(d: Diagram, weight) -> frozenset:
     """Traces under which the weight is a realizable rank-one behaviour."""
-    return frozenset(_tables(d)[0].get(tuple(weight), ()))
+    return frozenset(_table(d).get(tuple(weight), ()))
 
 
 def rank1_label(d: Diagram, weight, trace) -> str | None:
-    return _tables(d)[1].get((tuple(weight), frozenset(trace)))
+    return _table(d).get(tuple(weight), {}).get(frozenset(trace))
 
 
 def row_catalog(label: str | None = None, rank: int | None = None):
     """Rows of the table as plain dicts, each instantiated on its own support."""
     out = []
     for row in ROWS:
-        if row.family == "AA":
-            entry = {
-                "label": "aa(1,1)",
-                "support": "A1,A1",
-                "rank_constraint": "n=1",
-                "weight": [1, 1],
-                "trace": [],
-            }
-            if label in (None, "aa(1,1)", "aa"):
-                out.append(entry)
-            continue
-        lo = row.min_rank
-        hi = row.max_rank
+        lo, hi = row.min_rank, row.max_rank
         n = rank if rank is not None else lo
         if n < lo or (hi is not None and n > hi):
             continue
         disp = display_label(row.base, n)
         if label is not None and label not in (disp, row.base):
             continue
-        constraint = f"n={lo}" if hi == lo else f"n>={lo}"
+        # aa(1,1) is the one row whose support is not connected
+        support = "A1,A1" if row.base == "aa" else f"{row.family}{n}"
         out.append({
             "label": disp,
-            "support": f"{row.family}{n}",
-            "rank_constraint": constraint,
+            "support": support,
+            "rank_constraint": f"n={lo}" if hi == lo else f"n>={lo}",
             "weight": list(row.coeffs(n)),
             "trace": sorted(row.trace(n)),
         })

@@ -1,8 +1,9 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
-from sphsys import cli, families
+from sphsys import cli, families, tables
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
 from test_acceptance import diagrams_up_to_rank
@@ -113,6 +114,25 @@ def test_rank_below_family_range_rejected(name, params):
 def test_unknown_family_rejected():
     with pytest.raises(KeyError):
         families.instantiate("z(9)")
+
+
+@pytest.mark.parametrize("build,rank", [
+    (lambda: families.instantiate("ac(n)", n=2001), 2001),
+    (lambda: families.instantiate("aa(p+q+p)", p=1000, q=2), 2002),
+    (lambda: tables.symmetric_instance("A II", n=2001), 2001),
+], ids=["ac(n)", "aa(p+q+p)", "A II"])
+def test_rank_cap_trips_before_weights_are_built(build, rank):
+    # a weight per node on an over-cap chain would hold about n^2/2 ints
+    # (16 MB here) before the diagram refused the rank
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=f"rank {rank} exceeds the cap of 50 nodes"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- expansion over fixed diagrams -------------------------------------------

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from sphsys.dynkin import parse_diagram, support
 from sphsys.rankone import (ALIASES, admissible_traces, rank1_embeddings,
                             rank1_label, row_catalog)
+from test_acceptance import diagrams_up_to_rank
 
 
 def embeddings(spec):
@@ -137,3 +140,23 @@ def test_row_catalog():
     assert len(only) == 1 and only[0]["support"] == "F4"
     scaled = row_catalog(label="b*", rank=4)
     assert scaled[0]["trace"] == [2, 3]
+
+
+def test_row_catalog_rank_drops_rank_one_rows():
+    # a'(1) and aa(1,1) exist at rank 1 only, so neither fits rank 4
+    labels = [r["label"] for r in row_catalog(rank=4)]
+    assert labels == ["a(4)", "b(4)", "b'(4)", "b*(4)", "c(4)", "c*(4)",
+                      "d(4)", "f(4)"]
+    assert row_catalog(label="aa") == [{
+        "label": "aa(1,1)", "support": "A1,A1", "rank_constraint": "n=1",
+        "weight": [1, 1], "trace": []}]
+
+
+def test_embeddings_pinned():
+    # recorded before aa(1,1) was numbered on orthogonal pairs like the
+    # connected rows: every triple and its order are unchanged
+    specs = diagrams_up_to_rank(8) + ["A40", "D40", "E8,E8", "B20,C20"]
+    text = "\n".join(f"{spec}\t{embeddings(spec)!r}" for spec in specs)
+    assert len(specs) == 476
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "17ab5ee5f50783b632bf9804279b7ca7165f97d374188aaf89136e889292fd9f")
