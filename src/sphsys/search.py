@@ -70,28 +70,52 @@ def _linked(spans, full) -> bool:
     return reached == full
 
 
-def _consistent(f, assignments, covered) -> bool:
+def _consistent(f, assignments, covered, banned) -> bool:
     """Whether a root with RootFacts f has an admissible trace that agrees
-    on `covered` with one of the assignments."""
-    return any(a & f.support == t & covered
+    on `covered` with one of the assignments, their union meeting neither
+    `banned` nor f.paired.  The assignments already avoid `banned`, and a
+    trace lies on f's support, which f.paired avoids."""
+    return any(a & f.support == t & covered and not t & banned
+               and not a & f.paired
                for a in assignments for t in f.traces)
 
 
 def enumerate_systems(diagram, cuspidal_only=False,
                       primitive_only=False) -> tuple:
-    """Every valid spherical system on the diagram, in walk order.
+    """Every valid spherical system on the diagram, in walk order: sorted
+    by the candidate indices of sigma, a root set before its supersets.
 
-    The walk chooses candidates in increasing index order and carries
-    `live` down from parent to child, as Bron and Kerbosch carry their
-    candidate set ("Finding all cliques of an undirected graph", CACM 16(9),
-    1973): the candidates after the last chosen one that pass the pair
-    matrix with every chosen root and have an admissible trace consistent
-    with at least one trace assignment of the chosen roots.  Only they can
-    join a root set below, so a child's `live` is read off its parent's.
+    The walk carries `live` down from parent to child, as Bron and
+    Kerbosch carry their candidate set ("Finding all cliques of an
+    undirected graph", CACM 16(9), 1973): the candidates not yet chosen or
+    excluded that pass the pair matrix with every chosen root and have an
+    admissible trace consistent with at least one trace assignment of the
+    chosen roots.  Only they can join a root set below, so a child's `live`
+    is read off its parent's.  In full mode the walk chooses them in
+    increasing index order, so a root set is reached once and the systems
+    come out in depth-first pre-order.
+
+    An assignment is the sp-part on the covered nodes, and `banned` is the
+    union of the chosen roots' paired nodes: the nodes off a root's support
+    that pair nonzero with it.  The walk drops every assignment that meets
+    `banned`.  Exact: the assignment and `banned` only grow below a node,
+    and validate() rejects a system whose sp meets a root's paired nodes
+    ("parabolic-pairing").  `live` keeps only the candidates that leave a
+    child at least one assignment.
 
     With cuspidal_only only root sets whose supports cover the whole
     diagram are kept, and a walk node returns at once when even its chosen
-    and live supports together leave a node uncovered.
+    and live supports together leave a node uncovered.  While some node is
+    uncovered the walk branches on the uncovered node with the fewest live
+    coverers (Knuth's rule, "Dancing links", 2000: Algorithm X, and
+    Algorithm M for covers that may overlap): branch i chooses its i-th
+    live coverer in index order and excludes the earlier ones from its
+    subtree.  Exact: a cuspidal root set covers that node, so it is reached
+    once, through its least-index coverer of each branching node.  Once
+    every node is covered the walk goes on in index order over the live
+    candidates left.  Each root set's systems are collected under its
+    sorted candidate indices and put out in sorted order: sorted-tuple
+    order is the depth-first pre-order of the full-mode walk.
 
     primitive_only keeps the cuspidal systems that ops.is_primitive
     accepts, in the same order: on a product diagram it also drops every
@@ -143,6 +167,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
     budget = max_states()
     state = {"count": 0}
     out = []
+    found = {}   # cuspidal mode: sorted candidate indices -> systems
 
     def tick():
         state["count"] += 1
@@ -152,14 +177,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
                 layer="search", count=state["count"], cap=budget,
                 input=d.spec())
 
-    def emit(chosen, covered, assignments):
-        outside = [i for i in range(d.n_nodes) if i not in covered]
-        if cuspidal_only and outside:
-            return
+    def emit(chosen, covered, assignments, banned):
+        """The valid systems on the root set `chosen`, in increasing index
+        order.  In cuspidal mode `covered` is every node."""
+        kept = []
         # Only necessary: sp must be orthogonal to every root, but a node
         # left free may still fail another axiom in validate().
-        banned = frozenset().union(*(facts[k].paired for k in chosen))
-        free = [i for i in outside if i not in banned]
+        free = [i for i in range(d.n_nodes)
+                if i not in covered and i not in banned]
         free_subsets = [frozenset(f for k, f in enumerate(free)
                                   if mask >> k & 1)
                         for mask in range(1 << len(free))]
@@ -169,51 +194,79 @@ def enumerate_systems(diagram, cuspidal_only=False,
             for extra in free_subsets:
                 tick()
                 sys = SphericalSystem._from_normal(d, base | extra, sigma)
-                # emit returned above unless the system is cuspidal, so
+                # emit is called in cuspidal mode only on a full cover, so
                 # is_primitive reduces to the decomposition test
                 if sys.validate().ok and (
                         not primitive_only
                         or ops.is_decomposable(sys) is None):
-                    out.append(sys)
+                    kept.append(sys)
+        return kept
 
-    def walk(chosen, basis, covered, assignments, live):
+    def walk(chosen, basis, covered, assignments, banned, live):
         """`assignments` holds the sp-part on `covered`, the union of the
         chosen supports, of each choice of one admissible trace per chosen
-        root that agrees on shared nodes; it is never empty.  `live` holds
-        the later candidates that can still join `chosen`, as above."""
+        root that agrees on shared nodes and avoids `banned`; it is never
+        empty.  `live` is in index order, as above."""
         tick()
-        # Exact: every root chosen below comes from `live`, so a node that
-        # no live support covers stays uncovered in the whole subtree.
-        if cuspidal_only and covered.union(
-                *(facts[k].support for k in live)) != nodes:
-            return
+        order = live
+        if cuspidal_only:
+            # live coverers per uncovered node; the node to branch on
+            counts = dict.fromkeys(sorted(nodes - covered), 0)
+            for k in live:
+                for v in facts[k].support:
+                    if v in counts:
+                        counts[v] += 1
+            # Exact: every root chosen below comes from `live`, so a node
+            # that no live support covers stays uncovered in the subtree.
+            if 0 in counts.values():
+                return
+            if counts:
+                node = min(counts, key=counts.__getitem__)
+                order = [k for k in live if node in facts[k].support]
         # Exact by the lemma above: every root chosen below comes from
         # `live`, so if even all of them together with the chosen roots
         # leave the components unlinked, every cuspidal system below is
         # split and none is primitive.
         if coupling and not _linked([spans[k] for k in chosen + live], full):
             return
-        emit(chosen, covered, assignments)
-        for x, k in enumerate(live):
+        if order is live:
+            if cuspidal_only:
+                key = tuple(sorted(chosen))
+                found[key] = emit(key, covered, assignments, banned)
+            else:
+                out.extend(emit(chosen, covered, assignments, banned))
+        for x, k in enumerate(order):
+            # branch x takes order[x] and drops order[:x] from its subtree
+            if order is live:
+                rest = live[x + 1:]
+            else:
+                dropped = order[:x + 1]
+                rest = [j for j in live if j not in dropped]
             # Only necessary: independence is one axiom, validate() checks
             # the rest.
             nb = echelon_extend(basis, cands[k])
             if nb is None:
                 continue
-            supp = facts[k].support
-            grown = covered | supp
-            # nonempty, since k is live
-            below = {a | t for a in assignments for t in facts[k].traces
-                     if a & supp == t & covered}
+            f = facts[k]
+            grown = covered | f.support
+            grown_ban = banned | f.paired
+            # a | t avoids grown_ban, as in _consistent; nonempty, since k
+            # is live
+            below = {a | t for a in assignments for t in f.traces
+                     if a & f.support == t & covered and not t & banned
+                     and not a & f.paired}
             # The pair test is only necessary: compat sees two roots at
             # once, validate() the set.  The trace filter is exact: the
             # assignments below restrict to `below` on `grown`, so a
             # candidate inconsistent with `below` stays so further down.
-            walk(chosen + [k], nb, grown, below,
-                 [j for j in live[x + 1:] if compat[k][j]
-                  and _consistent(facts[j], below, grown)])
+            walk(chosen + [k], nb, grown, below, grown_ban,
+                 [j for j in rest if compat[k][j]
+                  and _consistent(facts[j], below, grown, grown_ban)])
 
-    walk([], [], frozenset(), {frozenset()}, list(range(len(cands))))
+    walk([], [], frozenset(), {frozenset()}, frozenset(),
+         list(range(len(cands))))
+    if cuspidal_only:
+        out = [s for key in sorted(found) for s in found[key]]
     return tuple(out)
 
 

@@ -220,6 +220,29 @@ def test_2f_every_diagram_of_rank_nine_matches_catalog():
                   f"{primitives} primitives ({elapsed:.1f}s)")
 
 
+def test_2g_every_diagram_of_rank_ten_matches_catalog():
+    start = time.perf_counter()
+    smaller = set(diagrams_up_to_rank(9))
+    specs = [spec for spec in diagrams_up_to_rank(10) if spec not in smaller]
+    connected = [spec for spec in specs if "," not in spec]
+    assert (len(connected), len(specs)) == (4, 707)
+    checks = [search.verify_catalog(spec) for spec in specs]
+    for spec, check in zip(specs, checks):
+        assert check.ok, (spec, check.missing, check.extra)
+        assert check.found == check.expected, spec
+    primitives = sum(check.found for check in checks)
+    assert primitives == 108
+    # sha256 over the reprs in spec order, recorded before the walk banned
+    # paired nodes and branched on the least-covered node
+    text = "\n".join(map(repr, checks))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "4f5f41cbdf03bc9d0b7b14874ef6bb1b2241550f5ea452e9bbcaf5cb494b0a3d"
+    elapsed = time.perf_counter() - start
+    _report("2g", f"exhaustive search equals catalog on all {len(specs)} "
+                  f"diagrams of rank 10 ({len(connected)} connected), "
+                  f"{primitives} primitives ({elapsed:.1f}s)")
+
+
 def test_3_strictness_partition():
     checked = non_strict = 0
     seen_families = set()

@@ -242,12 +242,45 @@ class TestPrimitiveMode:
         assert split == 3022
 
     def test_prune_cuts_the_walk(self, monkeypatch):
-        # F4,F4 takes 228 walk states in the primitive mode and 1,398 in
-        # the cuspidal mode, which has no coupling prune
-        monkeypatch.setenv("SPHSYS_MAX_STATES", "1000")
+        # F4,F4 takes 24 walk states in the primitive mode and 189 in the
+        # cuspidal mode, which has no coupling prune
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "100")
         assert len(search.enumerate_primitive("F4,F4")) == 1
         with pytest.raises(BudgetExceeded):
             search.enumerate_systems("F4,F4", cuspidal_only=True)
+
+
+class TestWalk:
+    def test_output_is_pinned(self):
+        # sha256 over the reprs of all three modes on every diagram of
+        # rank <= 5, recorded before the walk banned paired nodes and
+        # branched on the least-covered node
+        specs = diagrams_up_to_rank(5)
+        assert len(specs) == 61
+        text = "\n".join(
+            repr(s) for spec in specs
+            for kw in ({}, {"cuspidal_only": True}, {"primitive_only": True})
+            for s in search.enumerate_systems(spec, **kw))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "6c56fac1a8ded933ee26b6fb93175b50860006e9236ffd317a379767db1d1831"
+
+    @pytest.mark.parametrize("spec", ["B8", "D8", "A1,B7", "F4,F4"])
+    def test_no_system_fails_parabolic_pairing(self, spec, monkeypatch):
+        # the walk drops every assignment that meets a chosen root's paired
+        # nodes, so validate() never sees one
+        validate = SphericalSystem.validate
+        reports = []
+
+        def counted(self):
+            reports.append(validate(self))
+            return reports[-1]
+
+        monkeypatch.setattr(SphericalSystem, "validate", counted)
+        for kw in ({"cuspidal_only": True}, {"primitive_only": True}):
+            search.enumerate_systems(spec, **kw)
+        assert reports
+        assert not [e for r in reports for e in r.rank_one
+                    if e["reason"] == "parabolic-pairing"]
 
 
 class TestVerifyCatalog:
