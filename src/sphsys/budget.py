@@ -1,8 +1,8 @@
 """Search budget shared by the combinatorial kernels.
 
 SPHSYS_MAX_STATES bounds state explosion in the search walk, the Hilbert
-basis completion, the inequality elimination and the extreme-ray
-enumeration; each faults loudly instead of degrading.  Unset or empty it
+basis completion and the extreme-ray enumeration (which also answers
+feasibility); each faults loudly instead of degrading.  Unset or empty it
 means 1 000 000; any other value must be a decimal count.
 """
 

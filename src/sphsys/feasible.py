@@ -1,16 +1,14 @@
-"""Exact integer linear algebra: rank, a kernel line, the feasibility
-of 'Mx >= 0, x >= 0, some x_i >= 1' systems, and the supports of the
-extreme rays of the cone 'Mx >= 0, x >= 0'.
+"""Exact integer linear algebra: rank, a kernel line, and the extreme rays
+of the cone 'Mx >= 0, x >= 0', with two questions read off those rays:
+the feasibility of 'Mx >= 0, x >= 0, x_i >= 1 on a strict set' and the
+supports of the rays.
 
-Rank and the kernel line come from a fraction-free echelon step.
-Feasibility is Fourier-Motzkin elimination on integer rows, each new row
-divided by the gcd of its coefficients and constant, with Chernikov's rule
-dropping the combinations of too many source rows; a satisfying point is
-found by back-substitution and returned as its least integer multiple (the
-system is invariant under scaling by integers >= 1), None means infeasible.
-Both back-substitutions stay in integers through one step, _set_entry.
-The extreme rays come from the double description method, which adds one
-row at a time to the rays of the orthant.
+Rank and the kernel line come from a fraction-free echelon step and a
+back-substitution that stays in integers through _set_entry.  The extreme
+rays come from the double description method, which adds one row at a
+time to the rays of the orthant; a feasibility certificate is a sum of
+rays (the system is invariant under scaling by integers >= 1), None means
+infeasible.
 """
 
 from __future__ import annotations
@@ -74,80 +72,43 @@ def feasible_nonneg(rows, n_vars: int, strict=()):
 
     rows: iterable of length-n_vars integer tuples.  Returns a tuple of ints
     or None.
+
+    The cone {x : row.x >= 0, x >= 0} lies in the orthant, so it is pointed
+    and every point is a nonnegative combination of its extreme rays.  A
+    point with x_i > 0 therefore needs a ray with x_i > 0, and the sum of
+    such rays, one per strict index, is a point positive on them all.  The
+    certificate takes, for each strict index in increasing order, the first
+    ray positive there, and returns the sum of the distinct rays picked
+    divided by its gcd; an integer entry > 0 is >= 1.  Raises
+    BudgetExceeded as the ray enumeration does.
     """
-    strict = frozenset(strict)
-    if n_vars == 0:
-        return ()
-    rows = [tuple(r) for r in rows]
-    shift = [1 if i in strict else 0 for i in range(n_vars)]
-    # substitute x = y + shift: rows become  row.y >= -row.shift,  y >= 0
-    system = [(r, -sum(a * s for a, s in zip(r, shift))) for r in rows]
-    for i in range(n_vars):
-        system.append((tuple(int(j == i) for j in range(n_vars)), 0))
-
-    # each row carries the bitmask of the input rows it was combined from;
-    # after eliminating var + 1 variables, a combination of more than
-    # var + 2 of them is implied by the rows kept (Chernikov, 1965), so
-    # skipping it keeps the projection, and back-substitution never finds
-    # it strictly tightest
-    system = [(c, b, 1 << i) for i, (c, b) in enumerate(system)]
-    cap = max_states()
-    stages = []
-    for var in range(n_vars):
-        stages.append(system)
-        pos = [row for row in system if row[0][var] > 0]
-        neg = [row for row in system if row[0][var] < 0]
-        new = [row for row in system if row[0][var] == 0]
-        # check before combining: the product can be the cap squared
-        size = len(new) + len(pos) * len(neg)
-        if size > cap:
-            raise BudgetExceeded(
-                f"elimination would produce {size} rows (cap {cap})",
-                layer="feasible", count=size, cap=cap,
-                input={"rows": [list(r) for r in rows],
-                       "strict": sorted(strict)})
-        most = var + 2
-        for pc, pb, ph in pos:
-            for nc, nb, nh in neg:
-                sources = ph | nh
-                if sources.bit_count() > most:
-                    continue
-                mp, mn = -nc[var], pc[var]
-                coeffs = [mp * a + mn * b for a, b in zip(pc, nc)]
-                const = mp * pb + mn * nb
-                g = gcd(*coeffs, const)
-                if g > 1:
-                    coeffs = [a // g for a in coeffs]
-                    const //= g
-                new.append((tuple(coeffs), const, sources))
-        system = _drop_redundant(new, var + 1)
-
-    if any(b > 0 for _c, b, _h in system):
-        return None
-
-    # back-substitute, tightest lower bound first, in homogeneous integer
-    # coordinates: the point is y[:n_vars] / y[-1], with y[-1] >= 1 the
-    # common denominator, and y[var] is still 0 when var is solved
-    y = [0] * n_vars + [1]
-    for var in reversed(range(n_vars)):
-        lo, lo_den = 0, 1
-        for coeffs, const, _h in stages[var]:
-            c = coeffs[var]
-            if c > 0:
-                bound = const * y[-1] - sum(
-                    a * v for a, v in zip(coeffs, y) if a)
-                if bound * lo_den > lo * c:
-                    lo, lo_den = bound, c
-        y = _set_entry(y, var, lo, lo_den)
-    x = [v + s * y[-1] for v, s in zip(y, shift)]
-    g = gcd(y[-1], *x)
+    strict = sorted(set(strict))
+    if not strict:
+        return (0,) * n_vars
+    rays = [x for x, _tight in _rays(rows, n_vars)]
+    picked = set()
+    for i in strict:
+        k = next((k for k, x in enumerate(rays) if x[i]), None)
+        if k is None:
+            return None
+        picked.add(k)
+    x = [sum(col) for col in zip(*(rays[k] for k in picked))]
+    g = gcd(*x)
     return tuple(v // g for v in x)
 
 
 def extreme_ray_supports(rows, n_vars: int) -> tuple:
     """Supports of the extreme rays of {x : row.x >= 0 for all rows, x >= 0}
     as bitmasks, bit i for x_i > 0, sorted and without repeats (two rays
-    may share a support).
+    may share a support).  Raises BudgetExceeded as _rays does."""
+    signs = (1 << n_vars) - 1     # the constraints x_i >= 0
+    rays = _rays(rows, n_vars)
+    return tuple(sorted({signs & ~tight for _x, tight in rays}))
+
+
+def _rays(rows, n_vars: int) -> list:
+    """The extreme rays of {x : row.x >= 0 for all rows, x >= 0} as
+    (primitive integer ray, bitmask of the constraints tight on it) pairs.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall, 1953): start
     from the unit vectors, the extreme rays of the orthant, and add one row
@@ -197,7 +158,7 @@ def extreme_ray_supports(rows, n_vars: int) -> tuple:
                 g = gcd(*x)
                 out.append((tuple(v // g for v in x), common | bit))
         rays = out
-    return tuple(sorted({signs & ~tight for _x, tight in rays}))
+    return rays
 
 
 def _set_entry(x, i, a, b):
@@ -209,17 +170,3 @@ def _set_entry(x, i, a, b):
     x[i] = a // g
     return x
 
-
-def _drop_redundant(rows, start):
-    """Discard duplicates: rows equal on the variables not yet eliminated
-    and in the constant.  Rows are gcd-normalised, so this also drops
-    positive multiples."""
-    seen = set()
-    out = []
-    for row in rows:
-        key = (row[0][start:], row[1])
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(row)
-    return out

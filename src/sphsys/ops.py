@@ -4,9 +4,10 @@ Everything here is exact.  Whether a colour subset is distinguished is
 decided in three steps, cheapest first: the witness phi = (1, ..., 1), a
 root refuting every witness, and a lookup among the supports of the
 extreme rays of the cone of witnesses, enumerated once per system.  The
-witnesses themselves come from integer Fourier-Motzkin elimination, and
-quotient monoids from Hilbert bases.  Quotient systems are constructed and
-validated, never assumed valid.
+witnesses themselves are sums of extreme rays of the cone each one asks
+about (feasible.feasible_nonneg), and quotient monoids come from Hilbert
+bases.  A colour subset is a set: repeated indices count once.
+Quotient systems are constructed and validated, never assumed valid.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def _subset_rows(sys, subset):
 
 
 def _colour_subset(sys, subset) -> tuple:
-    """subset sorted; ValueError on a colour index the system lacks."""
-    subset = tuple(sorted(subset))
+    """The distinct indices of subset, sorted; ValueError on a colour index
+    the system lacks."""
+    subset = tuple(sorted(set(subset)))
     n = len(sys.colours)
     for c in subset:
         if not 0 <= c < n:
@@ -97,8 +99,8 @@ def distinguished_witness(sys: SphericalSystem, subset):
 
 
 def is_distinguished(sys: SphericalSystem, subset) -> bool:
-    """Whether distinguished_witness(sys, subset) exists, without
-    elimination.
+    """Whether distinguished_witness(sys, subset) exists, without a ray
+    enumeration per subset.
 
     The subset S is distinguished when the cone C = {phi >= 0 :
     <rho(phi), gamma> >= 0 for every spherical root gamma} has a point
@@ -161,7 +163,7 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     nonnegative root combinations killed by every chosen colour.  Raises
     ValueError when the subset is not distinguished.
     """
-    subset = tuple(sorted(subset))
+    subset = _colour_subset(sys, subset)
     if not is_distinguished(sys, subset):
         raise ValueError("quotient by a non-distinguished subset")
     coeffs, sigma_out = _new_roots(sys, subset)
@@ -270,7 +272,7 @@ def is_decomposable(sys: SphericalSystem):
     - b comes in (size, indices) order after a, so |a| <= |b| and a has at
       most half the loose colours;
     - b is drawn from the loose colours outside a that move no root of a.
-    is_distinguished decides each subset without elimination.
+    is_distinguished decides each subset from the system's cached rays.
     """
     n = len(sys.colours)
     masks = _moved_masks(sys)

@@ -31,6 +31,11 @@ ENUMERATION_DIAGRAMS = (
     "A1,A1", "A1,A3", "B2,B2", "C3,C3", "G2,G2", "F4,F4",
 )
 
+# the diagrams of the quotient sweep: every colour subset of every catalog
+# member on them is a cheap, wide test of the cone questions
+SWEEP_DIAGRAMS = ENUMERATION_DIAGRAMS + (
+    "A6", "B6", "C6", "D6", "E6", "A1,A5", "B3,B3", "A2,A2,A2", "G2,G2,G2")
+
 # Second tier: E types, rank 8 and larger products, with the primitive
 # count the search finds on each.
 SECOND_TIER_COUNTS = {

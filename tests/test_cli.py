@@ -270,6 +270,17 @@ class TestOperations:
         assert status == 1
         assert "distinguished" in out["error"]["message"]
 
+    def test_quotient_counts_a_repeated_colour_once(self, capsys,
+                                                   system_file):
+        # D0,D1 is distinguished on ac*(3) and D0 alone is not
+        path = system_file("ac*(n)", n=3)
+        once = run_json(capsys, ["quotient", "--system", path,
+                                 "--colours", "D0,D1"])
+        twice = run_json(capsys, ["quotient", "--system", path,
+                                  "--colours", "D0,D1,D0"])
+        assert once[0] == 0
+        assert twice == once
+
     def test_quotient_rejects_unknown_colour(self, capsys, system_file):
         status, out = run_json(
             capsys, ["quotient", "--system", system_file("b(n)", n=3),

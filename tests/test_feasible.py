@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +13,7 @@ from sphsys.budget import BudgetExceeded, max_states
 from sphsys.families import expand_catalog
 from sphsys.feasible import (echelon_extend, extreme_ray_supports,
                              feasible_nonneg, kernel_vector, rank)
+from test_acceptance import SWEEP_DIAGRAMS
 
 
 def check(rows, n, strict=()):
@@ -64,21 +64,17 @@ def test_three_vars():
 
 
 def test_budget_fault(monkeypatch):
+    # feasible_nonneg runs the ray enumeration, so it trips the same cap
+    # with the same fault; x2 <= x0 + x1 has two positive rays against
+    # one negative, two pairs
     monkeypatch.setenv("SPHSYS_MAX_STATES", "1")
-    rows = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
-    with pytest.raises(BudgetExceeded):
-        feasible_nonneg(rows, 3, strict={0, 1, 2})
-
-
-def test_budget_fault_names_the_elimination(monkeypatch):
-    monkeypatch.setenv("SPHSYS_MAX_STATES", "1")
-    rows = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
+    rows = ((1, 1, -1),)
     with pytest.raises(BudgetExceeded) as err:
         feasible_nonneg(iter(rows), 3, strict={2, 0})
     e = err.value
-    assert str(e) == f"elimination would produce {e.count} rows (cap 1)"
-    assert (e.layer, e.cap) == ("feasible", 1) and e.count > 1
-    assert e.input == {"rows": [list(r) for r in rows], "strict": [0, 2]}
+    assert str(e) == "ray enumeration would test 2 pairs (cap 1)"
+    assert (e.layer, e.count, e.cap) == ("feasible", 2, 1)
+    assert e.input == {"rows": [[1, 1, -1]]}
 
 
 @pytest.mark.parametrize("raw", ["abc", "1e3", "-5", " 10"])
@@ -96,21 +92,6 @@ def test_budget_values(monkeypatch):
     assert max_states() == 1_000_000
     monkeypatch.setenv("SPHSYS_MAX_STATES", "1000")
     assert max_states() == 1000
-
-
-def test_budget_trips_before_building_rows(monkeypatch):
-    # 600 x 600 row pairs on the first variable: the cap must stop the
-    # elimination before the 360 000 combinations exist
-    monkeypatch.setenv("SPHSYS_MAX_STATES", "1000")
-    rows = [(s, k) for s in (1, -1) for k in range(600)]
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded):
-            feasible_nonneg(rows, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5_000_000
 
 
 def test_randomized_against_scan():
@@ -139,18 +120,19 @@ def test_randomized_against_scan():
             assert grid_hit is None, (rows, strict, grid_hit)
 
 
-# Certificates of the former Fraction elimination, pinned so that a change
-# to the elimination that alters certificates fails: (diagram, catalog
+# Certificates of the ray rule (the first ray positive on each strict
+# index, summed and divided by the gcd), pinned so that a change to the
+# ray order or the rule that alters certificates fails: (diagram, catalog
 # label) -> ({colour subset: distinguished witness}, affine witness).
 PINNED_WITNESSES = {
-    ("B3", "bo(2+1)"): ({(0, 1, 2): (2, 3, 2)}, (5, 8, 9)),
-    ("B3", "bc*(3)"): ({(1, 2): (2, 1), (0,): None}, None),
+    ("B3", "bo(2+1)"): ({(0, 1, 2): (2, 4, 3)}, (5, 8, 9)),
+    ("B3", "bc*(3)"): ({(1, 2): (3, 1), (0,): None}, None),
     ("F4", "fo(4)"): ({(0, 1, 2, 3): (2, 4, 3, 2)}, (8, 15, 21, 11)),
-    ("F4", "fc*(4)"): ({(1, 2, 3): (2, 1, 1), (0, 1, 2, 3): (1, 2, 1, 1)},
+    ("F4", "fc*(4)"): ({(1, 2, 3): (3, 1, 3), (0, 1, 2, 3): (1, 4, 2, 3)},
                        None),
-    ("E6", "eo(6)"): ({(0, 1, 2, 3, 4, 5): (2, 2, 3, 4, 3, 2)},
+    ("E6", "eo(6)"): ({(0, 1, 2, 3, 4, 5): (2, 3, 4, 6, 5, 4)},
                       (8, 11, 15, 21, 15, 8)),
-    ("E6", "ec*(6)"): ({(0, 2, 3, 4, 5): (1, 1, 2, 1, 1),
+    ("E6", "ec*(6)"): ({(0, 2, 3, 4, 5): (3, 1, 4, 2, 5),
                         (0, 1, 2, 3, 4, 5): (1, 1, 1, 2, 1, 1)}, None),
 }
 
@@ -166,9 +148,7 @@ def test_pinned_catalog_witnesses(spec, label):
 
 def _corpus(max_rows=4):
     """2000 seeded systems: 1-5 variables, 0 to max_rows rows with entries
-    -4..4 and a random strict set.  None needs more than a few
-    milliseconds; before Chernikov's rule, a fifth row let three blow the
-    elimination up to 0.8-2.0 s, and 23 past a cap of 200 rows."""
+    -4..4 and a random strict set."""
     rng = random.Random(2024)
     for _ in range(2000):
         n = rng.randint(1, 5)
@@ -177,12 +157,17 @@ def _corpus(max_rows=4):
         yield rows, n, frozenset(i for i in range(n) if rng.random() < 0.5)
 
 
-# sha256 of the repr of the output lists on _corpus(), computed with the
-# former Fraction back-substitution: the integer one must give the same
-# least integer certificates and the same kernel lines.
+def _digest(out):
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+# sha256 of the repr of output lists on _corpus(): for feasible_nonneg the
+# list of 'x is None', recorded with the former Fourier-Motzkin
+# elimination, so the ray certificates answer every system as it did; for
+# kernel_vector the kernel lines themselves.
 CORPUS_DIGESTS = {
     "feasible_nonneg":
-        "0dd02c3df41f95d15b7249ed8abd6f951564ce91ceffcc546eb0336d818a045e",
+        "2baac05687358f6f517494daf670d7367c33b4369ee5049899bd69851343042c",
     "kernel_vector":
         "910cce5bcb54d652df2ac95c7544071b82f939ddbb0cbe0cd2ead7913f088aff",
 }
@@ -191,25 +176,49 @@ CORPUS_DIGESTS = {
 def test_corpus_outputs_pinned():
     corpus = list(_corpus())
     outputs = {
-        "feasible_nonneg": [feasible_nonneg(r, n, s) for r, n, s in corpus],
+        "feasible_nonneg": [check(r, n, s) is None for r, n, s in corpus],
         "kernel_vector": [kernel_vector(r, n) for r, n, _s in corpus],
     }
-    assert {name: hashlib.sha256(repr(out).encode()).hexdigest()
+    assert {name: _digest(out)
             for name, out in outputs.items()} == CORPUS_DIGESTS
 
 
-# sha256 of the repr of the feasible_nonneg outputs on _corpus(5), recorded
-# before Chernikov's rule, with the default cap
+# sha256 of the repr of the 'x is None' list of feasible_nonneg on
+# _corpus(5), recorded with the former elimination
 FIVE_ROW_DIGEST = (
-    "2f1075650eb437c968ba58ab75935140e8bbed71076faaf702b115d4ccebd97f")
+    "c1e98bb968afab40fa39b7419385f631c1145002f2b3098b5de07a0c0959bba4")
 
 
-def test_chernikov_rule_keeps_certificates_under_a_small_cap(monkeypatch):
-    # the rule drops only implied rows: same outputs, and no stage grows
-    # past 200 rows
-    monkeypatch.setenv("SPHSYS_MAX_STATES", "200")
-    out = [feasible_nonneg(r, n, s) for r, n, s in _corpus(5)]
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == FIVE_ROW_DIGEST
+def test_five_row_answers_pinned():
+    out = [check(r, n, s) is None for r, n, s in _corpus(5)]
+    assert _digest(out) == FIVE_ROW_DIGEST
+
+
+# sha256 of the repr of the 'witness is None' lists over every catalog
+# member of SWEEP_DIAGRAMS, in catalog order: distinguished_witness on each
+# nonempty colour subset in (size, indices) order, and affine_witness once
+# per member; recorded with the former elimination.
+CATALOG_DIGESTS = {
+    "distinguished_witness":
+        "4d5313cbe92a38e41678491e9eda435fc30ea6aa106138ef90ceb2a3deacbb44",
+    "affine_witness":
+        "899b4bd4e821a31707e4ca1e616ce46b997b3b29bc893b0975be49337116c2af",
+}
+
+
+def test_catalog_answers_pinned():
+    dist, affine = [], []
+    for spec in SWEEP_DIAGRAMS:
+        for entry in expand_catalog(spec):
+            sys = entry.system
+            n = len(sys.colours)
+            for r in range(1, n + 1):
+                for subset in itertools.combinations(range(n), r):
+                    phi = ops.distinguished_witness(sys, subset)
+                    dist.append(phi is None)
+            affine.append(ops.affine_witness(sys) is None)
+    assert {"distinguished_witness": _digest(dist),
+            "affine_witness": _digest(affine)} == CATALOG_DIGESTS
 
 
 def _union_rule(rays, subset):
@@ -222,22 +231,34 @@ def _union_rule(rays, subset):
     return union == mask
 
 
-def test_ray_supports_agree_with_elimination():
-    # a subset is the support of a point of {x >= 0 : rows >= 0} exactly
-    # when elimination finds x >= 1 on it and x = 0 off it
+def _random_cone(rng, max_n=6, max_rows=6):
+    n = rng.randint(1, max_n)
+    rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(rng.randint(0, max_rows))]
+    return rows, n
+
+
+def _exact_support_answers(rows, n):
+    """For each nonempty subset S, whether feasible_nonneg finds x >= 1 on
+    S with x = 0 off S: the rows restricted to S, every variable strict."""
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            sub_rows = [tuple(row[i] for i in subset) for row in rows]
+            yield subset, check(sub_rows, r, range(r)) is not None
+
+
+def test_ray_supports_agree_with_certificates():
+    # is_distinguished's lookup (the union rule on the supports) and
+    # feasible_nonneg's certificate read the same rays two ways: a subset
+    # is the support of a point of {x >= 0 : rows >= 0} exactly when one
+    # exists with x >= 1 on it and x = 0 off it
     rng = random.Random(19)
     for _ in range(300):
-        n = rng.randint(1, 6)
-        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
-                for _ in range(rng.randint(0, 6))]
+        rows, n = _random_cone(rng)
         rays = extreme_ray_supports(rows, n)
         assert list(rays) == sorted(set(rays)) and 0 not in rays, rows
-        for r in range(1, n + 1):
-            for subset in itertools.combinations(range(n), r):
-                sub_rows = [tuple(row[i] for i in subset) for row in rows]
-                want = feasible_nonneg(sub_rows, r, strict=range(r))
-                assert _union_rule(rays, subset) == (want is not None), (
-                    rows, subset)
+        for subset, found in _exact_support_answers(rows, n):
+            assert _union_rule(rays, subset) == found, (rows, subset)
 
 
 def _brute_force_ray_supports(rows, n):
@@ -253,6 +274,25 @@ def _brute_force_ray_supports(rows, n):
                          for c in constraints):
                 out.add(sum(1 << i for i, a in enumerate(x) if a))
     return tuple(sorted(out))
+
+
+def test_certificates_agree_with_brute_force_rays():
+    # an independent referee: the kernel-line supports share no code with
+    # the double description.  An exact support S is feasible iff the
+    # union rule holds for S; a strict set is feasible iff each of its
+    # indices lies in some ray's support.
+    rng = random.Random(29)
+    for _ in range(200):
+        rows, n = _random_cone(rng, max_n=5, max_rows=5)
+        rays = _brute_force_ray_supports(rows, n)
+        for subset, found in _exact_support_answers(rows, n):
+            assert _union_rule(rays, subset) == found, (rows, subset)
+        strict = frozenset(i for i in range(n) if rng.random() < 0.5)
+        covered = 0
+        for ray in rays:
+            covered |= ray
+        want = all(covered >> i & 1 for i in strict)
+        assert (check(rows, n, strict) is not None) == want, (rows, strict)
 
 
 def test_ray_supports_match_brute_force():

@@ -6,7 +6,7 @@ from sphsys import ops, search
 from sphsys.families import expand_catalog, instantiate
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
-from test_acceptance import ENUMERATION_DIAGRAMS
+from test_acceptance import SWEEP_DIAGRAMS
 from test_search import PRUNED_PRODUCTS
 from test_system import ORACLE_DIAGRAMS
 
@@ -91,12 +91,11 @@ class TestDistinguished:
         assert ops.is_distinguished(sys, {0, 2})
         assert ops.is_distinguished(sys, {0, 1, 2})
 
-    @pytest.mark.parametrize("spec", ENUMERATION_DIAGRAMS + (
-        "A6", "B6", "C6", "D6", "E6", "A1,A5", "B3,B3", "A2,A2,A2",
-        "G2,G2,G2"))
+    @pytest.mark.parametrize("spec", SWEEP_DIAGRAMS)
     def test_shortcut_agrees_with_witness(self, spec):
-        # is_distinguished decides by two sign tests and the extreme rays;
-        # distinguished_witness, the referee, always eliminates
+        # is_distinguished decides by two sign tests and a lookup among the
+        # system's cached ray supports; distinguished_witness, the referee,
+        # builds a certificate from the rays of the subset's own cone
         for entry in expand_catalog(spec):
             sys = entry.system
             n = len(sys.colours)
@@ -107,15 +106,38 @@ class TestDistinguished:
                         entry.label, subset)
 
     def test_no_elimination(self, monkeypatch):
-        def eliminate(*args, **kwargs):
-            raise AssertionError("is_distinguished eliminated")
-        monkeypatch.setattr(ops, "feasible_nonneg", eliminate)
+        # is_distinguished reads the cached rays and never asks
+        # feasible_nonneg for a certificate
+        def certify(*args, **kwargs):
+            raise AssertionError("is_distinguished called feasible_nonneg")
+        monkeypatch.setattr(ops, "feasible_nonneg", certify)
         for spec in ("B6", "E6", "B3,B3"):
             for entry in expand_catalog(spec):
                 n = len(entry.system.colours)
                 for r in range(1, n + 1):
                     for subset in itertools.combinations(range(n), r):
                         ops.is_distinguished(entry.system, subset)
+
+    def test_repeated_colours_count_once(self):
+        # {0, 1} is distinguished on ac*(3) and {0} is not; a repeated
+        # index must not change the subset
+        sys = instantiate("ac*(n)", n=3)
+        assert ops.is_distinguished(sys, [0, 1])
+        assert ops.is_distinguished(sys, [0, 1, 0])
+        assert ops.distinguished_witness(sys, [0, 1, 0]) == (
+            ops.distinguished_witness(sys, [0, 1]))
+        assert ops.quotient(sys, [0, 1, 0]) == ops.quotient(sys, [0, 1])
+
+    @pytest.mark.parametrize("spec", ("A3", "B3", "C3", "F4"))
+    def test_repeated_colours_keep_every_answer(self, spec):
+        for entry in expand_catalog(spec):
+            n = len(entry.system.colours)
+            for r in range(1, min(n, 3) + 1):
+                for subset in itertools.combinations(range(n), r):
+                    assert ops.is_distinguished(
+                        entry.system, subset + subset[:1]) == (
+                        ops.is_distinguished(entry.system, subset)), (
+                        entry.label, subset)
 
     def test_colour_out_of_range(self):
         # -1 must not read the last row, which pairs nonnegatively here

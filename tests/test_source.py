@@ -10,6 +10,14 @@ SOURCES = sorted(SRC.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax newer than that (ast checks the grammar on a best-effort basis)
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # python -O strips assert, so none may guard control flow
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
