@@ -451,14 +451,12 @@ def _single(fam, minrank, step=1):
     return space
 
 
-def _split(fam, pmin, qmin, nmin=0, shift=0, peven=False):
+def _split(fam, pmin, qmin, shift=0, peven=False):
     # parameters p, q on a single chain with p + q - shift == rank
     def space(d):
         if len(d.components) != 1 or d.components[0][0] != fam:
             return
         n = d.components[0][1]
-        if n < nmin:
-            return
         for p in range(pmin, n + shift - qmin + 1):
             if peven and p % 2:
                 continue
@@ -532,7 +530,7 @@ CATALOG = (
     Family("ac*(n)", _b_acstar, _single("A", 3)),
 
     Family("bb(p,p)", lambda p: _b_group_pair("B", p), _pair_space("B", 2)),
-    Family("bo(p+q)", _b_bo, _split("B", 1, 1, nmin=2)),
+    Family("bo(p+q)", _b_bo, _split("B", 1, 1)),
     Family("b(n)", _b_b, _single("B", 2)),
     Family("b'(n)", lambda n: _b_b(n, coeff=2), _single("B", 2)),
     Family("b*(n)", _b_bstar, _single("B", 2)),
@@ -560,7 +558,7 @@ CATALOG = (
     Family("ca(1+q+1)", _b_ca,
            _chain_param("C", "q", lambda n: n - 2, lambda n: n >= 4)),
     Family("aa(1+p+1)+c*(q)", _b_aa1p1_cstar,
-           _split("C", 2, 2, shift=-1, nmin=5)),
+           _split("C", 2, 2, shift=-1)),
     Family("aa(1,1)+c*(n)", _b_aa11_cstar, _space_aa11_cstar),
     Family("aa(1,1)+c*(n1)+c*(n2)", _b_aa11_cstar_cstar, _space_aa11_cstar2),
     Family("ac*(p)+c*(q)", _b_acstar_cstar, _split("C", 2, 2, shift=1)),
@@ -568,7 +566,7 @@ CATALOG = (
            _chain_param("C", "q", lambda n: n, lambda n: n >= 3)),
 
     Family("dd(p,p)", lambda p: _b_group_pair("D", p), _pair_space("D", 4)),
-    Family("do(p+q)", _b_do_pq, _split("D", 1, 2, nmin=4)),
+    Family("do(p+q)", _b_do_pq, _split("D", 1, 2)),
     Family("do(n)", lambda n: _b_all_doubled("D", n), _single("D", 4)),
     Family("d(n)", _b_d, _single("D", 4)),
     Family("dc'(n)", _b_dcprime, _single("D", 6, step=2)),
@@ -576,9 +574,9 @@ CATALOG = (
     Family("ds(n)", _b_ds, _single("D", 4)),
     Family("ds*(4)", _b_dsstar, _fixed("D4")),
     Family("dc*(n)", _b_dcstar, _single("D", 4)),
-    Family("a(p)+d(q)", _b_a_d, _split("D", 2, 2, nmin=4)),
+    Family("a(p)+d(q)", _b_a_d, _split("D", 2, 2)),
     Family("ac*(p)+d(q)", lambda p, q: _b_a_d(p, q, head_pairs=True),
-           _split("D", 2, 2, nmin=4)),
+           _split("D", 2, 2)),
 
     Family("ee(p,p)", lambda p: _b_group_pair("E", p), _pair_space("E", 6)),
     Family("eo(n)", lambda n: _b_all_doubled("E", n), _single("E", 6)),

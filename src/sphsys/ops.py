@@ -77,14 +77,16 @@ def _subset_rows(sys, subset):
 
 
 def _colour_subset(sys, subset) -> tuple:
-    """The distinct indices of subset, sorted; ValueError on a colour index
-    the system lacks."""
-    subset = tuple(sorted(set(subset)))
+    """The distinct indices of subset, sorted; ValueError on an entry that
+    is no colour index of the system.  A bool is no colour, though Python
+    counts it as an int."""
+    subset = tuple(subset)
     n = len(sys.colours)
     for c in subset:
-        if not 0 <= c < n:
-            raise ValueError(f"no colour D{c}: the system has {n} colour(s)")
-    return subset
+        if type(c) is not int or not 0 <= c < n:
+            raise ValueError(
+                f"no colour D{c!r}: the system has {n} colour(s)")
+    return tuple(sorted(set(subset)))
 
 
 def distinguished_witness(sys: SphericalSystem, subset):
@@ -228,9 +230,10 @@ def decomposes(sys: SphericalSystem, s1, s2) -> bool:
     Requires: disjoint supports of moved roots, mutually orthogonal new
     parabolic nodes, and at least one smooth quotient.  Non-distinguished
     subsets never decompose.  Raises ValueError on empty or overlapping
-    subsets.
+    subsets and on an entry that is no colour index of the system.
     """
-    s1, s2 = frozenset(s1), frozenset(s2)
+    s1 = frozenset(_colour_subset(sys, s1))
+    s2 = frozenset(_colour_subset(sys, s2))
     if not s1 or not s2:
         raise ValueError("decomposition subsets must be nonempty")
     if s1 & s2:

@@ -15,6 +15,7 @@ members the family catalog predicts on the same diagram.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 from . import ops
@@ -70,20 +71,20 @@ def _linked(spans, full) -> bool:
     return reached == full
 
 
-def _consistent(f, assignments, covered, banned) -> bool:
-    """Whether a root with RootFacts f has an admissible trace that agrees
-    on `covered` with one of the assignments, their union meeting neither
-    `banned` nor f.paired.  The assignments already avoid `banned`, and a
-    trace lies on f's support, which f.paired avoids."""
-    return any(a & f.support == t & covered and not t & banned
-               and not a & f.paired
-               for a in assignments for t in f.traces)
+def _extensions(f, assignments, covered, banned):
+    """The unions a | t of an assignment a and an admissible trace t of a
+    root with RootFacts f that agree on `covered` and meet neither `banned`
+    nor f.paired.  The assignments already avoid `banned`, and a trace lies
+    on f's support, which f.paired avoids."""
+    return (a | t for a in assignments for t in f.traces
+            if a & f.support == t & covered and not t & banned
+            and not a & f.paired)
 
 
 def enumerate_systems(diagram, cuspidal_only=False,
                       primitive_only=False) -> tuple:
-    """Every valid spherical system on the diagram, in walk order: sorted
-    by the candidate indices of sigma, a root set before its supersets.
+    """Every valid spherical system on the diagram, sorted by the candidate
+    indices of sigma, so a root set comes before its supersets.
 
     The walk carries `live` down from parent to child, as Bron and
     Kerbosch carry their candidate set ("Finding all cliques of an
@@ -91,9 +92,12 @@ def enumerate_systems(diagram, cuspidal_only=False,
     excluded that pass the pair matrix with every chosen root and have an
     admissible trace consistent with at least one trace assignment of the
     chosen roots.  Only they can join a root set below, so a child's `live`
-    is read off its parent's.  In full mode the walk chooses them in
-    increasing index order, so a root set is reached once and the systems
-    come out in depth-first pre-order.
+    is read off its parent's.  A walk node branches over a list `order` of
+    live candidates by Knuth's rule ("Dancing links", 2000: Algorithm X,
+    and Algorithm M for covers that may overlap): branch i chooses order[i]
+    and excludes order[0..i-1] from its subtree.  In full mode `order` is
+    `live` itself, so a root set is reached once, its roots chosen in
+    increasing index order.
 
     An assignment is the sp-part on the covered nodes, and `banned` is the
     union of the chosen roots' paired nodes: the nodes off a root's support
@@ -106,16 +110,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
     With cuspidal_only only root sets whose supports cover the whole
     diagram are kept, and a walk node returns at once when even its chosen
     and live supports together leave a node uncovered.  While some node is
-    uncovered the walk branches on the uncovered node with the fewest live
-    coverers (Knuth's rule, "Dancing links", 2000: Algorithm X, and
-    Algorithm M for covers that may overlap): branch i chooses its i-th
-    live coverer in index order and excludes the earlier ones from its
-    subtree.  Exact: a cuspidal root set covers that node, so it is reached
-    once, through its least-index coverer of each branching node.  Once
-    every node is covered the walk goes on in index order over the live
-    candidates left.  Each root set's systems are collected under its
-    sorted candidate indices and put out in sorted order: sorted-tuple
-    order is the depth-first pre-order of the full-mode walk.
+    uncovered, `order` is the live coverers, in index order, of the
+    uncovered node with the fewest of them.  Exact: a cuspidal root set
+    covers that node, so it is reached once, through its least-index
+    coverer of each branching node.  Once every node is covered `order` is
+    `live` again.  Every root set with a kept system comes out of the walk
+    under its sorted candidate indices, and the systems are put out in
+    sorted order of those: in full mode that is already the order of the
+    walk.
 
     primitive_only keeps the cuspidal systems that ops.is_primitive
     accepts, in the same order: on a product diagram it also drops every
@@ -165,17 +167,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
     # on a connected diagram every root set couples the lone component
     coupling = primitive_only and full > 1
     budget = max_states()
-    state = {"count": 0}
-    out = []
-    found = {}   # cuspidal mode: sorted candidate indices -> systems
+    states = count(1)
 
     def tick():
-        state["count"] += 1
-        if state["count"] > budget:
+        n = next(states)
+        if n > budget:
             raise BudgetExceeded(
                 f"enumeration on {d.spec()} exceeded {budget} states",
-                layer="search", count=state["count"], cap=budget,
-                input=d.spec())
+                layer="search", count=n, cap=budget, input=d.spec())
 
     def emit(chosen, covered, assignments, banned):
         """The valid systems on the root set `chosen`, in increasing index
@@ -203,10 +202,12 @@ def enumerate_systems(diagram, cuspidal_only=False,
         return kept
 
     def walk(chosen, basis, covered, assignments, banned, live):
-        """`assignments` holds the sp-part on `covered`, the union of the
-        chosen supports, of each choice of one admissible trace per chosen
-        root that agrees on shared nodes and avoids `banned`; it is never
-        empty.  `live` is in index order, as above."""
+        """Yields (sorted chosen indices, kept systems) for each root set
+        below with a kept system.  `assignments` holds the sp-part on
+        `covered`, the union of the chosen supports, of each choice of one
+        admissible trace per chosen root that agrees on shared nodes and
+        avoids `banned`; it is never empty.  `live` is in index order, as
+        above."""
         tick()
         order = live
         if cuspidal_only:
@@ -230,18 +231,16 @@ def enumerate_systems(diagram, cuspidal_only=False,
         if coupling and not _linked([spans[k] for k in chosen + live], full):
             return
         if order is live:
-            if cuspidal_only:
-                key = tuple(sorted(chosen))
-                found[key] = emit(key, covered, assignments, banned)
-            else:
-                out.extend(emit(chosen, covered, assignments, banned))
-        for x, k in enumerate(order):
-            # branch x takes order[x] and drops order[:x] from its subtree
-            if order is live:
-                rest = live[x + 1:]
-            else:
-                dropped = order[:x + 1]
-                rest = [j for j in live if j not in dropped]
+            # ints in a tuple: the garbage collector need not track it
+            key = tuple(sorted(chosen))
+            kept = emit(key, covered, assignments, banned)
+            if kept:
+                yield key, kept
+        excluded = set()
+        for k in order:
+            # the branch choosing k excludes it and the earlier ones of
+            # order from its subtree
+            excluded.add(k)
             # Only necessary: independence is one axiom, validate() checks
             # the rest.
             nb = echelon_extend(basis, cands[k])
@@ -250,24 +249,21 @@ def enumerate_systems(diagram, cuspidal_only=False,
             f = facts[k]
             grown = covered | f.support
             grown_ban = banned | f.paired
-            # a | t avoids grown_ban, as in _consistent; nonempty, since k
-            # is live
-            below = {a | t for a in assignments for t in f.traces
-                     if a & f.support == t & covered and not t & banned
-                     and not a & f.paired}
+            # nonempty, since k is live
+            below = set(_extensions(f, assignments, covered, banned))
             # The pair test is only necessary: compat sees two roots at
             # once, validate() the set.  The trace filter is exact: the
             # assignments below restrict to `below` on `grown`, so a
             # candidate inconsistent with `below` stays so further down.
-            walk(chosen + [k], nb, grown, below, grown_ban,
-                 [j for j in rest if compat[k][j]
-                  and _consistent(facts[j], below, grown, grown_ban)])
+            yield from walk(
+                chosen + [k], nb, grown, below, grown_ban,
+                [j for j in live if j not in excluded and compat[k][j]
+                 and next(_extensions(facts[j], below, grown, grown_ban),
+                          None) is not None])
 
-    walk([], [], frozenset(), {frozenset()}, frozenset(),
-         list(range(len(cands))))
-    if cuspidal_only:
-        out = [s for key in sorted(found) for s in found[key]]
-    return tuple(out)
+    root_sets = walk([], [], frozenset(), {frozenset()}, frozenset(),
+                     list(range(len(cands))))
+    return tuple(s for _, kept in sorted(root_sets) for s in kept)
 
 
 def enumerate_primitive(diagram) -> tuple:

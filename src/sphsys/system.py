@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import operator
-from copy import deepcopy
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -121,25 +120,17 @@ def pairwise_faults(sigma, roots):
 
 @lru_cache(maxsize=1)
 def _sigma_checks(d: Diagram, sigma: tuple) -> tuple:
-    """What validate asks of sigma alone: its RootFacts, the (duplicates,
-    simple_roots) and (pairwise_doubled, pairwise_orthogonal) entries, and
-    linear dependence.  The search validates one root tuple under each of
-    its parabolic sets in a row, so a memo of the last tuple keeps every
+    """What validate asks of sigma alone, as immutable raw records: its
+    RootFacts, the (first, k) positions of each repeated root, the
+    positions of the simple roots, the pairwise_faults records, and linear
+    dependence.  The search validates one root tuple under each of its
+    parabolic sets in a row, so a memo of the last tuple keeps every
     hit."""
     roots = tuple(root_facts(d, g) for g in sigma)
-    duplicates = [{"gamma": list(g), "positions": [sigma.index(g), k]}
-                  for k, g in enumerate(sigma) if sigma.index(g) < k]
-    simple = [{"gamma": list(g)} for g, f in zip(sigma, roots)
-              if f.simple is not None]
-    doubled, orthogonal = [], []
-    for kind, at, g, v in pairwise_faults(sigma, roots):
-        if kind == "doubled":
-            doubled.append({"alpha": d.node_id(at), "gamma": list(g),
-                            "pairing": v})
-        else:
-            orthogonal.append({"pair": [d.node_id(i) for i in at],
-                               "gamma": list(g), "pairings": list(v)})
-    return (roots, (duplicates, simple), (doubled, orthogonal),
+    repeats = tuple((sigma.index(g), k) for k, g in enumerate(sigma)
+                    if sigma.index(g) < k)
+    simple = tuple(k for k, f in enumerate(roots) if f.simple is not None)
+    return (roots, repeats, simple, tuple(pairwise_faults(sigma, roots)),
             rank(sigma) < len(sigma))
 
 
@@ -304,11 +295,18 @@ class SphericalSystem:
         """Full validation; the report is computed once and reused."""
         if "report" in self._cache:
             return self._cache["report"]
-        d, sp = self.diagram, self.sp
-        roots, (duplicates, simple), (doubled, orthogonal), dependent = \
-            _sigma_checks(d, self.sigma)
+        d, sp, sigma = self.diagram, self.sp, self.sigma
+        roots, repeats, simple, faults, dependent = _sigma_checks(d, sigma)
+        doubled, orthogonal = [], []
+        for kind, at, g, v in faults:
+            if kind == "doubled":
+                doubled.append({"alpha": d.node_id(at), "gamma": list(g),
+                                "pairing": v})
+            else:
+                orthogonal.append({"pair": [d.node_id(i) for i in at],
+                                   "gamma": list(g), "pairings": list(v)})
         rank_one = []
-        for g, f in zip(self.sigma, roots):
+        for g, f in zip(sigma, roots):
             trace = sp & f.support
             if trace not in f.traces:
                 rank_one.append(
@@ -322,11 +320,11 @@ class SphericalSystem:
                     {"gamma": list(g), "reason": "parabolic-pairing",
                      "nodes": [d.node_id(i) for i in sp - f.support
                                if f.pairings[i]]})
-        # the memo's entries serve every system on this sigma: copy them
         rep = ValidationReport(
-            [deepcopy(e) for e in doubled], [deepcopy(e) for e in orthogonal],
-            rank_one, [deepcopy(e) for e in simple],
-            [deepcopy(e) for e in duplicates], dependent)
+            doubled, orthogonal, rank_one,
+            [{"gamma": list(sigma[k])} for k in simple],
+            [{"gamma": list(sigma[k]), "positions": [first, k]}
+             for first, k in repeats], dependent)
         self._cache["report"] = rep
         return rep
 

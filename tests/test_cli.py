@@ -185,7 +185,7 @@ class TestPlumbing:
         assert "Traceback" not in captured.err
 
     def test_stdin_roundtrip(self, system_file):
-        raw = open(system_file("aa(p,p)", p=1)).read()
+        raw = Path(system_file("aa(p,p)", p=1)).read_text()
         proc = subprocess.run(
             [sys.executable, "-m", "sphsys.cli", "classify"],
             input=raw, capture_output=True, text=True, env=CHILD_ENV)
@@ -193,7 +193,7 @@ class TestPlumbing:
         assert json.loads(proc.stdout) == {"label": "aa(1,1)"}
 
     def test_validate_child_loads_only_what_it_runs(self, system_file):
-        raw = open(system_file("b(n)", n=3)).read()
+        raw = Path(system_file("b(n)", n=3)).read_text()
         proc, loaded = _child_imports(["validate"], raw)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
@@ -213,7 +213,7 @@ class TestPlumbing:
             "components-classify"])
     def test_child_loads_only_what_it_runs(self, system_file, argv,
                                            modules):
-        raw = open(system_file("b(n)", n=3)).read()
+        raw = Path(system_file("b(n)", n=3)).read_text()
         proc, loaded = _child_imports(argv, raw)
         assert proc.returncode == 0
         assert {m for m in loaded if m.split(".")[0] == "sphsys"} == modules

@@ -149,6 +149,17 @@ class TestDistinguished:
             with pytest.raises(ValueError, match=f"no colour D{c}"):
                 ops.distinguished_witness(sys, {0, c})
 
+    @pytest.mark.parametrize("entry", [True, False, 1.0, "1", None, [1]])
+    def test_colour_must_be_an_int(self, entry):
+        # a bool is no colour, though Python counts it as an int
+        sys = instantiate("ac*(n)", n=3)
+        with pytest.raises(ValueError, match="no colour"):
+            ops.is_distinguished(sys, [entry])
+        with pytest.raises(ValueError, match="no colour"):
+            ops.is_distinguished(sys, [1, entry])
+        with pytest.raises(ValueError, match="no colour"):
+            ops.distinguished_witness(sys, [entry])
+
 
 class TestQuotient:
     def test_doc_example_on_four_lines(self):
@@ -228,6 +239,17 @@ class TestDecompose:
             ops.decomposes(sys, set(), {1})
         with pytest.raises(ValueError):
             ops.decomposes(sys, {1}, {1, 2})
+
+    @pytest.mark.parametrize("entry", ["x", True, 1.0, 3])
+    def test_second_subset_checked_first(self, entry):
+        # colour 0 of ac*(3) is not distinguished, yet a bad second subset
+        # is an error, not a False answer
+        sys = instantiate("ac*(n)", n=3)
+        assert not ops.is_distinguished(sys, [0])
+        with pytest.raises(ValueError, match="no colour"):
+            ops.decomposes(sys, [0], [entry])
+        with pytest.raises(ValueError, match="no colour"):
+            ops.decomposes(sys, [entry], [0])
 
     def test_product_system_decomposes(self):
         sys = make("A1,C3", {3}, [(2, 0, 0, 0), (0, 1, 2, 1)])

@@ -264,6 +264,29 @@ class TestWalk:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "6c56fac1a8ded933ee26b6fb93175b50860006e9236ffd317a379767db1d1831"
 
+    @pytest.mark.parametrize("spec,mode,states", [
+        ("F4,F4", "full", 7944), ("F4,F4", "cuspidal", 189),
+        ("F4,F4", "primitive", 24),
+        ("B8", "cuspidal", 305), ("B8", "primitive", 305),
+        ("A1,B7", "cuspidal", 204), ("A1,B7", "primitive", 28),
+        ("B2,B6", "cuspidal", 452), ("B2,B6", "primitive", 74),
+        ("G2,G2,G2", "full", 1598), ("G2,G2,G2", "cuspidal", 210),
+        ("G2,G2,G2", "primitive", 9),
+        ("A2,A2,A2", "full", 871), ("A2,A2,A2", "cuspidal", 70),
+        ("A2,A2,A2", "primitive", 7),
+    ])
+    def test_state_counts_are_pinned(self, spec, mode, states, monkeypatch):
+        # the walk takes exactly `states` states: it runs under that cap and
+        # stops on the last one under a cap one lower
+        kw = {"full": {}, "cuspidal": {"cuspidal_only": True},
+              "primitive": {"primitive_only": True}}[mode]
+        monkeypatch.setenv("SPHSYS_MAX_STATES", str(states))
+        search.enumerate_systems(spec, **kw)
+        monkeypatch.setenv("SPHSYS_MAX_STATES", str(states - 1))
+        with pytest.raises(BudgetExceeded) as err:
+            search.enumerate_systems(spec, **kw)
+        assert (err.value.layer, err.value.count) == ("search", states)
+
     @pytest.mark.parametrize("spec", ["B8", "D8", "A1,B7", "F4,F4"])
     def test_no_system_fails_parabolic_pairing(self, spec, monkeypatch):
         # the walk drops every assignment that meets a chosen root's paired
