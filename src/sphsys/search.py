@@ -24,7 +24,8 @@ from .dynkin import parse_diagram
 from .families import catalog_index
 from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
-from .system import SphericalSystem, pairwise_faults, root_facts
+from .system import (SphericalSystem, pairwise_faults, root_facts,
+                     validation_report)
 
 # perfbench/selftest.py reads admissible_traces through this module
 __all__ = ["CatalogCheck", "admissible_traces", "candidate_roots",
@@ -103,9 +104,9 @@ def enumerate_systems(diagram, cuspidal_only=False,
     union of the chosen roots' paired nodes: the nodes off a root's support
     that pair nonzero with it.  The walk drops every assignment that meets
     `banned`.  Exact: the assignment and `banned` only grow below a node,
-    and validate() rejects a system whose sp meets a root's paired nodes
-    ("parabolic-pairing").  `live` keeps only the candidates that leave a
-    child at least one assignment.
+    and validation_report flags a system whose sp meets a root's paired
+    nodes ("parabolic-pairing").  `live` keeps only the candidates that
+    leave a child at least one assignment.
 
     With cuspidal_only only root sets whose supports cover the whole
     diagram are kept, and a walk node returns at once when even its chosen
@@ -155,8 +156,10 @@ def enumerate_systems(diagram, cuspidal_only=False,
 
     So ops.decomposes(s, C_G, C_H) holds, and since is_decomposable tries
     every disjoint pair of colour subsets, is_primitive is False.
-    validate() and the decomposition test still run on every system that
-    survives the prunes.  A leaf whose own roots leave the components
+    The final gate still runs on every system that survives the prunes: a
+    fresh system.validation_report, then the decomposition test.  The
+    report is not kept, so a returned system builds its own, equal one on
+    its first validate().  A leaf whose own roots leave the components
     unlinked is not skipped: is_decomposable rejects its split systems.
     """
     d = parse_diagram(diagram)
@@ -181,23 +184,25 @@ def enumerate_systems(diagram, cuspidal_only=False,
         order.  In cuspidal mode `covered` is every node."""
         kept = []
         # Only necessary: sp must be orthogonal to every root, but a node
-        # left free may still fail another axiom in validate().
+        # left free may still fail another axiom in validation_report.
         free = [i for i in range(d.n_nodes)
                 if i not in covered and i not in banned]
-        free_subsets = [frozenset(f for k, f in enumerate(free)
-                                  if mask >> k & 1)
-                        for mask in range(1 << len(free))]
+        # every subset of free, in the order of its bitmask over free
+        free_subsets = [frozenset()]
+        for f in free:
+            free_subsets += [s | {f} for s in free_subsets]
         sigma = tuple(cands[k] for k in chosen)
         # sorted, so the output order does not hang on set hashing
         for base in sorted(assignments, key=sorted):
             for extra in free_subsets:
                 tick()
-                sys = SphericalSystem._from_normal(d, base | extra, sigma)
+                sp = base | extra
+                if not validation_report(d, sp, sigma).ok:
+                    continue
+                sys = SphericalSystem._from_normal(d, sp, sigma)
                 # emit is called in cuspidal mode only on a full cover, so
                 # is_primitive reduces to the decomposition test
-                if sys.validate().ok and (
-                        not primitive_only
-                        or ops.is_decomposable(sys) is None):
+                if not primitive_only or ops.is_decomposable(sys) is None:
                     kept.append(sys)
         return kept
 
@@ -241,8 +246,8 @@ def enumerate_systems(diagram, cuspidal_only=False,
             # the branch choosing k excludes it and the earlier ones of
             # order from its subtree
             excluded.add(k)
-            # Only necessary: independence is one axiom, validate() checks
-            # the rest.
+            # Only necessary: independence is one axiom, validation_report
+            # checks the rest.
             nb = echelon_extend(basis, cands[k])
             if nb is None:
                 continue
@@ -252,8 +257,8 @@ def enumerate_systems(diagram, cuspidal_only=False,
             # nonempty, since k is live
             below = set(_extensions(f, assignments, covered, banned))
             # The pair test is only necessary: compat sees two roots at
-            # once, validate() the set.  The trace filter is exact: the
-            # assignments below restrict to `below` on `grown`, so a
+            # once, validation_report the set.  The trace filter is exact:
+            # the assignments below restrict to `below` on `grown`, so a
             # candidate inconsistent with `below` stays so further down.
             yield from walk(
                 chosen + [k], nb, grown, below, grown_ban,

@@ -120,12 +120,12 @@ def pairwise_faults(sigma, roots):
 
 @lru_cache(maxsize=1)
 def _sigma_checks(d: Diagram, sigma: tuple) -> tuple:
-    """What validate asks of sigma alone, as immutable raw records: its
-    RootFacts, the (first, k) positions of each repeated root, the
-    positions of the simple roots, the pairwise_faults records, and linear
-    dependence.  The search validates one root tuple under each of its
-    parabolic sets in a row, so a memo of the last tuple keeps every
-    hit."""
+    """What validation_report asks of sigma alone, as immutable raw
+    records: its RootFacts, the (first, k) positions of each repeated
+    root, the positions of the simple roots, the pairwise_faults records,
+    and linear dependence.  The search validates one root tuple under
+    each of its parabolic sets in a row, so a memo of the last tuple keeps
+    every hit."""
     roots = tuple(root_facts(d, g) for g in sigma)
     repeats = tuple((sigma.index(g), k) for k, g in enumerate(sigma)
                     if sigma.index(g) < k)
@@ -187,7 +187,8 @@ class ValidationReport:
                  rank_one=None, simple_roots=None, duplicates=None,
                  dependent=False):
         # a list left out is a fresh one, never shared between reports;
-        # one assignment each, since validate builds a report per system
+        # one assignment each, since the search builds a report per
+        # candidate system
         self.pairwise_doubled = (
             [] if pairwise_doubled is None else pairwise_doubled)
         self.pairwise_orthogonal = (
@@ -218,6 +219,42 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {"valid": self.ok, **dict(zip(self._FIELDS, self._values()))}
+
+
+def validation_report(d: Diagram, sp: frozenset,
+                      sigma: tuple) -> ValidationReport:
+    """A fresh ValidationReport of the system (d, sp, sigma), given in the
+    normal form of SphericalSystem._from_normal.  SphericalSystem.validate
+    caches it per system; the search calls it directly, so a report it
+    only tests is freed at once."""
+    roots, repeats, simple, faults, dependent = _sigma_checks(d, sigma)
+    doubled, orthogonal = [], []
+    for kind, at, g, v in faults:
+        if kind == "doubled":
+            doubled.append({"alpha": d.node_id(at), "gamma": list(g),
+                            "pairing": v})
+        else:
+            orthogonal.append({"pair": [d.node_id(i) for i in at],
+                               "gamma": list(g), "pairings": list(v)})
+    rank_one = []
+    for g, f in zip(sigma, roots):
+        trace = sp & f.support
+        if trace not in f.traces:
+            rank_one.append(
+                {"gamma": list(g), "reason": "trace",
+                 "actual_trace": sorted(d.node_id(i) for i in trace),
+                 "admissible_traces": [sorted(d.node_id(i) for i in t)
+                                       for t in sorted(f.traces, key=sorted)]})
+        elif sp & f.paired:
+            rank_one.append(
+                {"gamma": list(g), "reason": "parabolic-pairing",
+                 "nodes": [d.node_id(i) for i in sp - f.support
+                           if f.pairings[i]]})
+    return ValidationReport(
+        doubled, orthogonal, rank_one,
+        [{"gamma": list(sigma[k])} for k in simple],
+        [{"gamma": list(sigma[k]), "positions": [first, k]}
+         for first, k in repeats], dependent)
 
 
 class SphericalSystem:
@@ -292,41 +329,12 @@ class SphericalSystem:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Full validation; the report is computed once and reused."""
-        if "report" in self._cache:
-            return self._cache["report"]
-        d, sp, sigma = self.diagram, self.sp, self.sigma
-        roots, repeats, simple, faults, dependent = _sigma_checks(d, sigma)
-        doubled, orthogonal = [], []
-        for kind, at, g, v in faults:
-            if kind == "doubled":
-                doubled.append({"alpha": d.node_id(at), "gamma": list(g),
-                                "pairing": v})
-            else:
-                orthogonal.append({"pair": [d.node_id(i) for i in at],
-                                   "gamma": list(g), "pairings": list(v)})
-        rank_one = []
-        for g, f in zip(sigma, roots):
-            trace = sp & f.support
-            if trace not in f.traces:
-                rank_one.append(
-                    {"gamma": list(g), "reason": "trace",
-                     "actual_trace": sorted(d.node_id(i) for i in trace),
-                     "admissible_traces": [sorted(d.node_id(i) for i in t)
-                                           for t in sorted(f.traces,
-                                                           key=sorted)]})
-            elif sp & f.paired:
-                rank_one.append(
-                    {"gamma": list(g), "reason": "parabolic-pairing",
-                     "nodes": [d.node_id(i) for i in sp - f.support
-                               if f.pairings[i]]})
-        rep = ValidationReport(
-            doubled, orthogonal, rank_one,
-            [{"gamma": list(sigma[k])} for k in simple],
-            [{"gamma": list(sigma[k]), "positions": [first, k]}
-             for first, k in repeats], dependent)
-        self._cache["report"] = rep
-        return rep
+        """validation_report of this system, built on the first call and
+        returned again, the same object, on every later one."""
+        if "report" not in self._cache:
+            self._cache["report"] = validation_report(self.diagram, self.sp,
+                                                      self.sigma)
+        return self._cache["report"]
 
     @property
     def is_valid(self) -> bool:

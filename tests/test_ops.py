@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -304,6 +305,15 @@ class TestAffine:
         sys = make("G2", {1}, [(2, 1)])
         w = ops.affine_witness(sys)
         assert w is not None and w[0] >= 1
+
+    def test_sweep_witnesses_pinned(self):
+        # sha256 of the repr of the affine witnesses of every catalog
+        # member of SWEEP_DIAGRAMS, in catalog order
+        witnesses = [ops.affine_witness(e.system) for spec in SWEEP_DIAGRAMS
+                     for e in expand_catalog(spec)]
+        assert len(witnesses) == 184
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
+            "7f12654b44b644a95e01817a1f3fcc4eb7fdc1e7a9926dcd17f07f49152e32ec"
 
 
 class TestExpectedDims:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 
@@ -7,7 +8,8 @@ from sphsys import ops, rankone, search
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, pieces, support
 from sphsys.families import instantiate
-from sphsys.system import SphericalSystem, doubled_node, orthogonal_pair
+from sphsys.system import (SphericalSystem, doubled_node, orthogonal_pair,
+                           validation_report)
 from test_acceptance import ENUMERATION_DIAGRAMS, diagrams_up_to_rank
 from test_system import ORACLE_DIAGRAMS
 
@@ -290,20 +292,40 @@ class TestWalk:
     @pytest.mark.parametrize("spec", ["B8", "D8", "A1,B7", "F4,F4"])
     def test_no_system_fails_parabolic_pairing(self, spec, monkeypatch):
         # the walk drops every assignment that meets a chosen root's paired
-        # nodes, so validate() never sees one
-        validate = SphericalSystem.validate
+        # nodes, so the final gate never sees one
+        build = search.validation_report
         reports = []
 
-        def counted(self):
-            reports.append(validate(self))
+        def counted(d, sp, sigma):
+            reports.append(build(d, sp, sigma))
             return reports[-1]
 
-        monkeypatch.setattr(SphericalSystem, "validate", counted)
+        monkeypatch.setattr(search, "validation_report", counted)
         for kw in ({"cuspidal_only": True}, {"primitive_only": True}):
             search.enumerate_systems(spec, **kw)
         assert reports
         assert not [e for r in reports for e in r.rank_one
                     if e["reason"] == "parabolic-pairing"]
+
+    @pytest.mark.parametrize("spec", ["A1,A1,A1,A1,A1,A1", "G2,G2", "B2,B2"])
+    def test_returned_systems_build_their_report(self, spec):
+        # the search keeps no report; validate() builds an equal one
+        for kw in ({}, {"cuspidal_only": True}, {"primitive_only": True}):
+            for s in search.enumerate_systems(spec, **kw):
+                assert "report" not in s._cache
+                assert s.validate().ok
+                assert s.validate() == validation_report(s.diagram, s.sp,
+                                                         s.sigma)
+
+    def test_returned_systems_stay_small(self):
+        # a full enumeration keeps no report on the systems it returns:
+        # each cache is still the empty dict, which the cyclic collector
+        # does not track
+        systems = search.enumerate_systems("A1,A1,A1,A1,A1,A1")
+        assert len(systems) == 2364
+        for s in systems:
+            assert s._cache == {}
+            assert not gc.is_tracked(s._cache)
 
 
 class TestVerifyCatalog:

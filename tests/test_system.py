@@ -10,7 +10,7 @@ from sphsys.dynkin import parse_diagram, support
 from sphsys.feasible import rank
 from sphsys.system import (Colour, SphericalSystem, ValidationReport,
                            doubled_node, orthogonal_pair, root_facts,
-                           simple_node)
+                           simple_node, validation_report)
 
 
 def make(spec, sp, sigma):
@@ -98,6 +98,15 @@ class TestValidation:
     def test_report_cached(self):
         sys = make("B3", {1, 2}, [(1, 1, 1)])
         assert sys.validate() is sys.validate()
+
+    def test_report_built_by_validation_report(self):
+        # validate() returns the one builder's report; the builder makes a
+        # fresh, equal one on every call
+        sys = make("B3", {0, 1}, [(1, 1, 1), (0, 0, 1)])
+        rep = sys.validate()
+        fresh = validation_report(sys.diagram, sys.sp, sys.sigma)
+        assert not rep.ok
+        assert fresh == rep and fresh is not rep
 
 
 def _report(doubled=(), orthogonal=(), rank_one=(), simple=(),
