@@ -2,12 +2,13 @@
 
 Every known primitive system belongs to one of the parameterized families
 listed here.  Each family carries a generic name like ``"a(p)+b(q)"``, a
-recipe building the system on its ambient diagram, and a generator of the
-parameter values that fit a given diagram.  ``instantiate`` builds one
-member.  ``catalog_index`` maps the canonical key of every member living
-on a diagram to its entry (earliest family wins when two recipes
-coincide); ``expand_catalog`` lists those entries, ``classify`` is the
-reverse lookup used to name enumerated systems, and
+builder whose own check states the family's parameter range, and the
+candidate parameters on a diagram, mostly every nonnegative solution of one
+rank equation on a single chain (n = p + q on B_n for ``a(p)+b(q)``).
+``instantiate`` builds one member.  ``catalog_index`` maps the canonical
+key of every member living on a diagram to its entry (earliest family wins
+when two recipes coincide); ``expand_catalog`` lists those entries,
+``classify`` is the reverse lookup used to name enumerated systems, and
 ``search.verify_catalog`` reads its predictions off the same index.
 
 Strictness is not listed: ``CatalogEntry.strict`` asks the member itself.
@@ -16,6 +17,7 @@ Strictness is not listed: ``CatalogEntry.strict`` asks the member itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -427,7 +429,11 @@ def _b_gstar():
 # -- the table ----------------------------------------------------------------
 
 class Family(NamedTuple):
-    """A catalog entry: generic name, builder, parameter space."""
+    """A catalog entry: generic name, builder, candidate parameters.
+
+    space(d) yields parameter dicts that may fit d; the builder raises
+    ValueError on those outside the family's range.
+    """
 
     name: str
     build: Callable
@@ -442,33 +448,28 @@ class Family(NamedTuple):
         return self.display.format(**params)
 
 
-def _single(fam, minrank, step=1):
-    def space(d):
-        if len(d.components) == 1 and d.components[0][0] == fam:
-            n = d.components[0][1]
-            if n >= minrank and (n - minrank) % step == 0:
-                yield {"n": n}
-    return space
+def _chain(fam, const=0, **coeffs):
+    # every nonnegative solution of rank == const + sum(coeff * param) on a
+    # single chain of fam, the first parameter counting slowest; the
+    # builder's own check then decides which of them are members
+    *free, last = coeffs
 
-
-def _split(fam, pmin, qmin, shift=0, peven=False):
-    # parameters p, q on a single chain with p + q - shift == rank
     def space(d):
         if len(d.components) != 1 or d.components[0][0] != fam:
             return
-        n = d.components[0][1]
-        for p in range(pmin, n + shift - qmin + 1):
-            if peven and p % 2:
-                continue
-            yield {"p": p, "q": n + shift - p}
+        n = d.components[0][1] - const
+        for vals in itertools.product(
+                *(range(n // coeffs[k] + 1) for k in free)):
+            left = n - sum(coeffs[k] * v for k, v in zip(free, vals))
+            if left >= 0 and left % coeffs[last] == 0:
+                yield dict(zip(free, vals), **{last: left // coeffs[last]})
     return space
 
 
-def _pair_space(fam, minrank):
+def _pair_space(fam):
     def space(d):
         c = d.components
-        if (len(c) == 2 and c[0] == c[1]
-                and c[0][0] == fam and c[0][1] >= minrank):
+        if len(c) == 2 and c[0] == c[1] and c[0][0] == fam:
             yield {"p": c[0][1]}
     return space
 
@@ -480,112 +481,86 @@ def _fixed(spec):
     return space
 
 
-def _chain_param(fam, key, of_rank, ok):
-    # one parameter derived from the rank of a single chain
-    def space(d):
-        if len(d.components) == 1 and d.components[0][0] == fam:
-            n = d.components[0][1]
-            if ok(n):
-                yield {key: of_rank(n)}
-    return space
-
-
-def _space_aa_pqp(d):
-    if len(d.components) == 1 and d.components[0][0] == "A":
-        n = d.components[0][1]
-        for p in range(1, (n - 2) // 2 + 1):
-            yield {"p": p, "q": n - 2 * p}
+def _c_rank(component):
+    # a C chain of rank r, with B2 counting as C2; None for any other chain
+    fam, r = component
+    return r if fam == "C" or (fam, r) == ("B", 2) else None
 
 
 def _space_aa11_cstar(d):
     c = d.components
-    if len(c) == 2 and c[0] == ("A", 1):
-        fam, r = c[1]
-        if (fam == "C" and r >= 3) or (fam, r) == ("B", 2):
-            yield {"n": r}
+    if len(c) == 2 and c[0] == ("A", 1) and _c_rank(c[1]):
+        yield {"n": c[1][1]}
 
 
 def _space_aa11_cstar2(d):
-    if len(d.components) != 2:
-        return
-    ranks = []
-    for fam, r in d.components:
-        if (fam == "C" and r >= 3) or (fam, r) == ("B", 2):
-            ranks.append(r)
-        else:
-            return
-    n1, n2 = sorted(ranks)
-    yield {"n1": n1, "n2": n2}
+    ranks = [_c_rank(c) for c in d.components]
+    if len(ranks) == 2 and all(ranks):
+        n1, n2 = sorted(ranks)
+        yield {"n1": n1, "n2": n2}
 
 
 CATALOG = (
-    Family("aa(p,p)", lambda p: _b_group_pair("A", p), _pair_space("A", 1)),
-    Family("ao(n)", lambda n: _b_all_doubled("A", n), _single("A", 1)),
-    Family("ac(n)", _b_ac, _single("A", 3, step=2)),
-    Family("aa(p+q+p)", _b_aa_pqp, _space_aa_pqp),
-    Family("aa'(p+1+p)", _b_aa_p1p,
-           _chain_param("A", "p", lambda n: (n - 1) // 2,
-                        lambda n: n >= 3 and n % 2 == 1)),
-    Family("a(n)", _b_a, _single("A", 2)),
-    Family("ac*(n)", _b_acstar, _single("A", 3)),
+    Family("aa(p,p)", lambda p: _b_group_pair("A", p), _pair_space("A")),
+    Family("ao(n)", lambda n: _b_all_doubled("A", n), _chain("A", n=1)),
+    Family("ac(n)", _b_ac, _chain("A", n=1)),
+    Family("aa(p+q+p)", _b_aa_pqp, _chain("A", p=2, q=1)),
+    Family("aa'(p+1+p)", _b_aa_p1p, _chain("A", 1, p=2)),
+    Family("a(n)", _b_a, _chain("A", n=1)),
+    Family("ac*(n)", _b_acstar, _chain("A", n=1)),
 
-    Family("bb(p,p)", lambda p: _b_group_pair("B", p), _pair_space("B", 2)),
-    Family("bo(p+q)", _b_bo, _split("B", 1, 1)),
-    Family("b(n)", _b_b, _single("B", 2)),
-    Family("b'(n)", lambda n: _b_b(n, coeff=2), _single("B", 2)),
-    Family("b*(n)", _b_bstar, _single("B", 2)),
-    Family("bc*(n)", _b_bcstar, _single("B", 3)),
-    Family("bc'(n)", _b_bcprime, _single("B", 2)),
-    Family("a(p)+b(q)", _b_a_b, _split("B", 2, 2)),
+    Family("bb(p,p)", lambda p: _b_group_pair("B", p), _pair_space("B")),
+    Family("bo(p+q)", _b_bo, _chain("B", p=1, q=1)),
+    Family("b(n)", _b_b, _chain("B", n=1)),
+    Family("b'(n)", lambda n: _b_b(n, coeff=2), _chain("B", n=1)),
+    Family("b*(n)", _b_bstar, _chain("B", n=1)),
+    Family("bc*(n)", _b_bcstar, _chain("B", n=1)),
+    Family("bc'(n)", _b_bcprime, _chain("B", n=1)),
+    Family("a(p)+b(q)", _b_a_b, _chain("B", p=1, q=1)),
     Family("a(p)+b'(q)", lambda p, q: _b_a_b(p, q, coeff=2),
-           _split("B", 2, 1)),
+           _chain("B", p=1, q=1)),
     Family("ac*(p)+b(q)", lambda p, q: _b_a_b(p, q, head_pairs=True),
-           _split("B", 2, 2)),
+           _chain("B", p=1, q=1)),
     Family("ac*(p)+b'(q)",
            lambda p, q: _b_a_b(p, q, head_pairs=True, coeff=2),
-           _split("B", 2, 1)),
+           _chain("B", p=1, q=1)),
     Family("b**(3)", _b_bss, _fixed("B3")),
     Family("b*(4)+b**(3)", _b_bstar4_bss3, _fixed("B4")),
 
-    Family("cc(p,p)", lambda p: _b_group_pair("C", p), _pair_space("C", 3)),
-    Family("co(n)", lambda n: _b_all_doubled("C", n), _single("C", 3)),
-    Family("c(n)", _b_c, _single("C", 3)),
-    Family("cc(p+q)", _b_cc_pq, _split("C", 2, 2, peven=True)),
-    Family("cc'(p+2)", _b_ccprime,
-           _chain_param("C", "p", lambda n: n - 2,
-                        lambda n: n >= 4 and n % 2 == 0)),
-    Family("c*(n)", _b_cstar, _single("C", 3)),
-    Family("ca(1+q+1)", _b_ca,
-           _chain_param("C", "q", lambda n: n - 2, lambda n: n >= 4)),
-    Family("aa(1+p+1)+c*(q)", _b_aa1p1_cstar,
-           _split("C", 2, 2, shift=-1)),
+    Family("cc(p,p)", lambda p: _b_group_pair("C", p), _pair_space("C")),
+    Family("co(n)", lambda n: _b_all_doubled("C", n), _chain("C", n=1)),
+    Family("c(n)", _b_c, _chain("C", n=1)),
+    Family("cc(p+q)", _b_cc_pq, _chain("C", p=1, q=1)),
+    Family("cc'(p+2)", _b_ccprime, _chain("C", 2, p=1)),
+    Family("c*(n)", _b_cstar, _chain("C", n=1)),
+    Family("ca(1+q+1)", _b_ca, _chain("C", 2, q=1)),
+    Family("aa(1+p+1)+c*(q)", _b_aa1p1_cstar, _chain("C", 1, p=1, q=1)),
     Family("aa(1,1)+c*(n)", _b_aa11_cstar, _space_aa11_cstar),
     Family("aa(1,1)+c*(n1)+c*(n2)", _b_aa11_cstar_cstar, _space_aa11_cstar2),
-    Family("ac*(p)+c*(q)", _b_acstar_cstar, _split("C", 2, 2, shift=1)),
-    Family("a'(1)+c*(q)", _b_aprime_cstar,
-           _chain_param("C", "q", lambda n: n, lambda n: n >= 3)),
+    Family("ac*(p)+c*(q)", _b_acstar_cstar, _chain("C", -1, p=1, q=1)),
+    Family("a'(1)+c*(q)", _b_aprime_cstar, _chain("C", q=1)),
 
-    Family("dd(p,p)", lambda p: _b_group_pair("D", p), _pair_space("D", 4)),
-    Family("do(p+q)", _b_do_pq, _split("D", 1, 2)),
-    Family("do(n)", lambda n: _b_all_doubled("D", n), _single("D", 4)),
-    Family("d(n)", _b_d, _single("D", 4)),
-    Family("dc'(n)", _b_dcprime, _single("D", 6, step=2)),
-    Family("dc(n)", _b_dc, _single("D", 5, step=2)),
-    Family("ds(n)", _b_ds, _single("D", 4)),
+    Family("dd(p,p)", lambda p: _b_group_pair("D", p), _pair_space("D")),
+    Family("do(p+q)", _b_do_pq, _chain("D", p=1, q=1)),
+    Family("do(n)", lambda n: _b_all_doubled("D", n), _chain("D", n=1)),
+    Family("d(n)", _b_d, _chain("D", n=1)),
+    Family("dc'(n)", _b_dcprime, _chain("D", n=1)),
+    Family("dc(n)", _b_dc, _chain("D", n=1)),
+    Family("ds(n)", _b_ds, _chain("D", n=1)),
     Family("ds*(4)", _b_dsstar, _fixed("D4")),
-    Family("dc*(n)", _b_dcstar, _single("D", 4)),
-    Family("a(p)+d(q)", _b_a_d, _split("D", 2, 2)),
+    Family("dc*(n)", _b_dcstar, _chain("D", n=1)),
+    Family("a(p)+d(q)", _b_a_d, _chain("D", p=1, q=1)),
     Family("ac*(p)+d(q)", lambda p, q: _b_a_d(p, q, head_pairs=True),
-           _split("D", 2, 2)),
+           _chain("D", p=1, q=1)),
 
-    Family("ee(p,p)", lambda p: _b_group_pair("E", p), _pair_space("E", 6)),
-    Family("eo(n)", lambda n: _b_all_doubled("E", n), _single("E", 6)),
+    Family("ee(p,p)", lambda p: _b_group_pair("E", p), _pair_space("E")),
+    Family("eo(n)", lambda n: _b_all_doubled("E", n), _chain("E", n=1)),
     Family("ea(6)", _b_ea6, _fixed("E6")),
     Family("ed(6)", _b_ed6, _fixed("E6")),
     Family("ef(6)", lambda: _b_ef(6), _fixed("E6")),
     Family("ec(7)", _b_ec7, _fixed("E7")),
-    Family("ef(n)", _b_ef, _single("E", 7)),
-    Family("ec*(n)", _b_ecstar, _single("E", 6)),
+    Family("ef(n)", _b_ef, _chain("E", n=1)),
+    Family("ec*(n)", _b_ecstar, _chain("E", n=1)),
     Family("ef(6)+a(2)", _b_ef6_a2, _fixed("E8")),
     Family("aa(2,2)+a(2)", _b_aa22_a2, _fixed("E6")),
     Family("ac(5)+a(2)", _b_ac5_a2, _fixed("E7")),
@@ -639,7 +614,10 @@ def _index(d: Diagram) -> MappingProxyType:
     index = {}
     for fam in CATALOG:
         for params in fam.space(d):
-            sys = fam.build(**params)
+            try:
+                sys = fam.build(**params)
+            except ValueError:
+                continue    # the builder's check: outside the family's range
             if sys.diagram != d:
                 raise DiagramError(f"family {fam.name} built a system on "
                                    f"{sys.diagram.spec()}, not {d.spec()}")

@@ -306,7 +306,9 @@ def is_decomposable(sys: SphericalSystem):
 
 
 def is_primitive(sys: SphericalSystem) -> bool:
-    return sys.is_cuspidal and is_decomposable(sys) is None
+    # the empty system on the empty diagram is the unit of the product, not
+    # a building block
+    return bool(sys.sigma) and sys.is_cuspidal and is_decomposable(sys) is None
 
 
 # -- affinity and dimension identities ---------------------------------------

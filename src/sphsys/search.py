@@ -157,7 +157,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
     So ops.decomposes(s, C_G, C_H) holds, and since is_decomposable tries
     every disjoint pair of colour subsets, is_primitive is False.
     The final gate still runs on every system that survives the prunes: a
-    fresh system.validation_report, then the decomposition test.  The
+    fresh system.validation_report, then ops.is_primitive.  The
     report is not kept, so a returned system builds its own, equal one on
     its first validate().  A leaf whose own roots leave the components
     unlinked is not skipped: is_decomposable rejects its split systems.
@@ -200,9 +200,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
                 if not validation_report(d, sp, sigma).ok:
                     continue
                 sys = SphericalSystem._from_normal(d, sp, sigma)
-                # emit is called in cuspidal mode only on a full cover, so
-                # is_primitive reduces to the decomposition test
-                if not primitive_only or ops.is_decomposable(sys) is None:
+                if not primitive_only or ops.is_primitive(sys):
                     kept.append(sys)
         return kept
 

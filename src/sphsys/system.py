@@ -420,7 +420,11 @@ class SphericalSystem:
 
     @property
     def is_cuspidal(self) -> bool:
-        return self.sigma_support == frozenset(range(self.diagram.n_nodes))
+        # every node column of sigma has a nonzero entry; read column-wise,
+        # since the primitive search asks this of every valid system it finds
+        if not self.sigma:
+            return self.diagram.n_nodes == 0
+        return all(map(any, zip(*self.sigma)))
 
     def root_label(self, gamma) -> str | None:
         """Rank-one row naming this root under the system's parabolic set."""

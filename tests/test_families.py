@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from sphsys import cli, families, tables
-from sphsys.dynkin import parse_diagram
+from sphsys.dynkin import DiagramError, parse_diagram
 from sphsys.system import SphericalSystem
 from test_acceptance import diagrams_up_to_rank
 
@@ -192,6 +192,48 @@ def test_expansion_is_pinned():
                      for spec in diagrams_up_to_rank(7))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "cb961c96dd7f4367801427fc0034f5516dbdbd41cdf50b435c7bb5e9e161da3c"
+
+
+def test_index_is_pinned_to_rank_ten():
+    # sha256 over the index reprs (keys, labels, params, members) of the
+    # 1,569 diagrams of rank <= 10, recorded while each family still listed
+    # its parameter range in a space generator of its own
+    text = "\n".join(repr(families.catalog_index(spec))
+                     for spec in diagrams_up_to_rank(10))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a33cc0339b1e4d4d8f205ad36f2607575ec412c6a7c4ba68fa97fdd361e78f66"
+
+
+@pytest.fixture
+def bare_index(monkeypatch):
+    # an index built from a stand-in catalog must not outlive the test
+    families._index.cache_clear()
+    yield lambda *fams: monkeypatch.setattr(families, "CATALOG", fams)
+    families._index.cache_clear()
+
+
+def test_index_skips_only_the_builders_refusal(bare_index):
+    def refuse(n):
+        raise ValueError("x(n) needs n >= 9")
+    bare_index(families.Family("x(n)", refuse, families._chain("A", n=1)))
+    assert families.expand_catalog("A3") == ()
+
+
+def test_index_refuses_a_member_on_another_diagram(bare_index):
+    bare_index(families.Family(
+        "x(n)", lambda n: families.instantiate("b(n)", n=n),
+        families._chain("A", n=1)))
+    with pytest.raises(DiagramError,
+                       match="family x.n. built a system on B3, not A3"):
+        families.catalog_index("A3")
+
+
+def test_index_lets_a_builder_fault_through(bare_index):
+    def broken(n):
+        raise TypeError("broken recipe")
+    bare_index(families.Family("x(n)", broken, families._chain("A", n=1)))
+    with pytest.raises(TypeError, match="broken recipe"):
+        families.catalog_index("A3")
 
 
 def test_members_live_on_few_components():

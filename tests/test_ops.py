@@ -282,6 +282,9 @@ class TestDecompose:
         assert ops.is_primitive(make("G2", set(), [(2, 0), (0, 2)]))
         assert not ops.is_primitive(make("B3", set(), [(2, 0, 0)]))
 
+    def test_empty_system_is_not_primitive(self):
+        assert ops.is_primitive(SphericalSystem("", (), ())) is False
+
 
 class TestAffine:
     def test_edge_chain_even_length(self):

@@ -340,3 +340,13 @@ class TestVerifyCatalog:
         # A1,A3 admits no primitive system: nothing spans both components
         chk = search.verify_catalog("A1,A3")
         assert chk.ok and chk.found == 0
+
+    def test_rank_zero_diagram(self):
+        # the empty system is the unit of the product: found in full and
+        # cuspidal mode, but not primitive, and the catalog predicts nothing
+        chk = search.verify_catalog("")
+        assert chk.ok and (chk.found, chk.expected) == (0, 0)
+        assert search.enumerate_primitive("") == ()
+        empty = (SphericalSystem("", (), ()),)
+        assert search.enumerate_systems("") == empty
+        assert search.enumerate_systems("", cuspidal_only=True) == empty
