@@ -5,8 +5,11 @@ space is finite: walk independent, pairwise-admissible subsets of those
 weights, then attach every parabolic set the trace conditions allow.  The
 candidates, their RootFacts and the pair matrix (one system.pairwise_faults
 pass) are built once per diagram.  The final validation gate keeps the
-walk honest; each pruning rule either is only a necessary condition on a
-valid system or drops a subtree that holds no system the mode keeps.
+walk honest: it reads the raw fault records of every axiom, those on sigma
+alone (system.sigma_faults) once per root set and the rank-one ones
+(system.rank_one_faults) per parabolic set, and builds no report.  Each
+pruning rule either is only a necessary condition on a valid system or
+drops a subtree that holds no system the mode keeps.
 
 ``verify_catalog`` compares the primitive systems found this way with the
 members the family catalog predicts on the same diagram.
@@ -24,8 +27,8 @@ from .dynkin import parse_diagram
 from .families import catalog_index
 from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
-from .system import (SphericalSystem, pairwise_faults, root_facts,
-                     validation_report)
+from .system import (SphericalSystem, pairwise_faults, rank_one_faults,
+                     root_facts, sigma_faults)
 
 # perfbench/selftest.py reads admissible_traces through this module
 __all__ = ["CatalogCheck", "admissible_traces", "candidate_roots",
@@ -104,7 +107,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
     union of the chosen roots' paired nodes: the nodes off a root's support
     that pair nonzero with it.  The walk drops every assignment that meets
     `banned`.  Exact: the assignment and `banned` only grow below a node,
-    and validation_report flags a system whose sp meets a root's paired
+    and rank_one_faults flags a system whose sp meets a root's paired
     nodes ("parabolic-pairing").  `live` keeps only the candidates that
     leave a child at least one assignment.
 
@@ -156,11 +159,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
 
     So ops.decomposes(s, C_G, C_H) holds, and since is_decomposable tries
     every disjoint pair of colour subsets, is_primitive is False.
-    The final gate still runs on every system that survives the prunes: a
-    fresh system.validation_report, then ops.is_primitive.  The
-    report is not kept, so a returned system builds its own, equal one on
-    its first validate().  A leaf whose own roots leave the components
-    unlinked is not skipped: is_decomposable rejects its split systems.
+    The final gate still runs on every system that survives the prunes:
+    every axiom on the raw fault records, system.sigma_faults once per root
+    set and system.rank_one_faults per parabolic set, then ops.is_primitive.
+    Sigma's independence is decided there afresh by its rank, not read off
+    the walk's echelon basis, so the gate does not lean on the walk.  No
+    report is built, so a returned system builds its own on its first
+    validate().  A leaf whose own roots leave the components unlinked is
+    not skipped: is_decomposable rejects its split systems.
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
@@ -184,7 +190,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
         order.  In cuspidal mode `covered` is every node."""
         kept = []
         # Only necessary: sp must be orthogonal to every root, but a node
-        # left free may still fail another axiom in validation_report.
+        # left free may still fail the rank-one axiom.
         free = [i for i in range(d.n_nodes)
                 if i not in covered and i not in banned]
         # every subset of free, in the order of its bitmask over free
@@ -192,12 +198,15 @@ def enumerate_systems(diagram, cuspidal_only=False,
         for f in free:
             free_subsets += [s | {f} for s in free_subsets]
         sigma = tuple(cands[k] for k in chosen)
+        roots = tuple(facts[k] for k in chosen)
+        sigma_ok = not sigma_faults(sigma, roots)
         # sorted, so the output order does not hang on set hashing
         for base in sorted(assignments, key=sorted):
             for extra in free_subsets:
                 tick()
                 sp = base | extra
-                if not validation_report(d, sp, sigma).ok:
+                if (not sigma_ok or next(rank_one_faults(sp, sigma, roots),
+                                         None) is not None):
                     continue
                 sys = SphericalSystem._from_normal(d, sp, sigma)
                 if not primitive_only or ops.is_primitive(sys):
@@ -244,8 +253,8 @@ def enumerate_systems(diagram, cuspidal_only=False,
             # the branch choosing k excludes it and the earlier ones of
             # order from its subtree
             excluded.add(k)
-            # Only necessary: independence is one axiom, validation_report
-            # checks the rest.
+            # Only necessary: independence is one axiom, the final gate
+            # checks them all.
             nb = echelon_extend(basis, cands[k])
             if nb is None:
                 continue
@@ -255,7 +264,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
             # nonempty, since k is live
             below = set(_extensions(f, assignments, covered, banned))
             # The pair test is only necessary: compat sees two roots at
-            # once, validation_report the set.  The trace filter is exact:
+            # once, sigma_faults the set.  The trace filter is exact:
             # the assignments below restrict to `below` on `grown`, so a
             # candidate inconsistent with `below` stays so further down.
             yield from walk(

@@ -4,8 +4,11 @@ A system is a triple (diagram, sp, sigma) where sp is a set of nodes and
 sigma a sequence of weights.  Validation checks the two pairwise axioms on
 sigma, rank-one realizability of every root against the table in
 sphsys.rankone, that no root is simple, that roots are distinct, and linear
-independence.  Only rank-one realizability reads sp, so the rest is decided
-once per root tuple; pairwise_faults also fills the search's pair matrix.
+independence.  The checks come in two layers of raw fault records:
+sigma_faults decides what reads sigma alone, once per root set, and
+rank_one_faults the rank-one axiom, the only one that reads sp, per
+parabolic set.  validation_report formats the records of both; the search's
+final gate reads them raw, and pairwise_faults also fills its pair matrix.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
@@ -118,20 +121,37 @@ def pairwise_faults(sigma, roots):
                     yield "orthogonal", f.pair, h, (vi, vj)
 
 
-@lru_cache(maxsize=1)
-def _sigma_checks(d: Diagram, sigma: tuple) -> tuple:
-    """What validation_report asks of sigma alone, as immutable raw
-    records: its RootFacts, the (first, k) positions of each repeated
-    root, the positions of the simple roots, the pairwise_faults records,
-    and linear dependence.  The search validates one root tuple under
-    each of its parabolic sets in a row, so a memo of the last tuple keeps
-    every hit."""
-    roots = tuple(root_facts(d, g) for g in sigma)
-    repeats = tuple((sigma.index(g), k) for k, g in enumerate(sigma)
-                    if sigma.index(g) < k)
-    simple = tuple(k for k, f in enumerate(roots) if f.simple is not None)
-    return (roots, repeats, simple, tuple(pairwise_faults(sigma, roots)),
-            rank(sigma) < len(sigma))
+def sigma_faults(sigma, roots) -> list:
+    """What the axioms ask of sigma alone, whose RootFacts are roots, as raw
+    fault records in report order: the pairwise_faults records, then
+    ("simple", k) for each simple root sigma[k], ("repeated", first, k) for
+    each root sigma[k] listed before at sigma[first], and ("dependent",)
+    when sigma is linearly dependent.  The parabolic set plays no part, so
+    the search asks this once per root set."""
+    faults = list(pairwise_faults(sigma, roots))
+    faults += [("simple", k) for k, f in enumerate(roots)
+               if f.simple is not None]
+    faults += [("repeated", sigma.index(g), k) for k, g in enumerate(sigma)
+               if sigma.index(g) < k]
+    if rank(sigma) < len(sigma):
+        faults.append(("dependent",))
+    return faults
+
+
+def rank_one_faults(sp, sigma, roots):
+    """The rank-one axiom on the system (sp, sigma), whose RootFacts are
+    roots, as raw fault records in report order: ("trace", k, trace) when
+    sp meets the support of sigma[k] in no admissible trace, else
+    ("parabolic-pairing", k, nodes) when the nodes of sp off that support
+    pair nonzero with sigma[k].  The search asks only whether it yields
+    anything."""
+    for k, f in enumerate(roots):
+        trace = sp & f.support
+        if trace not in f.traces:
+            yield "trace", k, trace
+        elif sp & f.paired:
+            yield ("parabolic-pairing", k,
+                   [i for i in sp - f.support if f.pairings[i]])
 
 
 def _listed(value, message) -> list:
@@ -186,9 +206,7 @@ class ValidationReport:
     def __init__(self, pairwise_doubled=None, pairwise_orthogonal=None,
                  rank_one=None, simple_roots=None, duplicates=None,
                  dependent=False):
-        # a list left out is a fresh one, never shared between reports;
-        # one assignment each, since the search builds a report per
-        # candidate system
+        # a list left out is a fresh one, never shared between reports
         self.pairwise_doubled = (
             [] if pairwise_doubled is None else pairwise_doubled)
         self.pairwise_orthogonal = (
@@ -224,37 +242,41 @@ class ValidationReport:
 def validation_report(d: Diagram, sp: frozenset,
                       sigma: tuple) -> ValidationReport:
     """A fresh ValidationReport of the system (d, sp, sigma), given in the
-    normal form of SphericalSystem._from_normal.  SphericalSystem.validate
-    caches it per system; the search calls it directly, so a report it
-    only tests is freed at once."""
-    roots, repeats, simple, faults, dependent = _sigma_checks(d, sigma)
-    doubled, orthogonal = [], []
-    for kind, at, g, v in faults:
+    normal form of SphericalSystem._from_normal: the records of
+    sigma_faults and rank_one_faults, formatted.  SphericalSystem.validate
+    caches it per system; the search reads the raw records instead."""
+    roots = tuple(root_facts(d, g) for g in sigma)
+    report = ValidationReport()
+    for fault in sigma_faults(sigma, roots):
+        kind = fault[0]
         if kind == "doubled":
-            doubled.append({"alpha": d.node_id(at), "gamma": list(g),
-                            "pairing": v})
+            _, i, g, v = fault
+            report.pairwise_doubled.append(
+                {"alpha": d.node_id(i), "gamma": list(g), "pairing": v})
+        elif kind == "orthogonal":
+            _, pair, g, v = fault
+            report.pairwise_orthogonal.append(
+                {"pair": [d.node_id(i) for i in pair], "gamma": list(g),
+                 "pairings": list(v)})
+        elif kind == "simple":
+            report.simple_roots.append({"gamma": list(sigma[fault[1]])})
+        elif kind == "repeated":
+            _, first, k = fault
+            report.duplicates.append(
+                {"gamma": list(sigma[k]), "positions": [first, k]})
         else:
-            orthogonal.append({"pair": [d.node_id(i) for i in at],
-                               "gamma": list(g), "pairings": list(v)})
-    rank_one = []
-    for g, f in zip(sigma, roots):
-        trace = sp & f.support
-        if trace not in f.traces:
-            rank_one.append(
-                {"gamma": list(g), "reason": "trace",
-                 "actual_trace": sorted(d.node_id(i) for i in trace),
-                 "admissible_traces": [sorted(d.node_id(i) for i in t)
-                                       for t in sorted(f.traces, key=sorted)]})
-        elif sp & f.paired:
-            rank_one.append(
-                {"gamma": list(g), "reason": "parabolic-pairing",
-                 "nodes": [d.node_id(i) for i in sp - f.support
-                           if f.pairings[i]]})
-    return ValidationReport(
-        doubled, orthogonal, rank_one,
-        [{"gamma": list(sigma[k])} for k in simple],
-        [{"gamma": list(sigma[k]), "positions": [first, k]}
-         for first, k in repeats], dependent)
+            report.dependent = True
+    for reason, k, at in rank_one_faults(sp, sigma, roots):
+        entry = {"gamma": list(sigma[k]), "reason": reason}
+        if reason == "trace":
+            entry["actual_trace"] = sorted(d.node_id(i) for i in at)
+            entry["admissible_traces"] = [
+                sorted(d.node_id(i) for i in t)
+                for t in sorted(roots[k].traces, key=sorted)]
+        else:
+            entry["nodes"] = [d.node_id(i) for i in at]
+        report.rank_one.append(entry)
+    return report
 
 
 class SphericalSystem:

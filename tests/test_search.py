@@ -8,8 +8,8 @@ from sphsys import ops, rankone, search
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, pieces, support
 from sphsys.families import instantiate
-from sphsys.system import (SphericalSystem, doubled_node, orthogonal_pair,
-                           validation_report)
+from sphsys.system import (SphericalSystem, ValidationReport, doubled_node,
+                           orthogonal_pair, validation_report)
 from test_acceptance import ENUMERATION_DIAGRAMS, diagrams_up_to_rank
 from test_system import ORACLE_DIAGRAMS
 
@@ -150,9 +150,18 @@ class TestEnumerate:
         keys = [(tuple(sorted(s.sp)), s.sigma) for s in systems]
         assert len(keys) == len(set(keys))
 
+    # the full-mode rows are the four diagrams of the enumerate-all
+    # benchmark, recorded while the final gate still built a report per
+    # candidate system
     @pytest.mark.parametrize("spec,cuspidal_only,count,digest", [
+        ("A1,A1,A1,A1,A1,A1,A1,A1", False, 47868,
+         "47e88203e1dfc639e0c01279bdb463a7b5e01ec87386feccc5ddd4144ac9dafb"),
+        ("A2,A2,A2,A2", False, 6508,
+         "eb5a901fcf0df4326394eb1b482c8aedc465e31ff3bd3763472546efdee298d0"),
         ("A1,A2,B2,G2", False, 3768,
          "688cc50084b3d37305a4ff1f6f3f5d37abfc74a9669e7c3d9909ce7639dcae07"),
+        ("G2,G2,G2", False, 1150,
+         "e42a057630ee6bd85f977709a29571c625cde439ec615a79b5a4ff9e024036a0"),
         ("B3,B3", True, 82,
          "4c718ca8cdb059ec9f3164dcec3d6073fbd05eaf1ed538d83fda537f765cd137"),
     ])
@@ -292,20 +301,22 @@ class TestWalk:
     @pytest.mark.parametrize("spec", ["B8", "D8", "A1,B7", "F4,F4"])
     def test_no_system_fails_parabolic_pairing(self, spec, monkeypatch):
         # the walk drops every assignment that meets a chosen root's paired
-        # nodes, so the final gate never sees one
-        build = search.validation_report
-        reports = []
+        # nodes, so the final gate never sees one: every rank-one record
+        # the gate could read, not only the first it asks for, is kept
+        faults = search.rank_one_faults
+        calls, records = [], []
 
-        def counted(d, sp, sigma):
-            reports.append(build(d, sp, sigma))
-            return reports[-1]
+        def counted(sp, sigma, roots):
+            found = list(faults(sp, sigma, roots))
+            calls.append(sp)
+            records.extend(found)
+            return iter(found)
 
-        monkeypatch.setattr(search, "validation_report", counted)
+        monkeypatch.setattr(search, "rank_one_faults", counted)
         for kw in ({"cuspidal_only": True}, {"primitive_only": True}):
             search.enumerate_systems(spec, **kw)
-        assert reports
-        assert not [e for r in reports for e in r.rank_one
-                    if e["reason"] == "parabolic-pairing"]
+        assert calls
+        assert not [r for r in records if r[0] == "parabolic-pairing"]
 
     @pytest.mark.parametrize("spec", ["A1,A1,A1,A1,A1,A1", "G2,G2", "B2,B2"])
     def test_returned_systems_build_their_report(self, spec):
@@ -316,6 +327,21 @@ class TestWalk:
                 assert s.validate().ok
                 assert s.validate() == validation_report(s.diagram, s.sp,
                                                          s.sigma)
+
+    @pytest.mark.parametrize("spec,counts", [
+        ("A1,A1,A1,A1,A1,A1", (2364, 76, 0)), ("G2,G2", (105, 17, 1)),
+        ("B2,B2", (131, 27, 2)),
+    ])
+    def test_search_builds_no_report(self, spec, counts, monkeypatch):
+        # the final gate reads raw fault records and never formats them
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the search built a ValidationReport")
+
+        monkeypatch.setattr(ValidationReport, "__init__", refuse)
+        assert tuple(
+            len(search.enumerate_systems(spec, **kw))
+            for kw in ({}, {"cuspidal_only": True},
+                       {"primitive_only": True})) == counts
 
     def test_returned_systems_stay_small(self):
         # a full enumeration keeps no report on the systems it returns:

@@ -9,8 +9,9 @@ from sphsys import ops, rankone, search
 from sphsys.dynkin import parse_diagram, support
 from sphsys.feasible import rank
 from sphsys.system import (Colour, SphericalSystem, ValidationReport,
-                           doubled_node, orthogonal_pair, root_facts,
-                           simple_node, validation_report)
+                           doubled_node, orthogonal_pair, rank_one_faults,
+                           root_facts, sigma_faults, simple_node,
+                           validation_report)
 
 
 def make(spec, sp, sigma):
@@ -393,6 +394,21 @@ def test_validate_matches_oracle_on_random_corpus():
     assert all(fired.values()), fired
 
 
+@pytest.mark.parametrize("seed", [20261018, 20261019])
+def test_report_is_ok_exactly_when_no_layer_faults(seed):
+    # the search's final gate reads the two layers raw: a system passes it
+    # exactly when its formatted report is ok
+    seen = set()
+    for sys in random_systems(seed, 600):
+        d, sp, sigma = sys.diagram, sys.sp, sys.sigma
+        roots = tuple(root_facts(d, g) for g in sigma)
+        silent = (not sigma_faults(sigma, roots)
+                  and next(rank_one_faults(sp, sigma, roots), None) is None)
+        assert validation_report(d, sp, sigma).ok == silent, sys
+        seen.add(silent)
+    assert seen == {True, False}
+
+
 def test_root_facts():
     d = parse_diagram("A1,A3")
     f = root_facts(d, (0, 1, 1, 0))
@@ -411,8 +427,8 @@ def test_root_facts():
 
 
 def test_reports_sharing_a_root_tuple_are_separate():
-    # a repeated simple root breaks three sigma-only axioms; the memo of
-    # the last root tuple must not hand one report's entries to the next
+    # a repeated simple root breaks three sigma-only axioms; two reports on
+    # one root tuple must not share their entries
     sigma = [(1, 0, 0), (1, 0, 0), (0, 2, 0)]
     first, second = make("B3", set(), sigma), make("B3", {2}, sigma)
     a, b = first.validate(), second.validate()
