@@ -137,7 +137,7 @@ def _cmd_classify(args):
 
 def _cmd_diagram(args):
     from sphsys import render
-    if args.diagram:
+    if args.diagram is not None:
         d = parse_diagram(args.diagram)
         if args.format == "svg":
             return render.render_diagram_svg(d)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property, lru_cache
-from math import gcd
+from math import lcm
+
+from sphsys.feasible import kernel_vector
 
 _FAMILIES = "ABCDEFG"
 
@@ -307,39 +309,26 @@ class Diagram:
         """Least positive integers d_i making (d_i * cartan[i][j]) symmetric
         with one common weight L on the first node of every component.
 
-        The ratios d_j/d_i = cartan[i][j]/cartan[j][i] along edges pin the
-        rest; L is 2 when a B or F component is present, else 1.
+        The bond equations cartan[i][j] d_i = cartan[j][i] d_j leave a line
+        per component, whose diagram is a tree; L is the lcm of the lines'
+        first entries, 2 when a B or F component is present, else 1.
         """
         a = self.cartan
-        d = [0] * self.n_nodes
+        lines = []
         for ci in range(len(self.components)):
             nodes = self.component_nodes(ci)
-            d[nodes[0]] = d[0] or 1
-            queue = [nodes[0]]
-            while queue:
-                i = queue.pop()
-                for j in nodes:
-                    if not d[j] and a[i][j]:
-                        # rescale all when the edge ratio does not divide
-                        m = -a[j][i] // gcd(d[i] * a[i][j], a[j][i])
-                        d = [m * v for v in d]
-                        d[j] = d[i] * a[i][j] // a[j][i]
-                        queue.append(j)
-        return tuple(d)
+            bonds = [[a[i][j] * (k == i) - a[j][i] * (k == j) for k in nodes]
+                     for i in nodes for j in nodes if i < j and a[i][j]]
+            lines.append(kernel_vector(bonds, len(nodes)))
+        top = lcm(*(v[0] for v in lines))
+        return tuple(top // v[0] * x for v in lines for x in v)
 
     def inner(self, w1, w2) -> int:
         """Weyl-invariant inner product of two weight tuples, in the scale
         of symmetrizers (L times the one normalised to 1 per component)."""
-        a = self.cartan
         d = self.symmetrizers
-        total = 0
-        for i, c1 in enumerate(w1):
-            if not c1:
-                continue
-            for j, c2 in enumerate(w2):
-                if c2:
-                    total += c1 * c2 * d[i] * a[i][j]
-        return total
+        return sum(c * d[i] * self.pairing_weight(i, w2)
+                   for i, c in enumerate(w1) if c)
 
     # -- root system -------------------------------------------------------
 

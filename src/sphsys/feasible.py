@@ -3,12 +3,13 @@ of the cone 'Mx >= 0, x >= 0', with two questions read off those rays:
 the feasibility of 'Mx >= 0, x >= 0, x_i >= 1 on a strict set' and the
 supports of the rays.
 
-Rank and the kernel line come from a fraction-free echelon step and a
-back-substitution that stays in integers through _set_entry.  The extreme
-rays come from the double description method, which adds one row at a
-time to the rays of the orthant; a feasibility certificate is a sum of
-rays (the system is invariant under scaling by integers >= 1), None means
-infeasible.
+Rank and the kernel line come from one fraction-free echelon step, on the
+rows for the rank and on the columns with unit-vector tails for the kernel
+(Cohen, A Course in Computational Algebraic Number Theory, 1993, ch. 2).
+The extreme rays come from the double description method, which adds one
+row at a time to the rays of the orthant; a feasibility certificate is a
+sum of rays (the system is invariant under scaling by integers >= 1), None
+means infeasible.
 """
 
 from __future__ import annotations
@@ -50,21 +51,21 @@ def kernel_vector(rows, n_vars: int):
     """Primitive integer vector spanning {x : row.x == 0 for all rows} when
     that kernel is a line, with its first nonzero entry positive; else None.
 
-    Back-substitution through the echelon rows, last pivot first.
+    One echelon pass over the columns of rows, each followed by its unit
+    vector: a stored row's tail tracks the column combination in its head,
+    so the tails of the rows with a zero head span the kernel, primitive
+    because echelon_extend divides by the content.
     """
-    basis = _echelon(rows)
-    if len(basis) != n_vars - 1:
+    rows = list(rows)
+    m = len(rows)
+    basis = _echelon([*(r[i] for r in rows),
+                      *(int(j == i) for j in range(n_vars))]
+                     for i in range(n_vars))
+    tails = [(row[p], row[m:]) for p, row in basis if p >= m]
+    if len(tails) != 1:
         return None
-    pivots = {p for p, _row in basis}
-    x = [int(i not in pivots) for i in range(n_vars)]
-    # an echelon row is zero on earlier pivots, so it only meets the free
-    # column and pivots already solved; x[p] is still 0 here
-    for p, row in reversed(basis):
-        x = _set_entry(x, p, -sum(a * v for a, v in zip(row, x)), row[p])
-    g = gcd(*x)
-    if next(v for v in x if v) < 0:
-        g = -g
-    return tuple(v // g for v in x)
+    (lead, tail), = tails
+    return tuple(x if lead > 0 else -x for x in tail)
 
 
 def feasible_nonneg(rows, n_vars: int, strict=()):
@@ -159,14 +160,3 @@ def _rays(rows, n_vars: int) -> list:
                 out.append((tuple(v // g for v in x), common | bit))
         rays = out
     return rays
-
-
-def _set_entry(x, i, a, b):
-    """x with entry i set to a/b in x's own scale: the whole vector is
-    multiplied by b/gcd(a, b), which keeps it integral."""
-    g = gcd(a, b)
-    m = b // g
-    x = [m * v for v in x]
-    x[i] = a // g
-    return x
-

@@ -458,6 +458,21 @@ class TestDiagram:
         assert out.startswith("<svg xmlns=")
         assert out.count('id="node-') == 4
 
+    @pytest.mark.parametrize("fmt,draw", [
+        ("text", render.render_diagram_text),
+        ("svg", render.render_diagram_svg),
+    ], ids=["text", "svg"])
+    def test_empty_spec_draws_the_empty_diagram(self, capsys, monkeypatch,
+                                                 fmt, draw):
+        # an empty spec is a diagram, as enumerate reads it, not a cue to
+        # read a system from stdin
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert cli.run(["diagram", "--diagram", "", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out == draw(parse_diagram(""))
+        if fmt == "text":
+            assert out == "\n\n"
+
 
 class TestAppendixCommands:
     def test_symmetric_resolves_subcase(self, capsys):

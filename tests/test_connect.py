@@ -163,6 +163,12 @@ class TestClassify:
                 if a.isolated:
                     assert a.erasable
 
+    def test_straddling_colour_is_not_isolated(self):
+        # one colour sits on the short nodes of both B2s, 0.2 and 1.2, so
+        # it meets both sides and the colours do not split in two
+        sys = make("B2,B2", set(), [(0, 0, 1, 1), (0, 1, 0, 1)])
+        assert not connect.classify_component(sys, sys.sigma[:1]).isolated
+
     def test_automorphism_invariant_flags(self):
         for sys in (CHAIN3, FORK5, PAIRS):
             base = sorted(
@@ -199,6 +205,17 @@ class TestLemma:
     def test_erasable_plus_quasi_prunes(self):
         assert connect.lemma_erasable_prunes(
             FORK5, FORK5.sigma[:1], FORK5.sigma[1:])
+
+    def test_first_piece_not_quasi_erasable(self):
+        sys = make("A2", set(), [(0, 2), (2, 0)])
+        assert not connect.classify_component(sys, [(0, 2)]).quasi_erasable
+        assert not connect.lemma_erasable_prunes(sys, [(0, 2)], [(2, 0)])
+
+    def test_second_piece_not_quasi_erasable(self):
+        sys = make("B2", set(), [(0, 2), (1, 1)])
+        assert connect.classify_component(sys, [(0, 2)]).quasi_erasable
+        assert not connect.classify_component(sys, [(1, 1)]).quasi_erasable
+        assert not connect.lemma_erasable_prunes(sys, [(0, 2)], [(1, 1)])
 
     def test_two_merely_quasi_pieces_do_not_prune(self):
         doubled = make(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 
@@ -5,6 +6,7 @@ import pytest
 
 from sphsys.dynkin import (MAX_RANK, Diagram, DiagramError, bourbaki_orders,
                            parse_diagram, pieces, support)
+from test_acceptance import diagrams_up_to_rank
 
 
 def test_parse_and_canonicalize():
@@ -89,6 +91,25 @@ def test_symmetrizers_are_least_integers(spec, weights):
                == d.symmetrizers[j] * d.cartan[j][i]
                for i in range(n) for j in range(n))
     assert type(d.inner(d.positive_roots[-1], d.positive_roots[0])) is int
+
+
+# sha256 of the repr of (spec, symmetrizers, inner products of every
+# positive root with the highest root) over the 472 diagrams of rank <= 8,
+# recorded with the former symmetrizer search that rescaled the weights
+# edge by edge
+SYMMETRIZER_DIGEST = (
+    "b96ab3b9fc8ddfd7d9e6b7b7f37175fabcc06b9358b86bbe82dc67132d19d4ec")
+
+
+def test_symmetrizers_and_inner_pinned():
+    out = []
+    for spec in diagrams_up_to_rank(8):
+        d = parse_diagram(spec)
+        top = d.positive_roots[-1]
+        out.append((spec, d.symmetrizers,
+                    [d.inner(r, top) for r in d.positive_roots]))
+    assert len(out) == 472
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SYMMETRIZER_DIGEST
 
 
 def test_pairing_weight():

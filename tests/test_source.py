@@ -122,3 +122,49 @@ def test_private_constructor_stays_in_the_library(path):
     # through the checked constructor or from_json
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert "_from_normal" not in _identifiers(tree)
+
+
+# the library's modules, lowest layer first; each imports only earlier ones
+LAYERS = ("budget", "feasible", "hilbert", "dynkin", "rankone", "system",
+          "ops", "connect", "families", "search", "tables", "render", "cli")
+# the package's __init__ re-exports and is exempt
+MODULES = [p for p in SOURCES if p.stem != "__init__"]
+
+
+def _library_imports(tree) -> list:
+    """(line, module) for each sphsys module a tree imports, at module
+    level or inside a function, absolutely or relatively; a name that is
+    no module of the library, such as the package itself, comes back as
+    it is written."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name.partition(".")[2] or alias.name)
+                    for alias in node.names
+                    if alias.name.partition(".")[0] == "sphsys"]
+        elif isinstance(node, ast.ImportFrom):
+            package, _, module = (node.module or "").partition(".")
+            if node.level:
+                module = node.module or ""
+            elif package != "sphsys":
+                continue
+            if module:
+                out.append((node.lineno, module))
+            else:
+                out += [(node.lineno, alias.name) for alias in node.names]
+    return out
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_follow_the_layers(path):
+    # a module imports only modules below it in LAYERS, so no import can
+    # close a cycle
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    below = LAYERS[:LAYERS.index(path.stem)]
+    bad = [(line, name) for line, name in _library_imports(tree)
+           if name not in below]
+    assert bad == [], f"{path.name} imports above its layer: {bad}"
