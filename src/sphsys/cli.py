@@ -35,10 +35,16 @@ def _weight_json(d, w) -> dict:
     return {d.node_id(i): c for i, c in enumerate(w) if c}
 
 
+def _split(tokens: str) -> list:
+    """The comma-separated tokens of an option; '' is the empty list, and an
+    empty token elsewhere is kept for its parser to refuse."""
+    return tokens.split(",") if tokens else []
+
+
 def _parse_nodes(tokens: str):
     """Decimal indices as ints; every other token goes to node_index as a
     'ci.pos' string, which names it if there is no such node."""
-    return [int(t) if t.isdecimal() else t for t in tokens.split(",")]
+    return [int(t) if t.isdecimal() else t for t in _split(tokens)]
 
 
 def _int_or_token(t: str):
@@ -52,7 +58,7 @@ def _int_or_token(t: str):
 def _parse_colours(tokens: str):
     """Colour indices, each a decimal token with one optional leading D."""
     out = []
-    for t in tokens.split(","):
+    for t in _split(tokens):
         digits = t[1:] if t.startswith("D") else t
         if not digits.isdecimal():
             raise ValueError(f"no colour {t!r}")
@@ -192,7 +198,7 @@ def _cmd_symmetric(args):
 def _cmd_orbit(args):
     from sphsys import tables
     d = parse_diagram(args.diagram)
-    char = tuple(_int_or_token(t) for t in args.char.split(","))
+    char = tuple(_int_or_token(t) for t in _split(args.char))
     dims = tables.grading_dims(d, char)
     od = tables.orbit_dims(d, char)
     return {

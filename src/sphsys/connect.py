@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .dynkin import pieces, support
-from .ops import decomposes, is_distinguished, localize, quotient
+from .ops import decomposes, decuspidalize, is_distinguished, quotient
 
 __all__ = [
     "ComponentAnalysis",
@@ -69,7 +69,7 @@ class ComponentAnalysis(NamedTuple):
 def _isolated(sys, roots):
     # the two support halves must carve the colours in two, and the halves
     # must decompose the system localized at the whole spherical support
-    core = localize(sys, sys.sigma_support)
+    core = decuspidalize(sys)
     side1 = frozenset().union(*(support(h) for g, h in
                                 zip(sys.sigma, core.sigma) if g in roots))
     side2 = core.sigma_support - side1

@@ -161,82 +161,59 @@ def _listed(value, message) -> list:
     return list(value)
 
 
-class Colour:
+def _same_kind_eq(self, other):
+    # a record equals only a record of its own kind, never a bare tuple
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _same_kind_ne(self, other):
+    return not _same_kind_eq(self, other)
+
+
+class Colour(NamedTuple):
     """An equivalence class of active simple roots.
 
     doubled means twice the representative is itself a spherical root; its
     functional then takes half pairings.
     """
-    __slots__ = ("nodes", "doubled")
+    nodes: frozenset
+    doubled: bool
 
-    def __init__(self, nodes: frozenset, doubled: bool):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "doubled", doubled)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Colour is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Colour is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nodes, self.doubled) == (other.nodes, other.doubled)
-
-    def __hash__(self):
-        return hash((self.nodes, self.doubled))
-
-    def __repr__(self):
-        return f"Colour(nodes={self.nodes!r}, doubled={self.doubled!r})"
-
-    def __reduce__(self):   # copy and pickle rebuild through __init__
-        return Colour, (self.nodes, self.doubled)
+    __eq__, __ne__ = _same_kind_eq, _same_kind_ne
+    __hash__ = tuple.__hash__
 
 
-class ValidationReport:
+class _Faults(NamedTuple):
+    pairwise_doubled: list      # axiom on 2*alpha roots
+    pairwise_orthogonal: list   # axiom on alpha+beta roots
+    rank_one: list
+    simple_roots: list
+    duplicates: list
+    dependent: bool
+
+
+class ValidationReport(_Faults):
     """The faults validate found, one list per axiom; ok when there are
-    none."""
-    _FIELDS = ("pairwise_doubled",      # axiom on 2*alpha roots
-               "pairwise_orthogonal",   # axiom on alpha+beta roots
-               "rank_one", "simple_roots", "duplicates", "dependent")
-    __slots__ = _FIELDS
-    __hash__ = None     # mutable, like the lists it holds
+    none.  Unhashable, like the lists it holds."""
+    __slots__ = ()      # no instance dict beside the tuple
 
-    def __init__(self, pairwise_doubled=None, pairwise_orthogonal=None,
-                 rank_one=None, simple_roots=None, duplicates=None,
-                 dependent=False):
+    def __new__(cls, pairwise_doubled=None, pairwise_orthogonal=None,
+                rank_one=None, simple_roots=None, duplicates=None,
+                dependent=False):
         # a list left out is a fresh one, never shared between reports
-        self.pairwise_doubled = (
-            [] if pairwise_doubled is None else pairwise_doubled)
-        self.pairwise_orthogonal = (
-            [] if pairwise_orthogonal is None else pairwise_orthogonal)
-        self.rank_one = [] if rank_one is None else rank_one
-        self.simple_roots = [] if simple_roots is None else simple_roots
-        self.duplicates = [] if duplicates is None else duplicates
-        self.dependent = dependent
+        lists = (pairwise_doubled, pairwise_orthogonal, rank_one,
+                 simple_roots, duplicates)
+        return super().__new__(cls, *([] if v is None else v for v in lists),
+                               dependent)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return "ValidationReport(" + ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(self._FIELDS, self._values())) + ")"
+    __eq__, __ne__ = _same_kind_eq, _same_kind_ne
 
     @property
     def ok(self) -> bool:
-        return not (self.pairwise_doubled or self.pairwise_orthogonal
-                    or self.rank_one or self.simple_roots
-                    or self.duplicates or self.dependent)
+        return not any(self)
 
     def to_json(self) -> dict:
-        return {"valid": self.ok, **dict(zip(self._FIELDS, self._values()))}
+        return {"valid": self.ok, **self._asdict()}
 
 
 def validation_report(d: Diagram, sp: frozenset,
@@ -265,7 +242,7 @@ def validation_report(d: Diagram, sp: frozenset,
             report.duplicates.append(
                 {"gamma": list(sigma[k]), "positions": [first, k]})
         else:
-            report.dependent = True
+            report = report._replace(dependent=True)
     for reason, k, at in rank_one_faults(sp, sigma, roots):
         entry = {"gamma": list(sigma[k]), "reason": reason}
         if reason == "trace":

@@ -313,11 +313,34 @@ class TestOperations:
         assert out["error"] == {"kind": "domain",
                                 "message": "no node '0.x' in B3"}
 
+    def test_localize_to_no_nodes(self, capsys, system_file):
+        status, out = run_json(
+            capsys, ["localize", "--system", system_file("b(n)", n=3),
+                     "--nodes", ""])
+        assert status == 0
+        assert out == {"diagram": {"components": []}, "sp": [], "sigma": []}
+
+    def test_quotient_by_no_colours_is_the_identity(self, capsys,
+                                                    system_file):
+        path = system_file("b(n)", n=3)
+        status, out = run_json(
+            capsys, ["quotient", "--system", path, "--colours", ""])
+        assert status == 0
+        assert out["system"] == json.loads(Path(path).read_text())
+        assert out["coefficients"] == [[1]]
+        assert (out["smooth"], out["homogeneous"],
+                out["is_valid_system"]) == (True, False, True)
+
     @pytest.mark.parametrize("command,option,token,message", [
         ("localize", "--nodes", "x", "no node 'x' in B3"),
         ("quotient", "--colours", "Dx", "no colour 'Dx'"),
         # one leading D only: DD0 is no colour, not colour 0
         ("quotient", "--colours", "DD0", "no colour 'DD0'"),
+        # only the whole option may be empty, no token within it
+        ("localize", "--nodes", "0,,1", "no node '' in B3"),
+        ("localize", "--nodes", ",", "no node '' in B3"),
+        ("quotient", "--colours", "0,,1", "no colour ''"),
+        ("quotient", "--colours", ",", "no colour ''"),
     ])
     def test_non_numeric_token_is_named(self, capsys, system_file, command,
                                         option, token, message):
@@ -523,9 +546,19 @@ class TestAppendixCommands:
             capsys, ["orbit", "--diagram", "G2", "--char", "3,0"])
         assert status == 1
 
+    def test_orbit_on_the_empty_diagram(self, capsys):
+        status, out = run_json(
+            capsys, ["orbit", "--diagram", "", "--char", ""])
+        assert status == 0
+        assert (out["height"], out["spherical"], out["grading"]) == (
+            0, True, {"0": 0})
+        assert out["dim_h"] == out["dim_hu"] == out["dim_orbit"] == 0
+
     @pytest.mark.parametrize("char,message", [
         ("1,x", "characteristic entry 'x' is not an integer"),
-        ("", "characteristic entry '' is not an integer"),
+        (",", "characteristic entry '' is not an integer"),
+        ("1,,0", "characteristic entry '' is not an integer"),
+        ("", "characteristic length 0 != 2 nodes"),
         ("1,0.5", "characteristic entry '0.5' is not an integer"),
         ("-1,0", "characteristic entries must be 0, 1 or 2; got [-1]"),
         ("1", "characteristic length 1 != 2 nodes"),

@@ -318,6 +318,34 @@ class TestWalk:
         assert calls
         assert not [r for r in records if r[0] == "parabolic-pairing"]
 
+    @pytest.mark.parametrize("mode", ["full", "cuspidal", "primitive"])
+    @pytest.mark.parametrize("spec", ["B3", "B4", "A1,B3", "D4", "F4"])
+    def test_final_gate_rejects_what_the_walk_lets_through(self, spec, mode,
+                                                           monkeypatch):
+        # with the walk's parabolic-pairing prune switched off, the final
+        # gate meets such systems and alone keeps the output unchanged
+        kw = {"full": {}, "cuspidal": {"cuspidal_only": True},
+              "primitive": {"primitive_only": True}}[mode]
+        want = search.enumerate_systems(spec, **kw)
+        faults = search.rank_one_faults
+        records = []
+
+        def counted(sp, sigma, roots):
+            found = list(faults(sp, sigma, roots))
+            records.extend(found)
+            return iter(found)
+
+        def unbanned(f, assignments, covered, banned):
+            return (a | t for a in assignments for t in f.traces
+                    if a & f.support == t & covered)
+
+        monkeypatch.setattr(search, "rank_one_faults", counted)
+        monkeypatch.setattr(search, "_extensions", unbanned)
+        got = search.enumerate_systems(spec, **kw)
+        assert [r for r in records if r[0] == "parabolic-pairing"]
+        assert [(s.sp, s.sigma) for s in got] == [
+            (s.sp, s.sigma) for s in want]
+
     @pytest.mark.parametrize("spec", ["A1,A1,A1,A1,A1,A1", "G2,G2", "B2,B2"])
     def test_returned_systems_build_their_report(self, spec):
         # the search keeps no report; validate() builds an equal one

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -50,9 +51,9 @@ def test_no_fractions(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_dataclasses_only_in_ops(path):
     # importing dataclasses pulls in inspect, about 15 ms of every CLI call
-    # that loads the module, so records are NamedTuples or __slots__
-    # classes; ops keeps QuotientResult a dataclass because
-    # perfbench/selftest.py copies it with dataclasses.replace
+    # that loads the module, so records are NamedTuples; ops keeps
+    # QuotientResult a dataclass because perfbench/selftest.py copies it
+    # with dataclasses.replace
     if path.name == "ops.py":
         return
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -122,6 +123,38 @@ def test_private_constructor_stays_in_the_library(path):
     # through the checked constructor or from_json
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert "_from_normal" not in _identifiers(tree)
+
+
+def _traced_targets() -> list:
+    """(module, attribute) of each entry of perfbench/tracer.py's TARGETS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(
+        encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TARGETS"]):
+            return [(entry.elts[0].value, entry.elts[1].value)
+                    for entry in node.value.elts]
+    return []
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer binds each target by name, a method from its
+    # class's own __dict__, so a rename in the library breaks a benchmark
+    # run and not only a test
+    targets = _traced_targets()
+    assert targets
+    for module, attr in targets:
+        mod = importlib.import_module(f"sphsys.{module}")
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            assert name in vars(getattr(mod, owner)), (module, attr)
+        else:
+            assert callable(getattr(mod, attr, None)), (module, attr)
+    # perfbench/selftest.py patches these where the library from-imports them
+    from sphsys import feasible, ops, rankone, search
+    assert ops.feasible_nonneg is feasible.feasible_nonneg
+    assert search.admissible_traces is rankone.admissible_traces
 
 
 # the library's modules, lowest layer first; each imports only earlier ones

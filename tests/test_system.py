@@ -49,6 +49,23 @@ def test_value_classes():
         "rank_one=[], simple_roots=[], duplicates=[], dependent=False)")
 
 
+@pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)),
+                                    copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_records_are_tuples_of_their_own_kind(copier):
+    rep = make("A3", {2}, [(1, 1, 0), (1, 1, 0)]).validate()
+    assert not rep.ok and rep != tuple(rep) and tuple(rep) != rep
+    with pytest.raises(TypeError):
+        hash(rep)
+    again = copier(rep)
+    assert type(again) is ValidationReport and again == rep
+    with pytest.raises(AttributeError):
+        rep.dependent = True
+    nodes, doubled = c = Colour(frozenset({0, 2}), True)
+    assert (nodes, doubled) == (c.nodes, c.doubled) == tuple(c)
+    assert copier(c) == c and hash(copier(c)) == hash(c)
+
+
 class TestValidation:
     def test_valid_b_rows(self):
         assert make("B3", {1, 2}, [(1, 1, 1)]).is_valid
@@ -340,7 +357,7 @@ def oracle_validate(sys) -> ValidationReport:
                  "nodes": [d.node_id(i) for i in bad]})
 
     if sys.sigma:
-        rep.dependent = rank(sys.sigma) < len(sys.sigma)
+        rep = rep._replace(dependent=rank(sys.sigma) < len(sys.sigma))
     return rep
 
 
