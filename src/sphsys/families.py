@@ -42,18 +42,18 @@ def _wt(n, coeffs) -> tuple:
     return tuple(w)
 
 
-def _pairs_row(n, lo, count):
-    """Consecutive-node sums starting at lo: (lo,lo+1), (lo+1,lo+2), ..."""
-    return [_wt(n, {lo + i: 1, lo + i + 1: 1}) for i in range(count)]
+def _pairs_row(n, count):
+    """Consecutive-node sums from the first node: (0,1), (1,2), ..."""
+    return [_wt(n, {i: 1, i + 1: 1}) for i in range(count)]
 
 
 def _chain_row(n, lo, hi, coeff=1):
     return _wt(n, {i: coeff for i in range(lo, hi + 1)})
 
 
-def _short_chain(n, lo, count):
-    """Coefficient pattern 1,2,1 repeated along even offsets from lo."""
-    return [_wt(n, {lo + 2 * k: 1, lo + 2 * k + 1: 2, lo + 2 * k + 2: 1})
+def _short_chain(n, count):
+    """Coefficient pattern 1,2,1 repeated along even offsets from node 0."""
+    return [_wt(n, {2 * k: 1, 2 * k + 1: 2, 2 * k + 2: 1})
             for k in range(count)]
 
 
@@ -118,7 +118,7 @@ def _b_all_doubled(fam, n):
 
 def _b_ac(n):
     _need(n >= 3 and n % 2 == 1, "ac(n) needs odd n >= 3")
-    sigma = _short_chain(n, 0, (n - 1) // 2)
+    sigma = _short_chain(n, (n - 1) // 2)
     return SphericalSystem(_diag(f"A{n}"), range(0, n, 2), sigma)
 
 
@@ -146,7 +146,7 @@ def _b_a(n):
 
 def _b_acstar(n):
     _need(n >= 3, "ac*(n) needs n >= 3")
-    return SphericalSystem(_diag(f"A{n}"), (), _pairs_row(n, 0, n - 1))
+    return SphericalSystem(_diag(f"A{n}"), (), _pairs_row(n, n - 1))
 
 
 def _b_bo(p, q):
@@ -171,18 +171,18 @@ def _b_bstar(n):
 
 def _b_bcstar(n):
     _need(n >= 3, "bc*(n) needs n >= 3")
-    return SphericalSystem(_diag(f"B{n}"), (), _pairs_row(n, 0, n - 1))
+    return SphericalSystem(_diag(f"B{n}"), (), _pairs_row(n, n - 1))
 
 
 def _b_bcprime(n):
     _need(n >= 2, "bc'(n) needs n >= 2")
-    sigma = _pairs_row(n, 0, n - 1) + [_wt(n, {n - 1: 2})]
+    sigma = _pairs_row(n, n - 1) + [_wt(n, {n - 1: 2})]
     return SphericalSystem(_diag(f"B{n}"), (), sigma)
 
 
 def _a_head(n, p, consecutive):
     if consecutive:
-        return _pairs_row(n, 0, p - 1), set()
+        return _pairs_row(n, p - 1), set()
     return [_chain_row(n, 0, p - 1)], set(range(1, p - 1))
 
 
@@ -215,7 +215,7 @@ def _b_cc_pq(p, q):
     _need(p >= 2 and p % 2 == 0 and q >= 2,
           "cc(p+q) needs even p >= 2 and q >= 2")
     n = p + q
-    sigma = _short_chain(n, 0, p // 2) + [_c_tail(n, p)]
+    sigma = _short_chain(n, p // 2) + [_c_tail(n, p)]
     sp = set(range(0, p + 1, 2)) | set(range(p + 2, n))
     return SphericalSystem(_diag(f"C{n}"), sp, sigma)
 
@@ -223,7 +223,7 @@ def _b_cc_pq(p, q):
 def _b_ccprime(p):
     _need(p >= 2 and p % 2 == 0, "cc'(p+2) needs even p >= 2")
     n = p + 2
-    sigma = _short_chain(n, 0, p // 2)
+    sigma = _short_chain(n, p // 2)
     sigma.append(_wt(n, {n - 2: 2, n - 1: 2}))
     return SphericalSystem(_diag(f"C{n}"), range(0, n - 1, 2), sigma)
 
@@ -273,7 +273,7 @@ def _b_aa11_cstar_cstar(n1, n2):
 def _b_acstar_cstar(p, q):
     _need(p >= 2 and q >= 2, "ac*(p)+c*(q) needs p, q >= 2")
     n = p + q - 1
-    sigma = _pairs_row(n, 0, p - 1) + [_c_tail(n, p - 1)]
+    sigma = _pairs_row(n, p - 1) + [_c_tail(n, p - 1)]
     return SphericalSystem(_diag(f"C{n}"), range(p + 1, n), sigma)
 
 
@@ -305,13 +305,13 @@ def _b_dcprime(n):
 def _dc_prime(n):
     # unchecked: at n = 4 this is the fork swap of do(1+3), the D III
     # involution of so(8)
-    sigma = _short_chain(n, 0, (n - 2) // 2) + [_wt(n, {n - 1: 2})]
+    sigma = _short_chain(n, (n - 2) // 2) + [_wt(n, {n - 1: 2})]
     return SphericalSystem(_diag(f"D{n}"), range(0, n - 1, 2), sigma)
 
 
 def _b_dc(n):
     _need(n >= 5 and n % 2 == 1, "dc(n) needs odd n >= 5")
-    sigma = _short_chain(n, 0, (n - 3) // 2)
+    sigma = _short_chain(n, (n - 3) // 2)
     sigma.append(_wt(n, {n - 3: 1, n - 2: 1, n - 1: 1}))
     return SphericalSystem(_diag(f"D{n}"), range(0, n - 2, 2), sigma)
 
@@ -330,7 +330,7 @@ def _b_dsstar():
 
 def _b_dcstar(n):
     _need(n >= 4, "dc*(n) needs n >= 4")
-    sigma = _pairs_row(n, 0, n - 2) + [_wt(n, {n - 3: 1, n - 1: 1})]
+    sigma = _pairs_row(n, n - 2) + [_wt(n, {n - 3: 1, n - 1: 1})]
     return SphericalSystem(_diag(f"D{n}"), (), sigma)
 
 
@@ -415,7 +415,7 @@ def _b_ao2_a2():
 
 
 def _b_fcstar():
-    return SphericalSystem(_diag("F4"), (), _pairs_row(4, 0, 3))
+    return SphericalSystem(_diag("F4"), (), _pairs_row(4, 3))
 
 
 def _b_g(coeff):

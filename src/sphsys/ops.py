@@ -36,7 +36,7 @@ def induced_diagram(d: Diagram, keep):
             raise DiagramError(f"nodes {sorted(comp)} of {d.spec()} "
                                "do not form a Dynkin diagram")
         shapes.append(found[0])
-    shapes.sort(key=lambda s: (s[0], s[1], s[2]))
+    shapes.sort()
     sub = Diagram([(fam, rank) for fam, rank, _ in shapes])
     node_map = {}
     for ci, (_f, _r, order) in enumerate(shapes):
@@ -70,12 +70,6 @@ def decuspidalize(sys: SphericalSystem) -> SphericalSystem:
 # -- distinguished subsets and quotients ------------------------------------
 
 
-def _subset_rows(sys, subset):
-    rho = sys.rho_matrix
-    return [tuple(rho[c][j] for c in subset)
-            for j in range(len(sys.sigma))]
-
-
 def _colour_subset(sys, subset) -> tuple:
     """The distinct indices of subset, sorted; ValueError on an entry that
     is no colour index of the system.  A bool is no colour, though Python
@@ -94,10 +88,9 @@ def distinguished_witness(sys: SphericalSystem, subset):
     for every spherical root, or None.  Raises ValueError on a colour index
     the system does not have."""
     subset = _colour_subset(sys, subset)
-    if not subset:
-        return ()
-    rows = _subset_rows(sys, subset)
-    return feasible_nonneg(rows, len(subset), strict=range(len(subset)))
+    rho = sys.rho_matrix
+    return feasible_nonneg(zip(*(rho[c] for c in subset)), len(subset),
+                           strict=range(len(subset)))
 
 
 def is_distinguished(sys: SphericalSystem, subset) -> bool:
@@ -250,8 +243,8 @@ def _splits(sys, s1, s2) -> bool:
     """The rest of decomposes() for distinguished subsets moving disjoint
     roots: orthogonal new parabolic nodes and a smooth quotient."""
     d = sys.diagram
-    add1 = frozenset().union(*(sys.colours[c].nodes for c in s1)) - sys.sp
-    add2 = frozenset().union(*(sys.colours[c].nodes for c in s2)) - sys.sp
+    add1 = frozenset().union(*(sys.colours[c].nodes for c in s1))
+    add2 = frozenset().union(*(sys.colours[c].nodes for c in s2))
     # Each connected piece of the subdiagram spanned by the two enlarged
     # parabolic sets must lie on one side: a chain through shared sp nodes
     # couples the factors just as a direct edge would.
@@ -319,8 +312,6 @@ def affine_witness(sys: SphericalSystem):
     every colour, or None.  Encoded with one strict slack variable."""
     k = len(sys.sigma)
     rho = sys.rho_matrix
-    if not sys.colours:
-        return (0,) * k
     rows = [tuple(rho[c]) + (-1,) for c in range(len(sys.colours))]
     x = feasible_nonneg(rows, k + 1, strict={k})
     return None if x is None else x[:k]

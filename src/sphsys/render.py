@@ -400,13 +400,17 @@ def render_svg(sys: SphericalSystem) -> str:
                              font_family="monospace", fill="#000",
                              text="2"))
 
-    below = []   # (id, endpoint nodes)
+    # (id, endpoint nodes); a line joining a branch node, at any of its
+    # nodes as in render_text, runs straight instead of below the spine
+    straight, below = [], []
     for conn in scene.connectors:
-        below.append((f"conn-{conn.colour}",
-                      (conn.nodes[0], conn.nodes[-1])))
+        side = straight if riser_set.intersection(conn.nodes) else below
+        side.append((f"conn-{conn.colour}", (conn.nodes[0], conn.nodes[-1])))
     for k, m in enumerate(scene.roots):
         if m.kind == "span":
-            below.append((f"span-{k}", _span_ends(scene, m)))
+            ab = _span_ends(scene, m)
+            side = straight if riser_set.intersection(ab) else below
+            side.append((f"span-{k}", ab))
         elif m.kind == "two":
             i = m.nodes[0]
             tx = x[i] + (16 if i in riser_set else 0)
@@ -414,12 +418,7 @@ def render_svg(sys: SphericalSystem) -> str:
             body.append(_fmt("text", id=f"two-{k}", x=tx, y=ty,
                              font_size="11", text_anchor="middle",
                              font_family="monospace", fill="#000", text="2"))
-    straight = [(eid, ab) for eid, ab in below
-                if riser_set.intersection(ab)]
-    below = [(eid, ab) for eid, ab in below
-             if not riser_set.intersection(ab)]
     for eid, (a, b) in straight:
-        # a joining line to a branch node runs point to point
         body.insert(0, _fmt("line", id=eid, x1=x[a], y1=y[a], x2=x[b],
                             y2=y[b], stroke="#000", stroke_width="1.2"))
     ranges = [tuple(sorted((x[a], x[b]))) for _eid, (a, b) in below]

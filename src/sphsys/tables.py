@@ -41,10 +41,7 @@ class SymmetricDatum(NamedTuple):
     constraints: str
     subalgebra: str
     params: tuple
-    recipe: Callable
-
-    def realise(self, **params) -> SymmetricInstance:
-        return self.recipe(**params)
+    realise: Callable  # (**params) -> SymmetricInstance
 
 
 def _sym(system, family, rank) -> SymmetricInstance:
@@ -177,7 +174,7 @@ def symmetric_instance(label: str, **params):
         except ValueError as exc:
             errors.append(f"{row.label}: {exc}")
         except TypeError:
-            # the recipe's own text names a lambda, not the row
+            # Python's message names the builder, often a lambda, not the row
             errors.append(f"{row.label} takes "
                           + (", ".join(row.params) or "no parameters"))
     if len(hits) == 1:
@@ -323,10 +320,7 @@ class OrbitDatum(NamedTuple):
     fixed_part: str  # centraliser piece in layer 0, documentation only
     module: str      # its action on the odd tail, documentation only
     params: tuple
-    recipe: Callable
-
-    def realise(self, **params) -> OrbitInstance:
-        return self.recipe(**params)
+    realise: Callable  # (**params) -> OrbitInstance
 
 
 def _orb_b_tall(r):

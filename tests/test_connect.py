@@ -169,6 +169,12 @@ class TestClassify:
         sys = make("B2,B2", set(), [(0, 0, 1, 1), (0, 1, 0, 1)])
         assert not connect.classify_component(sys, sys.sigma[:1]).isolated
 
+    def test_root_with_no_colour_on_its_side_is_not_isolated(self):
+        # invalid: node 0 is parabolic yet carries the root 2a0.1, so no
+        # colour lies on that root's side
+        sys = SphericalSystem("A1,A1", [0], [(2, 0), (0, 2)])
+        assert not connect.classify_component(sys, [(2, 0)]).isolated
+
     def test_automorphism_invariant_flags(self):
         for sys in (CHAIN3, FORK5, PAIRS):
             base = sorted(

@@ -255,8 +255,13 @@ def test_rank_cap():
         Diagram.from_json({"components": [{"family": "C", "rank": 500}]})
 
 
+# (0, True) equals and hashes like the node (0, 1)
 @pytest.mark.parametrize("node", [None, 1.5, [[0, 1]], "0.9", (0, 0), 3,
-                                  "x", "a.b", "0.1.2"])
+                                  "x", "a.b", "0.1.2", (0, True)])
 def test_node_index_rejects_bad_references(node):
     with pytest.raises(DiagramError, match="no node"):
         parse_diagram("B3").node_index(node)
+
+
+def test_repr_names_the_spec():
+    assert repr(parse_diagram("B3")) == "Diagram('B3')"

@@ -1,8 +1,9 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from sphsys import families, render
+from sphsys import families, render, search
 from sphsys.dynkin import parse_diagram
 from sphsys.system import SphericalSystem
 
@@ -66,6 +67,32 @@ class TestGolden:
 
     def test_nothing_extra_in_golden_dir(self):
         assert len(list(GOLDEN.glob("*"))) == 2 * len(FIXTURES)
+
+
+# every system the search finds on these diagrams ...
+PIN_ENUMERATED = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+                  "D5", "F4", "G2", "E6", "A1,A1", "A1,A2", "A1,B2", "B2,B2",
+                  "A1,A1,A1", "A2,G2", "A1,D4")
+# ... and every catalog member on these
+PIN_CATALOG = ("E6", "E7", "E8", "A6", "B6", "C6", "D6", "D7", "F4,F4",
+               "A1,C5", "C3,C4", "G2,G2")
+
+
+def test_renderings_beyond_the_goldens_are_pinned():
+    # one digest over 3,810 renderings, both formats, each ended by a NUL
+    systems = []
+    for spec in PIN_ENUMERATED:
+        systems += search.enumerate_systems(parse_diagram(spec))
+    for spec in PIN_CATALOG:
+        systems += [e.system
+                    for e in families.expand_catalog(parse_diagram(spec))]
+    digest = hashlib.sha256()
+    for sys in systems:
+        for out in (render.render_text(sys), render.render_svg(sys)):
+            digest.update(out.encode() + b"\0")
+    assert len(systems) == 1905
+    assert digest.hexdigest() == ("f29bdb6c37e7c33e4576fb268624685450bd46"
+                                  "156fae714c6f826c3c5e87a55f")
 
 
 class TestScene:
@@ -183,5 +210,19 @@ class TestLayoutPaths:
             "  aa(1,1): a1+a4  [join 1-4]\n")
         svg = render.render_svg(sys)
         assert ('<line id="conn-0" x1="30" y1="84" x2="90" y2="24" '
+                'stroke="#000" stroke-width="1.2"/>') in svg
+        assert "polyline" not in svg
+
+    def test_renderers_route_a_connector_by_any_of_its_nodes(self):
+        # an invalid system (its two orthogonal-pair roots share a node)
+        # whose colour runs 1-2-3 through the branch node 2 in its middle
+        sys = SphericalSystem("E6", [3, 4, 5],
+                              [(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)])
+        assert not sys.is_valid
+        assert render.build_scene(sys).connectors == (
+            render.Connector(0, (0, 1, 2)),)
+        assert "  joined: 1,2,3\n" in render.render_text(sys)
+        svg = render.render_svg(sys)
+        assert ('<line id="conn-0" x1="30" y1="84" x2="90" y2="84" '
                 'stroke="#000" stroke-width="1.2"/>') in svg
         assert "polyline" not in svg

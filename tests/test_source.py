@@ -98,6 +98,27 @@ def test_every_import_is_used(path):
     assert _unused_imports(tree) == [], f"unused imports in {path.name}"
 
 
+def _uncalled_private_helpers() -> list:
+    """(module, name) of each module-level _name function or class that no
+    statement of the library references, its own definition left out."""
+    statements = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        statements += [(path.name, node, _identifiers(node))
+                       for node in tree.body]
+    return [(module, node.name) for module, node, _ in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and not any(node.name in names for _, other, names in statements
+                        if other is not node)]
+
+
+def test_every_private_helper_is_called():
+    # a private helper is for the library's own use, so one that nothing
+    # in the library references is dead code
+    assert _uncalled_private_helpers() == []
+
+
 ROOT = SRC.parent.parent
 CALLERS = sorted((ROOT / "tests").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))

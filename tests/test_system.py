@@ -49,6 +49,14 @@ def test_value_classes():
         "rank_one=[], simple_roots=[], duplicates=[], dependent=False)")
 
 
+def test_system_refuses_attribute_assignment():
+    s = make("A2", set(), [(1, 1)])
+    for name, value in (("sp", frozenset({0})), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(s, name, value)
+    assert s.sp == frozenset() and not hasattr(s, "extra")
+
+
 @pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)),
                                     copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
