@@ -583,10 +583,6 @@ CATALOG = (
 _BY_NAME = {f.name: f for f in CATALOG}
 
 
-def family_names() -> tuple:
-    return tuple(f.name for f in CATALOG)
-
-
 def instantiate(name: str, **params) -> SphericalSystem:
     """Build one catalog member; raises KeyError or ValueError."""
     return _BY_NAME[name].build(**params)

@@ -5,9 +5,10 @@ decided in three steps, cheapest first: the witness phi = (1, ..., 1), a
 root refuting every witness, and a lookup among the supports of the
 extreme rays of the cone of witnesses, enumerated once per system.  The
 witnesses themselves are sums of extreme rays of the cone each one asks
-about (feasible.feasible_nonneg), and quotient monoids come from Hilbert
-bases.  A colour subset is a set: repeated indices count once.
-Quotient systems are constructed and validated, never assumed valid.
+about (feasible.feasible_nonneg).  Quotient monoids come from Hilbert
+bases; the smooth test reads the extreme rays of the kernel alone.  A
+colour subset is a set: repeated indices count once.  Quotient systems
+are constructed and validated, never assumed valid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from sphsys.dynkin import (Diagram, DiagramError, bourbaki_orders, pieces,
                            support)
-from sphsys.feasible import feasible_nonneg
+from sphsys.feasible import extreme_ray_supports, feasible_nonneg
 from sphsys.hilbert import hilbert_basis
 from sphsys.system import SphericalSystem
 
@@ -161,7 +162,11 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     subset = _colour_subset(sys, subset)
     if not is_distinguished(sys, subset):
         raise ValueError("quotient by a non-distinguished subset")
-    coeffs, sigma_out = _new_roots(sys, subset)
+    # one equation per chosen colour, variables are root multiplicities
+    coeffs = hilbert_basis([sys.rho_matrix[c] for c in subset], len(sys.sigma))
+    sigma_out = tuple(sorted(
+        tuple(sum(c * v for c, v in zip(x, col)) for col in zip(*sys.sigma))
+        for x in coeffs))
     for g in sigma_out:
         # only roots with a nonnegative dependency combine to zero
         if not any(g):
@@ -179,19 +184,6 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
         homogeneous=not sigma_out,
         is_valid_system=out.is_valid,
     )
-
-
-def _new_roots(sys, subset):
-    """The quotient's Hilbert basis in sigma coordinates, and the sorted
-    weights of its elements: the new spherical roots."""
-    # one equation per chosen colour, variables are root multiplicities
-    rho = sys.rho_matrix
-    coeffs = hilbert_basis([tuple(rho[c]) for c in sorted(subset)],
-                           len(sys.sigma))
-    roots = sorted(tuple(sum(c * g[i] for c, g in zip(x, sys.sigma))
-                         for i in range(sys.diagram.n_nodes))
-                   for x in coeffs)
-    return coeffs, tuple(roots)
 
 
 def support_colour_set(sys: SphericalSystem) -> tuple:
@@ -251,9 +243,18 @@ def _splits(sys, s1, s2) -> bool:
     if any(p & add1 and p & add2
            for p in pieces(sorted(sys.sp | add1 | add2), d.adjacent)):
         return False
-    # a smooth quotient: every new root is an old one
-    return any(set(_new_roots(sys, s)[1]) <= set(sys.sigma)
-               for s in (s1, s2))
+    return _smooth(sys, s1) or _smooth(sys, s2)
+
+
+def _smooth(sys, subset) -> bool:
+    """Whether quotient(sys, subset) is smooth, from the extreme rays of the
+    pointed cone C = {x >= 0 : rho_s x = 0}.  Sigma is independent, so the
+    quotient is smooth iff C's Hilbert basis is all unit vectors.  The basis
+    holds every ray's primitive generator, and an orthant's basis is its
+    units, so that holds iff every ray's support is a single bit."""
+    rows = [sys.rho_matrix[c] for c in subset]
+    return all(ray & (ray - 1) == 0 for ray in extreme_ray_supports(
+        rows + [tuple(-v for v in r) for r in rows], len(sys.sigma)))
 
 
 def is_decomposable(sys: SphericalSystem):

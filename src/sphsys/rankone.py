@@ -47,7 +47,8 @@ ROWS = (
     Row("g*", "G", 2, 2, lambda n: (1, 1), lambda n: frozenset()),
 )
 
-# Low-rank coincidences, kept as data so classification can report them.
+# Low-rank coincidences: each name on the left is no row of the table, and
+# rank1_label names its shape by the table row on the right.
 ALIASES = {
     "d(2)": "aa(1,1)",
     "b'(1)": "a'(1)",

@@ -145,10 +145,6 @@ SYMMETRIC = (
 _TWO_VARIANTS = frozenset({"B II", "C II (q = 2)"})
 
 
-def symmetric_table() -> tuple:
-    return SYMMETRIC
-
-
 def _resolve_rows(label: str) -> list:
     rows = [r for r in SYMMETRIC
             if r.label == label or r.label.startswith(label + " (")]
@@ -381,10 +377,6 @@ HEIGHT3 = (
 )
 
 
-def height3_table() -> tuple:
-    return HEIGHT3
-
-
 # -- model homogeneous spaces --------------------------------------------------
 
 class ModelDatum(NamedTuple):
@@ -447,6 +439,3 @@ MODEL = (
                "group's model subgroup", "bc'(n)", _n),
 )
 
-
-def model_table() -> tuple:
-    return MODEL

@@ -308,7 +308,7 @@ def test_6_nilpotent_heights():
     start = time.perf_counter()
     minimal = {"B(2r+1)": {"r": 1}, "B(2r+s+1)": {"r": 1, "s": 1},
                "D(2r+2)": {"r": 1}, "D(2r+s+2)": {"r": 1, "s": 1}}
-    rows = tables.height3_table()
+    rows = tables.HEIGHT3
     assert len(rows) == 11
     for row in rows:
         inst = row.realise(**minimal.get(row.label, {}))

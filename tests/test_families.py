@@ -65,7 +65,7 @@ BIGGER = [
 
 
 def test_catalog_is_complete_and_named_once():
-    names = families.family_names()
+    names = [f.name for f in families.CATALOG]
     assert len(names) == 66
     assert len(set(names)) == 66
     assert set(MINIMAL) == set(names)

@@ -6,10 +6,12 @@ import pytest
 from sphsys import ops, search
 from sphsys.families import expand_catalog, instantiate
 from sphsys.dynkin import parse_diagram
+from sphsys.hilbert import hilbert_basis
 from sphsys.system import SphericalSystem
-from test_acceptance import SWEEP_DIAGRAMS
+from test_acceptance import (ENUMERATION_DIAGRAMS, SWEEP_DIAGRAMS,
+                             diagrams_up_to_rank)
 from test_search import PRUNED_PRODUCTS
-from test_system import ORACLE_DIAGRAMS
+from test_system import ORACLE_DIAGRAMS, random_systems
 
 
 def make(spec, sp, sigma):
@@ -276,6 +278,67 @@ class TestDecompose:
                            if not set(s1) & set(s2)
                            and ops.decomposes(sys, s1, s2)), None)
             assert ops.is_decomposable(sys) == expect, sys
+
+    def test_smooth_test_matches_hilbert_basis(self):
+        # Oracle: the quotient is smooth iff every element of the Hilbert
+        # basis of the pairing kernel is a unit vector, and quotient()
+        # reports the same through its set-inclusion rule
+        systems = [e.system for spec in SWEEP_DIAGRAMS
+                   for e in expand_catalog(spec)]
+        systems += [s for spec in diagrams_up_to_rank(5)
+                    for s in search.enumerate_systems(spec,
+                                                      cuspidal_only=True)]
+        subsets = singular = 0
+        for sys in systems:
+            n, rho = len(sys.colours), sys.rho_matrix
+            for r in range(1, n + 1):
+                for s in itertools.combinations(range(n), r):
+                    if not ops.is_distinguished(sys, s):
+                        continue
+                    units = all(sum(x) == 1 for x in hilbert_basis(
+                        [rho[c] for c in s], len(sys.sigma)))
+                    assert ops._smooth(sys, s) == units, (sys, s)
+                    assert ops.quotient(sys, s).smooth == units, (sys, s)
+                    subsets += 1
+                    singular += not units
+        assert (len(systems), subsets, singular) == (978, 6059, 380)
+
+    def test_decompositions_pinned(self):
+        # sha256 over repr((system, is_decomposable)) of every cuspidal
+        # system of every diagram of rank <= 6, in search order
+        h, count = hashlib.sha256(), 0
+        for spec in diagrams_up_to_rank(6):
+            for sys in search.enumerate_systems(spec, cuspidal_only=True):
+                h.update(repr((sys, ops.is_decomposable(sys))).encode()
+                         + b"\n")
+                count += 1
+        assert count == 3306
+        assert h.hexdigest() == \
+            "3ea045d665b454c15454fba0c12962429770bf8b09eb05aac6a2aaf6650ec450"
+
+    def test_random_decompositions_pinned(self):
+        # the same over random, mostly invalid systems, errors included
+        h, count = hashlib.sha256(), 0
+        for seed in range(6):
+            for sys in random_systems(seed, 100):
+                try:
+                    answer = ops.is_decomposable(sys)
+                except ValueError as exc:
+                    answer = (type(exc).__name__, str(exc))
+                h.update(repr((sys, answer)).encode() + b"\n")
+                count += 1
+        assert count == 6600
+        assert h.hexdigest() == \
+            "eec941765b34be662332ecdff709134cd84ced2da3e26cbb280dcceebc33bd61"
+
+    def test_primitivity_builds_no_hilbert_basis(self, monkeypatch):
+        # the smooth test reads extreme rays: only quotient() needs a basis
+        def basis(*args, **kwargs):
+            raise AssertionError("the primitivity filter built a basis")
+        monkeypatch.setattr(ops, "hilbert_basis", basis)
+        for spec in ENUMERATION_DIAGRAMS + ("B8", "D8"):
+            check = search.verify_catalog(spec)
+            assert check.ok and check.found == check.expected, spec
 
     def test_primitive_small_systems(self):
         assert ops.is_primitive(make("B2", set(), [(1, 1), (0, 2)]))

@@ -78,7 +78,7 @@ def _same_type(a, b):
 
 class TestSymmetricTable:
     def test_row_count_and_labels(self):
-        rows = tables.symmetric_table()
+        rows = tables.SYMMETRIC
         assert len(rows) == 28
         labels = [r.label for r in rows]
         assert len(set(labels)) == 28
@@ -315,10 +315,10 @@ HEIGHT3_SAMPLES = [
 
 class TestHeight3Table:
     def test_row_count(self):
-        assert len(tables.height3_table()) == 11
+        assert len(tables.HEIGHT3) == 11
 
     def _row(self, label):
-        return next(r for r in tables.height3_table() if r.label == label)
+        return next(r for r in tables.HEIGHT3 if r.label == label)
 
     @pytest.mark.parametrize("label,params", HEIGHT3_SAMPLES)
     def test_height_is_three(self, label, params):
@@ -358,7 +358,7 @@ class TestHeight3Table:
 def _height3_characteristics(diagram) -> set:
     """Characteristics of the height-3 rows realised on a diagram."""
     out = set()
-    for row in tables.height3_table():
+    for row in tables.HEIGHT3:
         for values in itertools.product(range(diagram.n_nodes + 1),
                                         repeat=len(row.params)):
             try:
@@ -389,21 +389,21 @@ MODEL_RANKS = {
 
 class TestModelTable:
     def test_row_count(self):
-        assert len(tables.model_table()) == 14
+        assert len(tables.MODEL) == 14
 
     def test_all_rows_covered(self):
-        assert {(r.group, r.parity) for r in tables.model_table()} \
+        assert {(r.group, r.parity) for r in tables.MODEL} \
             == set(MODEL_RANKS)
 
     def test_systems_instantiate_and_classify(self):
-        for row in tables.model_table():
+        for row in tables.MODEL:
             for n, name in MODEL_RANKS[(row.group, row.parity)].items():
                 sys = row.instantiate(n)
                 assert sys.validate().ok
                 assert families.classify(sys) == name
 
     def test_simply_connected_roots_are_adjacent_sums(self):
-        for row in tables.model_table():
+        for row in tables.MODEL:
             if row.group == "B adjoint":
                 continue
             n = min(MODEL_RANKS[(row.group, row.parity)])
@@ -415,7 +415,7 @@ class TestModelTable:
                 assert sys.diagram.adjacent(*sup)
 
     def test_nilpotent_rows_have_height_three_characteristics(self):
-        for row in tables.model_table():
+        for row in tables.MODEL:
             if row.characteristic is None:
                 continue
             for n in MODEL_RANKS[(row.group, row.parity)]:
@@ -426,7 +426,7 @@ class TestModelTable:
     def test_nilpotent_rows_match_height3_table(self):
         # every model row with a characteristic restates the characteristic
         # of a height-3 row on the same diagram
-        rows = [r for r in tables.model_table() if r.characteristic]
+        rows = [r for r in tables.MODEL if r.characteristic]
         assert [r.group for r in rows] == ["B", "D", "E7", "E8", "G2"]
         for row in rows:
             for n in MODEL_RANKS[(row.group, row.parity)]:
@@ -436,7 +436,7 @@ class TestModelTable:
     def test_affine_isogeny_cases(self):
         # the even symplectic-subgroup row and the adjoint-B row are the
         # affine members of the list
-        for row in tables.model_table():
+        for row in tables.MODEL:
             if row.group == "A" and row.parity == "even":
                 assert ops.is_affine_feasible(row.instantiate(4))
             if row.group == "B adjoint":
