@@ -1,9 +1,9 @@
 """Search budget shared by the combinatorial kernels.
 
 SPHSYS_MAX_STATES bounds state explosion in the search walk, the Hilbert
-basis completion and the extreme-ray enumeration (which also answers
-feasibility); each faults loudly instead of degrading.  Unset or empty it
-means 1 000 000; any other value must be a decimal count.
+basis completion, the extreme-ray enumeration behind feasibility and the
+automorphism list; each faults loudly instead of degrading.  Unset or empty
+it means 1 000 000; any other value must be a decimal count.
 """
 
 import os
@@ -23,8 +23,8 @@ def max_states() -> int:
 
 class BudgetExceeded(RuntimeError):
     """A kernel ran past max_states().  layer names the kernel ("search",
-    "hilbert" or "feasible"), count how far it got when it stopped, cap the
-    budget, and input what it was working on, as a JSON-ready value."""
+    "hilbert", "feasible" or "automorphisms"), count how far it got or had
+    to go, cap the budget, and input what it worked on, as a JSON value."""
 
     def __init__(self, message, layer=None, count=None, cap=None,
                  input=None):

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property, lru_cache
-from math import lcm
+from math import factorial, lcm, prod
 
+from sphsys.budget import BudgetExceeded, max_states
 from sphsys.feasible import kernel_vector
 
 _FAMILIES = "ABCDEFG"
@@ -357,7 +358,8 @@ class Diagram:
 
         Includes swaps of isomorphic components composed with the symmetry
         of each component (A_n flip, D_n fork swap, D4 triality, E6 flip),
-        read off the Bourbaki orders of the components.
+        read off the Bourbaki orders of the components.  BudgetExceeded
+        when they outnumber max_states(), before any is listed.
         """
         # Each component goes onto one of the same type, numbered there in
         # one of that component's Bourbaki orders.
@@ -366,6 +368,11 @@ class Diagram:
                   for ci in range(len(self.components))]
         runs = [list(g) for _k, g in itertools.groupby(
             range(len(self.components)), key=self.components.__getitem__)]
+        size = prod(map(factorial, map(len, runs))) * prod(map(len, orders))
+        if size > (cap := max_states()):
+            raise BudgetExceeded(
+                f"{self.spec()} has {size} automorphisms (cap {cap})",
+                layer="automorphisms", count=size, cap=cap, input=self.spec())
         perms = []
         for targets in itertools.product(*map(itertools.permutations, runs)):
             for pick in itertools.product(

@@ -186,12 +186,6 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     )
 
 
-def support_colour_set(sys: SphericalSystem) -> tuple:
-    """Indices of the colours living entirely on the support of sigma."""
-    supp = sys.sigma_support
-    return tuple(i for i, c in enumerate(sys.colours) if c.nodes <= supp)
-
-
 # -- decompositions ----------------------------------------------------------
 
 
@@ -316,10 +310,6 @@ def affine_witness(sys: SphericalSystem):
     rows = [tuple(rho[c]) + (-1,) for c in range(len(sys.colours))]
     x = feasible_nonneg(rows, k + 1, strict={k})
     return None if x is None else x[:k]
-
-
-def is_affine_feasible(sys: SphericalSystem) -> bool:
-    return affine_witness(sys) is not None
 
 
 def expected_dims(sys: SphericalSystem) -> tuple[int, int]:

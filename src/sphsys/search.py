@@ -7,7 +7,8 @@ candidates, their RootFacts and the pair matrix (one system.pairwise_faults
 pass) are built once per diagram.  The final validation gate keeps the
 walk honest: it reads the raw fault records of every axiom, those on sigma
 alone (system.sigma_faults) once per root set and the rank-one ones
-(system.rank_one_faults) per parabolic set, and builds no report.  Each
+(system.rank_one_faults) once per trace assignment, as that axiom reads sp
+only on the roots' supports and paired nodes, and builds no report.  Each
 pruning rule either is only a necessary condition on a valid system or
 drops a subtree that holds no system the mode keeps.
 
@@ -161,7 +162,8 @@ def enumerate_systems(diagram, cuspidal_only=False,
     every disjoint pair of colour subsets, is_primitive is False.
     The final gate still runs on every system that survives the prunes:
     every axiom on the raw fault records, system.sigma_faults once per root
-    set and system.rank_one_faults per parabolic set, then ops.is_primitive.
+    set and system.rank_one_faults once per trace assignment (it reads no
+    node that a parabolic set adds to one), then ops.is_primitive.
     Sigma's independence is decided there afresh by its rank, not read off
     the walk's echelon basis, so the gate does not lean on the walk.  No
     report is built, so a returned system builds its own on its first
@@ -185,32 +187,31 @@ def enumerate_systems(diagram, cuspidal_only=False,
                 f"enumeration on {d.spec()} exceeded {budget} states",
                 layer="search", count=n, cap=budget, input=d.spec())
 
-    def emit(chosen, covered, assignments, banned):
-        """The valid systems on the root set `chosen`, in increasing index
-        order.  In cuspidal mode `covered` is every node."""
+    def emit(chosen, assignments):
+        """The valid systems on the root set `chosen`, in output order."""
         kept = []
-        # Only necessary: sp must be orthogonal to every root, but a node
-        # left free may still fail the rank-one axiom.
-        free = [i for i in range(d.n_nodes)
-                if i not in covered and i not in banned]
-        # every subset of free, in the order of its bitmask over free
-        free_subsets = [frozenset()]
-        for f in free:
-            free_subsets += [s | {f} for s in free_subsets]
         sigma = tuple(cands[k] for k in chosen)
         roots = tuple(facts[k] for k in chosen)
+        # Exact: a base decides sp on the supports, and sp meeting a paired
+        # set fails the rank-one axiom, so only the other nodes are free.
+        free = nodes.difference(*(f.support | f.paired for f in roots))
+        # every subset of free, in the order of its bitmask over free
+        free_subsets = [frozenset()]
+        for i in sorted(free):
+            free_subsets += [s | {i} for s in free_subsets]
         sigma_ok = not sigma_faults(sigma, roots)
         # sorted, so the output order does not hang on set hashing
         for base in sorted(assignments, key=sorted):
+            # Exact: an extra from free meets no support and no paired
+            # set, so rank_one_faults(base | extra) yields base's records.
+            ok = sigma_ok and next(rank_one_faults(base, sigma, roots),
+                                   None) is None
             for extra in free_subsets:
                 tick()
-                sp = base | extra
-                if (not sigma_ok or next(rank_one_faults(sp, sigma, roots),
-                                         None) is not None):
-                    continue
-                sys = SphericalSystem._from_normal(d, sp, sigma)
-                if not primitive_only or ops.is_primitive(sys):
-                    kept.append(sys)
+                if ok:
+                    sys = SphericalSystem._from_normal(d, base | extra, sigma)
+                    if not primitive_only or ops.is_primitive(sys):
+                        kept.append(sys)
         return kept
 
     def walk(chosen, basis, covered, assignments, banned, live):
@@ -245,7 +246,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
         if order is live:
             # ints in a tuple: the garbage collector need not track it
             key = tuple(sorted(chosen))
-            kept = emit(key, covered, assignments, banned)
+            kept = emit(key, assignments)
             if kept:
                 yield key, kept
         excluded = set()

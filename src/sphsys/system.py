@@ -6,9 +6,10 @@ sigma, rank-one realizability of every root against the table in
 sphsys.rankone, that no root is simple, that roots are distinct, and linear
 independence.  The checks come in two layers of raw fault records:
 sigma_faults decides what reads sigma alone, once per root set, and
-rank_one_faults the rank-one axiom, the only one that reads sp, per
-parabolic set.  validation_report formats the records of both; the search's
-final gate reads them raw, and pairwise_faults also fills its pair matrix.
+rank_one_faults the rank-one axiom, the only one that reads sp, and that
+only on the roots' supports and paired nodes, so the search's final gate
+asks it once per trace assignment.  validation_report formats the records
+of both; the gate reads them raw, and pairwise_faults fills its pair matrix.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,

@@ -295,10 +295,10 @@ def test_5_affinity_lemma():
         rho = sys.rho_matrix
         for row in rho:
             assert sum(c * x for c, x in zip(row, witness)) > 0
-        assert ops.is_affine_feasible(sys)
+        assert ops.affine_witness(sys) is not None
     for name, params in PARABOLIC_CONTAINED:
         sys = families.instantiate(name, **params)
-        assert not ops.is_affine_feasible(sys), (name, params)
+        assert ops.affine_witness(sys) is None, (name, params)
     _report(5, f"affinity list: {len(AFFINE_LIST)} members feasible with "
                f"checked witnesses, {len(PARABOLIC_CONTAINED)} "
                f"parabolic-contained members infeasible")
@@ -387,8 +387,8 @@ def test_7_dictionary_property_suite(monkeypatch):
                 assert other.validate().ok
                 assert other.is_cuspidal == sys.is_cuspidal
                 assert other.is_strict == sys.is_strict
-                assert ops.is_affine_feasible(other) \
-                    == ops.is_affine_feasible(sys)
+                assert (ops.affine_witness(other) is not None) \
+                    == (ops.affine_witness(sys) is not None)
                 invariance_cases += 3
                 colour_map = {}
                 for ci, col in enumerate(sys.colours):

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import (MAX_RANK, Diagram, DiagramError, bourbaki_orders,
                            parse_diagram, pieces, support)
 from test_acceptance import diagrams_up_to_rank
@@ -146,6 +147,25 @@ def test_automorphism_counts():
     assert len(parse_diagram("D4,D4").automorphisms) == 72
     assert len(parse_diagram("F4,F4").automorphisms) == 2
     assert len(parse_diagram("G2,G2,G2").automorphisms) == 6
+
+
+def test_automorphism_list_is_budgeted(monkeypatch):
+    # the count is known before any permutation is listed: A1x10 has 10!
+    monkeypatch.delenv("SPHSYS_MAX_STATES", raising=False)
+    spec = ",".join(["A1"] * 10)
+    with pytest.raises(BudgetExceeded) as err:
+        parse_diagram(spec).automorphisms
+    e = err.value
+    assert str(e) == f"{spec} has 3628800 automorphisms (cap 1000000)"
+    assert (e.layer, e.count, e.cap, e.input) == (
+        "automorphisms", 3628800, 1000000, spec)
+    # the cap is inclusive: two runs of two A3s have 2! * 2! * 2**4 = 64
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "64")
+    assert len(parse_diagram("A3,A3,D5,D5").automorphisms) == 64
+    monkeypatch.setenv("SPHSYS_MAX_STATES", "63")
+    with pytest.raises(BudgetExceeded) as err:
+        parse_diagram("A3,A3,D5,D5").automorphisms
+    assert (err.value.count, err.value.cap) == (64, 63)
 
 
 def test_automorphisms_preserve_cartan():

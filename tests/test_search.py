@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -9,7 +10,8 @@ from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, pieces, support
 from sphsys.families import instantiate
 from sphsys.system import (SphericalSystem, ValidationReport, doubled_node,
-                           orthogonal_pair, validation_report)
+                           orthogonal_pair, rank_one_faults,
+                           validation_report)
 from test_acceptance import ENUMERATION_DIAGRAMS, diagrams_up_to_rank
 from test_system import ORACLE_DIAGRAMS
 
@@ -318,6 +320,57 @@ class TestWalk:
         assert calls
         assert not [r for r in records if r[0] == "parabolic-pairing"]
 
+    @pytest.mark.parametrize("spec", ["A1,A1,A1,A1,A1,A1", "B3", "A1,B3",
+                                      "D4", "F4", "G2,G2"])
+    def test_rank_one_reads_only_supports_and_paired_nodes(self, spec):
+        # the lemma behind the gate's one verdict per trace assignment,
+        # checked on random root sets and parabolic sets without the walk:
+        # the nodes of sp outside every support and paired set change no
+        # rank-one record
+        rng = random.Random(spec)
+        d = parse_diagram(spec)
+        cands, facts, _, _ = search._walk_table(d)
+        kinds, widened = set(), 0
+        for _ in range(400):
+            chosen = rng.sample(range(len(cands)),
+                                rng.randint(1, min(3, len(cands))))
+            sigma = tuple(cands[k] for k in chosen)
+            roots = tuple(facts[k] for k in chosen)
+            touched = frozenset().union(
+                *(f.support | f.paired for f in roots))
+            # one admissible trace per root, then random nodes anywhere
+            sp = frozenset().union(
+                *(rng.choice(sorted(f.traces, key=sorted)) for f in roots))
+            sp |= {i for i in range(d.n_nodes) if rng.random() < 0.3}
+            records = list(rank_one_faults(sp, sigma, roots))
+            assert records == list(rank_one_faults(sp & touched, sigma,
+                                                   roots))
+            kinds |= {r[0] for r in records} | {bool(records)}
+            widened += sp != sp & touched
+        # on A1x6 no root pairs with a node off its support
+        assert kinds >= {"trace", True, False}
+        assert ("parabolic-pairing" in kinds) == any(f.paired for f in facts)
+        assert widened
+
+    @pytest.mark.parametrize("spec,calls", [
+        ("A1,A1,A1,A1,A1,A1,A1,A1", 7193), ("A2,A2,A2,A2", 1633),
+        ("A1,A2,B2,G2", 1101), ("G2,G2,G2", 448),
+    ])
+    def test_rank_one_asked_once_per_trace_assignment(self, spec, calls,
+                                                      monkeypatch):
+        # the four full enumerations of the enumerate-all benchmark; asked
+        # once per parabolic set they took 47,868, 6,508, 3,768 and 1,150
+        faults = search.rank_one_faults
+        asked = []
+
+        def counted(sp, sigma, roots):
+            asked.append(sp)
+            return faults(sp, sigma, roots)
+
+        monkeypatch.setattr(search, "rank_one_faults", counted)
+        search.enumerate_systems(spec)
+        assert len(asked) == calls
+
     @pytest.mark.parametrize("mode", ["full", "cuspidal", "primitive"])
     @pytest.mark.parametrize("spec", ["B3", "B4", "A1,B3", "D4", "F4"])
     def test_final_gate_rejects_what_the_walk_lets_through(self, spec, mode,
@@ -343,6 +396,33 @@ class TestWalk:
         monkeypatch.setattr(search, "_extensions", unbanned)
         got = search.enumerate_systems(spec, **kw)
         assert [r for r in records if r[0] == "parabolic-pairing"]
+        assert [(s.sp, s.sigma) for s in got] == [
+            (s.sp, s.sigma) for s in want]
+
+    @pytest.mark.parametrize("spec,mode", [
+        ("B3", "full"), ("B3", "primitive"), ("G2", "full"),
+        ("G2", "primitive"), ("B2,B2", "full"),
+    ])
+    def test_final_gate_rejects_dependent_root_sets(self, spec, mode,
+                                                    monkeypatch):
+        # with the walk's echelon prune switched off, dependent root sets
+        # reach the final gate, and its sigma verdict alone keeps the
+        # output unchanged
+        kw = {"full": {}, "primitive": {"primitive_only": True}}[mode]
+        want = search.enumerate_systems(spec, **kw)
+        faults = search.sigma_faults
+        records = []
+
+        def counted(sigma, roots):
+            found = faults(sigma, roots)
+            records.extend(found)
+            return found
+
+        monkeypatch.setattr(search, "sigma_faults", counted)
+        monkeypatch.setattr(search, "echelon_extend",
+                            lambda basis, g: basis + [g])
+        got = search.enumerate_systems(spec, **kw)
+        assert ("dependent",) in records
         assert [(s.sp, s.sigma) for s in got] == [
             (s.sp, s.sigma) for s in want]
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sphsys import ops, rankone, search
+from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, support
 from sphsys.feasible import rank
 from sphsys.system import (Colour, SphericalSystem, ValidationReport,
@@ -272,6 +273,15 @@ def test_canonical_key_identifies_mirror_systems():
     right = make("A3", set(), [(0, 0, 2)])
     assert left.canonical_key() == right.canonical_key()
     assert left.canonical_key() != make("A3", set(), [(0, 2, 0)]).canonical_key()
+
+
+def test_canonical_key_on_too_many_automorphisms_raises(monkeypatch):
+    # A1x12 has 12! automorphisms; the key raises instead of scanning them
+    monkeypatch.delenv("SPHSYS_MAX_STATES", raising=False)
+    sys = make(",".join(["A1"] * 12), {0}, [(0, 2) + (0,) * 10])
+    with pytest.raises(BudgetExceeded) as err:
+        sys.canonical_key()
+    assert (err.value.layer, err.value.count) == ("automorphisms", 479001600)
 
 
 def test_json_roundtrip():

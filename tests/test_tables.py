@@ -438,6 +438,6 @@ class TestModelTable:
         # affine members of the list
         for row in tables.MODEL:
             if row.group == "A" and row.parity == "even":
-                assert ops.is_affine_feasible(row.instantiate(4))
+                assert ops.affine_witness(row.instantiate(4)) is not None
             if row.group == "B adjoint":
-                assert ops.is_affine_feasible(row.instantiate(3))
+                assert ops.affine_witness(row.instantiate(3)) is not None
