@@ -124,7 +124,7 @@ def _cmd_enumerate(args):
     from sphsys import families, search
     d = parse_diagram(args.diagram)
     if args.primitive:
-        found = search.enumerate_primitive(d)
+        found = search.enumerate_systems(d, primitive_only=True)
     else:
         found = search.enumerate_systems(d, cuspidal_only=args.cuspidal)
     out = []

@@ -1,20 +1,23 @@
 """Exact integer linear algebra: rank, a kernel line, and the extreme rays
-of the cone 'Mx >= 0, x >= 0', with two questions read off those rays:
-the feasibility of 'Mx >= 0, x >= 0, x_i >= 1 on a strict set' and the
-supports of the rays.
+of the cones 'Mx >= 0, x >= 0' and 'Mx = 0, x >= 0', with two questions
+read off the first: the feasibility of 'Mx >= 0, x >= 0, x_i >= 1 on a
+strict set' and the supports of the rays.  The rays of the second, the
+kernel cone, answer Hilbert bases and the smooth test.
 
 Rank and the kernel line come from one fraction-free echelon step, on the
 rows for the rank and on the columns with unit-vector tails for the kernel
 (Cohen, A Course in Computational Algebraic Number Theory, 1993, ch. 2).
 The extreme rays come from the double description method, which adds one
-row at a time to the rays of the orthant; a feasibility certificate is a
-sum of rays (the system is invariant under scaling by integers >= 1), None
-means infeasible.
+row at a time to the rays of the orthant, an equation in one step as an
+equality row (Fukuda and Prodon, Double description method revisited,
+1996); a feasibility certificate is a sum of rays (the system is invariant
+under scaling by integers >= 1), None means infeasible.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from sphsys.budget import BudgetExceeded, max_states
 
@@ -107,23 +110,30 @@ def extreme_ray_supports(rows, n_vars: int) -> tuple:
     return tuple(sorted({signs & ~tight for _x, tight in rays}))
 
 
-def _rays(rows, n_vars: int) -> list:
-    """The extreme rays of {x : row.x >= 0 for all rows, x >= 0} as
+def kernel_rays(rows, n_vars: int) -> list:
+    """The extreme rays of {x >= 0 : row.x == 0 for all rows} as primitive
+    integer vectors.  Raises BudgetExceeded as _rays does."""
+    return [x for x, _tight in _rays(rows, n_vars, equations=True)]
+
+
+def _rays(rows, n_vars: int, equations=False) -> list:
+    """The extreme rays of {x : row.x >= 0 for all rows, x >= 0}, or of
+    {x >= 0 : row.x == 0 for all rows} when equations is true, as
     (primitive integer ray, bitmask of the constraints tight on it) pairs.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall, 1953): start
     from the unit vectors, the extreme rays of the orthant, and add one row
-    at a time.  The rays on the row's nonnegative side stay, and each
-    adjacent pair of a ray p on its positive side and a ray q on its
-    negative side gives the new ray (row.p) q - (row.q) p, where the edge
-    between them crosses the row.  Each ray carries the bitmask of the
-    constraints tight on it: bit i for x_i = 0, bit n_vars + j for row j.
-    The cone lies in the orthant, so it is pointed, and p and q are
-    adjacent exactly when no third ray is tight on every constraint tight
-    on both (the combinatorial test: those constraints cut out the least
-    face holding p and q, and its extreme rays are the rays tight on them
-    all).  Raises BudgetExceeded when a row has more pairs to test than
-    max_states().
+    at a time.  The rays on the row's zero side stay, so do those on its
+    positive side unless the row is an equation, and each adjacent pair of
+    a ray p on its positive side and a ray q on its negative side gives the
+    new ray (row.p) q - (row.q) p, where the edge between them crosses the
+    row.  Each ray carries the bitmask of the constraints tight on it: bit
+    i for x_i = 0, bit n_vars + j for row j.  The cone lies in the orthant,
+    so it is pointed, and p and q are adjacent exactly when no third ray is
+    tight on every constraint tight on both (the combinatorial test: those
+    constraints cut out the least face holding p and q, and its extreme
+    rays are the rays tight on them all).  Raises BudgetExceeded when a row
+    has more pairs to test than max_states().
     """
     rows = [tuple(r) for r in rows]
     signs = (1 << n_vars) - 1     # the constraints x_i >= 0
@@ -134,10 +144,11 @@ def _rays(rows, n_vars: int) -> list:
         bit = 1 << (n_vars + k)
         pos, neg, out = [], [], []
         for x, tight in rays:
-            v = sum(a * b for a, b in zip(row, x) if a)
+            v = sum(map(mul, row, x))
             if v > 0:
                 pos.append((x, tight, v))
-                out.append((x, tight))
+                if not equations:
+                    out.append((x, tight))
             elif v < 0:
                 neg.append((x, tight, v))
             else:

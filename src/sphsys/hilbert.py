@@ -1,49 +1,48 @@
 """Hilbert bases of lattice kernels intersected with the positive orthant.
 
-The basis of a pointed cone is unique, so it may be assembled from exact
-pieces before any search:
+The cone C = {x >= 0 : A x = 0} is pointed, so every point of C is a
+nonnegative combination of its extreme rays (Minkowski-Weyl), and its
+basis is unique.  One rule splits the basis off the rays before any
+search: a ray whose support meets no other ray's support spans a direct
+summand of C whose lattice points are the multiples of the ray's
+primitive vector, so that vector is a basis element, and the basis of a
+direct sum is the union of the parts' bases.  A column every row kills is
+such a lone ray.
 
-- a column every row kills gives a unit vector of the basis, and the rest
-  of the basis lives on the other ("live") columns, since a minimal
-  solution with a dead entry is that unit alone;
-- live columns of full rank leave the kernel {0}, so they add nothing;
-- live columns of rank one less leave a line spanned by a primitive integer
-  vector v, whose lattice points are the multiples of v: they add v if v is
-  nonnegative and nothing if v has mixed signs.
-
-Larger kernels go to the completion procedure of Contejean and Devie:
-breadth-first growth from the unit vectors, extending t by e_i only while
-A.t and A.e_i point into opposite half-spaces.  The procedure is complete
-for minimal solutions of A x = 0, x >= 0; the state cap guards against
-runaway instances.
+The columns of the other rays, pooled, go to the completion procedure of
+Contejean and Devie: breadth-first growth from the unit vectors, extending
+t by e_i only while A.t and A.e_i point into opposite half-spaces.  The
+procedure is complete for minimal solutions of A x = 0, x >= 0; the state
+cap guards against runaway instances.
 """
 
 from __future__ import annotations
 
 from sphsys.budget import BudgetExceeded, max_states
-from sphsys.feasible import kernel_vector, rank
+from sphsys.feasible import kernel_rays
 
 
 def hilbert_basis(rows, n_vars: int):
     """Minimal nonzero solutions of rows.x == 0 over nonnegative integers.
 
     rows: iterable of length-n_vars integer tuples.  Returns a sorted tuple
-    of integer tuples.
+    of integer tuples.  Raises BudgetExceeded from the kernel rays (layer
+    "feasible") or the completion (layer "hilbert").
     """
     a = [tuple(r) for r in rows]
-    live = [i for i in range(n_vars) if any(r[i] for r in a)]
-    sub = [tuple(r[i] for i in live) for r in a]
-    found = ()
-    k = rank(sub)
-    if k == len(live) - 1:
-        v = kernel_vector(sub, len(live))
-        if min(v) >= 0:     # v leads with a positive entry: -v is never >= 0
-            found = (v,)
-    elif k < len(live) - 1:
-        found = _completion(sub, len(live))
-    out = [tuple(int(j == i) for j in range(n_vars))
-           for i in range(n_vars) if i not in live]
-    for x in found:
+    rays = kernel_rays(a, n_vars)
+    count = [sum(1 for x in rays if x[i]) for i in range(n_vars)]
+    out, pooled = [], set()
+    for x in rays:
+        support = [i for i, v in enumerate(x) if v]
+        if all(count[i] == 1 for i in support):
+            out.append(x)       # a lone ray: its own direct summand
+        else:
+            pooled.update(support)
+    # a zero column i is the lone ray e_i: another ray using i would be
+    # decomposed by subtracting its x_i e_i, so pooled columns are nonzero
+    live = sorted(pooled)
+    for x in _completion([tuple(r[i] for i in live) for r in a], len(live)):
         y = [0] * n_vars
         for i, c in zip(live, x):
             y[i] = c

@@ -6,7 +6,8 @@ root refuting every witness, and a lookup among the supports of the
 extreme rays of the cone of witnesses, enumerated once per system.  The
 witnesses themselves are sums of extreme rays of the cone each one asks
 about (feasible.feasible_nonneg).  Quotient monoids come from Hilbert
-bases; the smooth test reads the extreme rays of the kernel alone.  A
+bases, which start from the extreme rays of the pairing kernel
+(feasible.kernel_rays); the smooth test reads those rays alone.  A
 colour subset is a set: repeated indices count once.  Quotient systems
 are constructed and validated, never assumed valid.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from sphsys.dynkin import (Diagram, DiagramError, bourbaki_orders, pieces,
                            support)
-from sphsys.feasible import extreme_ray_supports, feasible_nonneg
+from sphsys.feasible import feasible_nonneg, kernel_rays
 from sphsys.hilbert import hilbert_basis
 from sphsys.system import SphericalSystem
 
@@ -242,13 +243,13 @@ def _splits(sys, s1, s2) -> bool:
 
 def _smooth(sys, subset) -> bool:
     """Whether quotient(sys, subset) is smooth, from the extreme rays of the
-    pointed cone C = {x >= 0 : rho_s x = 0}.  Sigma is independent, so the
-    quotient is smooth iff C's Hilbert basis is all unit vectors.  The basis
-    holds every ray's primitive generator, and an orthant's basis is its
-    units, so that holds iff every ray's support is a single bit."""
-    rows = [sys.rho_matrix[c] for c in subset]
-    return all(ray & (ray - 1) == 0 for ray in extreme_ray_supports(
-        rows + [tuple(-v for v in r) for r in rows], len(sys.sigma)))
+    pointed cone C = {x >= 0 : rho_s x = 0}, one equality row per colour.
+    Sigma is independent, so the quotient is smooth iff C's Hilbert basis
+    is all unit vectors.  The basis holds every ray's primitive vector, and
+    an orthant's basis is its units, so that holds iff every ray is a unit
+    vector."""
+    return all(sum(x) == 1 for x in kernel_rays(
+        [sys.rho_matrix[c] for c in subset], len(sys.sigma)))
 
 
 def is_decomposable(sys: SphericalSystem):

@@ -139,24 +139,22 @@ def rank1_label(d: Diagram, weight, trace) -> str | None:
     return _table(d).get(tuple(weight), {}).get(frozenset(trace))
 
 
-def row_catalog(label: str | None = None, rank: int | None = None):
-    """Rows of the table as plain dicts, each instantiated on its own support."""
+def row_catalog(label: str | None = None):
+    """Rows of the table as plain dicts, each instantiated on its own support
+    at its least rank."""
     out = []
     for row in ROWS:
         lo, hi = row.min_rank, row.max_rank
-        n = rank if rank is not None else lo
-        if n < lo or (hi is not None and n > hi):
-            continue
-        disp = display_label(row.base, n)
+        disp = display_label(row.base, lo)
         if label is not None and label not in (disp, row.base):
             continue
         # aa(1,1) is the one row whose support is not connected
-        support = "A1,A1" if row.base == "aa" else f"{row.family}{n}"
+        support = "A1,A1" if row.base == "aa" else f"{row.family}{lo}"
         out.append({
             "label": disp,
             "support": support,
             "rank_constraint": f"n={lo}" if hi == lo else f"n>={lo}",
-            "weight": list(row.coeffs(n)),
-            "trace": sorted(row.trace(n)),
+            "weight": list(row.coeffs(lo)),
+            "trace": sorted(row.trace(lo)),
         })
     return out

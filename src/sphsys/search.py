@@ -33,7 +33,7 @@ from .system import (SphericalSystem, pairwise_faults, rank_one_faults,
 
 # perfbench/selftest.py reads admissible_traces through this module
 __all__ = ["CatalogCheck", "admissible_traces", "candidate_roots",
-           "enumerate_primitive", "enumerate_systems", "verify_catalog"]
+           "enumerate_systems", "verify_catalog"]
 
 
 def candidate_roots(diagram) -> tuple:
@@ -279,10 +279,6 @@ def enumerate_systems(diagram, cuspidal_only=False,
     return tuple(s for _, kept in sorted(root_sets) for s in kept)
 
 
-def enumerate_primitive(diagram) -> tuple:
-    return enumerate_systems(diagram, primitive_only=True)
-
-
 class CatalogCheck(NamedTuple):
     diagram: str
     found: int
@@ -303,7 +299,7 @@ def verify_catalog(diagram) -> CatalogCheck:
     """
     d = parse_diagram(diagram)
     found = {}
-    for s in enumerate_primitive(d):
+    for s in enumerate_systems(d, primitive_only=True):
         found.setdefault(s.canonical_key(), s)
     predicted = catalog_index(d)
     missing = tuple(e.label for k, e in predicted.items() if k not in found)

@@ -12,7 +12,8 @@ from sphsys import ops
 from sphsys.budget import BudgetExceeded, max_states
 from sphsys.families import expand_catalog
 from sphsys.feasible import (echelon_extend, extreme_ray_supports,
-                             feasible_nonneg, kernel_vector, rank)
+                             feasible_nonneg, kernel_rays, kernel_vector,
+                             rank)
 from test_acceptance import SWEEP_DIAGRAMS
 
 
@@ -303,6 +304,23 @@ def test_ray_supports_match_brute_force():
                 for _ in range(rng.randint(0, 5))]
         assert extreme_ray_supports(rows, n) == _brute_force_ray_supports(
             rows, n), rows
+
+
+def test_kernel_rays_match_brute_force():
+    # equality rows against the referee on each equation written as two
+    # inequalities; every ray is a nonnegative primitive kernel vector
+    rng = random.Random(31)
+    for _ in range(200):
+        rows, n = _random_cone(rng, max_n=5, max_rows=4)
+        rays = kernel_rays(rows, n)
+        supports = tuple(sorted({sum(1 << i for i, a in enumerate(x) if a)
+                                 for x in rays}))
+        assert supports == _brute_force_ray_supports(
+            rows + [tuple(-a for a in r) for r in rows], n), rows
+        for x in rays:
+            assert len(x) == n and min(x) >= 0 and gcd(*x) == 1, (rows, x)
+            assert not any(sum(a * b for a, b in zip(r, x))
+                           for r in rows), (rows, x)
 
 
 def test_ray_supports_of_known_cones():

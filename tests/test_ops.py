@@ -5,7 +5,7 @@ import pytest
 
 from sphsys import ops, search
 from sphsys.families import expand_catalog, instantiate
-from sphsys.dynkin import parse_diagram
+from sphsys.dynkin import _RANK_RANGE, parse_diagram
 from sphsys.hilbert import hilbert_basis
 from sphsys.system import SphericalSystem
 from test_acceptance import (ENUMERATION_DIAGRAMS, SWEEP_DIAGRAMS,
@@ -221,6 +221,18 @@ class TestQuotient:
         sys = instantiate(name, n=n)
         res = ops.quotient(sys, range(len(sys.colours)))
         assert res.homogeneous and res.smooth and res.coefficients == ()
+
+    @pytest.mark.parametrize("n,last", [(10, 7), (12, 9)])
+    def test_kernel_without_rays_needs_no_search(self, monkeypatch, n, last):
+        # colours 1..last of dc*(n) leave a pairing kernel of dimension 2
+        # that meets the orthant only at 0: no extreme ray, so an empty
+        # basis within a small budget (the completion search from every
+        # unit vector ran past a million states on D12)
+        monkeypatch.setenv("SPHSYS_MAX_STATES", "1000")
+        sys = {e.label: e.system
+               for e in expand_catalog(f"D{n}")}[f"dc*({n})"]
+        res = ops.quotient(sys, range(1, last + 1))
+        assert res.homogeneous and res.coefficients == ()
 
 
 class TestDecompose:
@@ -449,3 +461,31 @@ def test_quotient_refuses_a_zero_root():
     s = SphericalSystem("A2", (), [(-1, 0), (1, 0)])
     with pytest.raises(ValueError, match=r"root \(0, 0\) is zero"):
         ops.quotient(s, [0, 1])
+
+
+def test_quotient_sweep_of_rank_nine_and_ten_pinned():
+    # every distinguished colour subset of every catalog member on the
+    # connected diagrams of rank 9 and 10; sha256 over the quotients,
+    # recorded before Hilbert bases started from the kernel's extreme rays
+    specs = [f"{fam}{r}" for fam, (lo, hi) in sorted(_RANK_RANGE.items())
+             for r in (9, 10) if lo <= r and (hi is None or r <= hi)]
+    h = hashlib.sha256()
+    members = subsets = quotients = 0
+    for spec in specs:
+        for entry in expand_catalog(spec):
+            s, n = entry.system, len(entry.system.colours)
+            members += 1
+            for r in range(1, n + 1):
+                for subset in itertools.combinations(range(n), r):
+                    subsets += 1
+                    if not ops.is_distinguished(s, subset):
+                        continue
+                    q = ops.quotient(s, subset)
+                    quotients += 1
+                    h.update(repr((entry.label, subset, q.coefficients,
+                                   q.sigma, sorted(q.sp), q.smooth,
+                                   q.homogeneous,
+                                   q.is_valid_system)).encode())
+    assert (len(specs), members, subsets, quotients) == (8, 187, 25253, 681)
+    assert h.hexdigest() == (
+        "ae2620f514df8acd5ad651d0dd5cd9e55b7b2243683eecf16c4cf8144e8638d5")

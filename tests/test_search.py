@@ -199,10 +199,11 @@ class TestPrimitive:
     def test_counts(self):
         expected = {"A1": 1, "A2": 2, "B2": 5, "G2": 4, "A1,A1": 1}
         for spec, want in expected.items():
-            assert len(search.enumerate_primitive(spec)) == want, spec
+            found = search.enumerate_systems(spec, primitive_only=True)
+            assert len(found) == want, spec
 
     def test_product_of_doubled_simples_decomposes(self):
-        found = search.enumerate_primitive("A1,A1")
+        found = search.enumerate_systems("A1,A1", primitive_only=True)
         assert all(s.sigma != ((2, 0), (0, 2)) for s in found)
 
 
@@ -228,7 +229,8 @@ class TestPrimitiveMode:
         # sha256 over the reprs on the 22 gate diagrams in emitted order,
         # recorded from the unpruned filter over cuspidal systems
         text = "\n".join(repr(s) for spec in ENUMERATION_DIAGRAMS
-                         for s in search.enumerate_primitive(spec))
+                         for s in search.enumerate_systems(
+                             spec, primitive_only=True))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "b5e727cc2c8a14d60a8791184a39ab0f2dc545f6b2dddf2c1d728b56ccb5cac5"
 
@@ -258,7 +260,8 @@ class TestPrimitiveMode:
         # F4,F4 takes 24 walk states in the primitive mode and 189 in the
         # cuspidal mode, which has no coupling prune
         monkeypatch.setenv("SPHSYS_MAX_STATES", "100")
-        assert len(search.enumerate_primitive("F4,F4")) == 1
+        assert len(search.enumerate_systems("F4,F4",
+                                            primitive_only=True)) == 1
         with pytest.raises(BudgetExceeded):
             search.enumerate_systems("F4,F4", cuspidal_only=True)
 
@@ -480,7 +483,7 @@ class TestVerifyCatalog:
         # cuspidal mode, but not primitive, and the catalog predicts nothing
         chk = search.verify_catalog("")
         assert chk.ok and (chk.found, chk.expected) == (0, 0)
-        assert search.enumerate_primitive("") == ()
+        assert search.enumerate_systems("", primitive_only=True) == ()
         empty = (SphericalSystem("", (), ()),)
         assert search.enumerate_systems("") == empty
         assert search.enumerate_systems("", cuspidal_only=True) == empty
