@@ -1,11 +1,11 @@
 """Colour-visibility components of a spherical system.
 
-A spherical root sees another through the colours sitting on its support;
-chains of mutual visibility cut the root set into components.  How such a
-component can be quotiented away (smoothly, validly, or by splitting the
-underlying diagram) singles out glueings that can only produce
-decomposable systems.  The CLI's ``components`` subcommand reports this
-analysis; the exhaustive search in sphsys.search does not use it.
+A spherical root sees another root of the system through the colours on
+its support (their rho_matrix values); chains of mutual visibility cut the
+root set into components.  How such a component can be quotiented away
+(smoothly, validly, or by splitting the underlying diagram) singles out
+glueings that can only produce decomposable systems.  The CLI's
+``components`` subcommand reports this analysis; sphsys.search does not use it.
 """
 
 from itertools import combinations
@@ -28,14 +28,22 @@ def _colours_meeting(sys, nodes):
     return tuple(i for i, c in enumerate(sys.colours) if c.nodes & nodes)
 
 
+def _as_roots(sys, weights) -> tuple:
+    """The weights as tuples; ValueError naming any that is no root."""
+    roots = tuple(tuple(g) for g in weights)
+    stray = [list(g) for g in roots if g not in sys.sigma]
+    if stray:
+        raise ValueError(f"not spherical roots of the system: {stray}")
+    return roots
+
+
 def strongly_adjacent(sys, gamma1, gamma2) -> bool:
-    """Every colour on either root's support pairs nonzero with the other."""
-    cols = sys.colours
-    for g, other in ((gamma1, gamma2), (gamma2, gamma1)):
-        for i in _colours_meeting(sys, support(g)):
-            if sys.rho(cols[i], other) == 0:
-                return False
-    return True
+    """Every colour on either root's support pairs nonzero with the other
+    root.  Raises ValueError on a weight that is no root of the system."""
+    pair = _as_roots(sys, (gamma1, gamma2))
+    rho = sys.rho_matrix
+    return all(rho[i][sys.sigma.index(h)] for g, h in (pair, pair[::-1])
+               for i in _colours_meeting(sys, support(g)))
 
 
 def components(sys) -> tuple:
@@ -49,13 +57,11 @@ def components(sys) -> tuple:
 def delta_of(sys, roots) -> tuple:
     """Colours on the subset's support that ignore every outside root."""
     inside = set(map(tuple, roots))
-    supp = set()
-    for g in inside:
-        supp |= support(g)
-    outside = [g for g in sys.sigma if g not in inside]
-    cols = sys.colours
+    supp = frozenset().union(*map(support, inside))
+    outside = [k for k, g in enumerate(sys.sigma) if g not in inside]
+    rho = sys.rho_matrix
     return tuple(i for i in _colours_meeting(sys, supp)
-                 if all(sys.rho(cols[i], g) == 0 for g in outside))
+                 if all(rho[i][k] == 0 for k in outside))
 
 
 class ComponentAnalysis(NamedTuple):
@@ -92,10 +98,7 @@ def classify_component(sys, roots) -> ComponentAnalysis:
     """Erasability flags of a subset of spherical roots within the system.
 
     Raises ValueError on a weight that is not one of the system's roots."""
-    roots = tuple(tuple(g) for g in roots)
-    stray = [list(g) for g in roots if g not in sys.sigma]
-    if stray:
-        raise ValueError(f"not spherical roots of the system: {stray}")
+    roots = _as_roots(sys, roots)
     dlt = delta_of(sys, roots)
     erasable = quasi = False
     for r in range(1, len(dlt) + 1):

@@ -291,9 +291,6 @@ class Diagram:
             off += rank
         return tuple(tuple(row) for row in m)
 
-    def pairing(self, i: int, j: int) -> int:
-        return self.cartan[i][j]
-
     def pairing_weight(self, i: int, w) -> int:
         """<alpha_i^vee, w> for a weight tuple w."""
         row = self.cartan[i]

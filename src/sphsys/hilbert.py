@@ -18,6 +18,8 @@ cap guards against runaway instances.
 
 from __future__ import annotations
 
+from operator import mul
+
 from sphsys.budget import BudgetExceeded, max_states
 from sphsys.feasible import kernel_rays
 
@@ -41,6 +43,8 @@ def hilbert_basis(rows, n_vars: int):
             pooled.update(support)
     # a zero column i is the lone ray e_i: another ray using i would be
     # decomposed by subtracting its x_i e_i, so pooled columns are nonzero
+    if not pooled:      # every ray lone, or no ray: nothing to complete
+        return tuple(sorted(out))
     live = sorted(pooled)
     for x in _completion([tuple(r[i] for i in live) for r in a], len(live)):
         y = [0] * n_vars
@@ -60,10 +64,6 @@ def _completion(a, n_vars):
     cap = max_states()
 
     cols = list(zip(*a))    # A.e_i, the image of each unit vector
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
     basis: list[tuple[int, ...]] = []
     frontier = [tuple(int(j == i) for j in range(n_vars))
                 for i in range(n_vars)]
@@ -77,7 +77,7 @@ def _completion(a, n_vars):
                 basis.append(t)
                 continue
             for i in range(n_vars):
-                if dot(v, cols[i]) < 0:
+                if sum(map(mul, v, cols[i])) < 0:
                     u = list(t)
                     u[i] += 1
                     u = tuple(u)

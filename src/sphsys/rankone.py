@@ -11,13 +11,21 @@ the identification.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from sphsys.dynkin import Diagram, bourbaki_orders
 
-Row = namedtuple("Row", "base family min_rank max_rank coeffs trace")
+
+class Row(NamedTuple):
+    base: str
+    family: str
+    min_rank: int
+    max_rank: int | None   # None: no upper bound
+    coeffs: Callable       # rank -> the weight's coefficients
+    trace: Callable        # rank -> the trace, a frozenset of positions
+
 
 # Order matters: when two rows embed with identical weight and trace the
 # first one names the embedding.

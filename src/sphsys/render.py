@@ -5,8 +5,8 @@ circle, drawn under the vertex when the doubled simple root is spherical
 and around it otherwise.  Circles of one colour are joined by a line.
 Each spherical root adds its own mark over its support: a plain line for
 the type-A sums, a zig-zag for the rows with multiplicities, a "2" for
-doubled weights.  Shadowed (grey) circles single out the support colours
-whose functional stays positive on the root.
+doubled weights.  Shadowed (grey) circles single out the circled support
+nodes whose coroot pairs positively with the root.
 
 Both renderers consume the same DiagramScene, so marker counts and
 connector topology cannot drift apart.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from sphsys.dynkin import Diagram, support
-from sphsys.system import SphericalSystem, doubled_node
+from sphsys.system import SphericalSystem, doubled_node, root_facts
 
 __all__ = ["DiagramScene", "build_scene", "render_text", "render_svg",
            "render_diagram_text", "render_diagram_svg"]
@@ -55,7 +55,7 @@ class RootMark(NamedTuple):
     label: str | None
     kind: str        # "span" | "zigzag" | "zigzag2" | "two" | "join"
     nodes: tuple     # support, ascending
-    shadows: tuple   # circled support nodes kept positive by the functional
+    shadows: tuple   # circled support nodes whose coroot pairs > 0 with gamma
 
 
 class DiagramScene(NamedTuple):
@@ -105,7 +105,7 @@ def _layout(d: Diagram):
                                     cols[attach], True))
             edges.append(EdgeGlyph(attach, riser, 1, None, True))
         for a, b in zip(spine, spine[1:]):
-            fwd, back = abs(d.pairing(a, b)), abs(d.pairing(b, a))
+            fwd, back = abs(d.cartan[a][b]), abs(d.cartan[b][a])
             bond = max(fwd, back)
             # the bigger pairing magnitude sits on the short root's row
             arrow = None if bond == 1 else (a if fwd > back else b)
@@ -120,10 +120,8 @@ def build_scene(sys: SphericalSystem) -> DiagramScene:
     nodes, edges = _layout(d)
     doubled_nodes = {doubled_node(g) for g in sys.sigma}
 
-    colour_at = {}
-    for c_idx, col in enumerate(sys.colours):
-        for i in col.nodes:
-            colour_at[i] = c_idx
+    colour_at = {i: c_idx for c_idx, col in enumerate(sys.colours)
+                 for i in col.nodes}
 
     shadowed = set()
     roots = []
@@ -133,8 +131,8 @@ def build_scene(sys: SphericalSystem) -> DiagramScene:
         supp = tuple(sorted(support(gamma)))
         marks = ()
         if kind in ("zigzag", "zigzag2"):
-            marks = tuple(i for i in supp if i in colour_at
-                          and sys.rho(sys.colours[colour_at[i]], gamma) > 0)
+            p = root_facts(d, gamma).pairings
+            marks = tuple(i for i in supp if i in colour_at and p[i] > 0)
             shadowed.update(marks)
         roots.append(RootMark(tuple(gamma), label, kind, supp, marks))
 

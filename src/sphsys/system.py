@@ -362,25 +362,13 @@ class SphericalSystem:
                 for i, c in cls.items() if min(c) == i)
         return self._cache["colours"]
 
-    def rho(self, colour: Colour, gamma) -> int:
-        """Value of the colour's functional on a weight.
-
-        Raises ValueError when it is not one integer: colour members pairing
-        unequally, or a doubled colour pairing oddly (only on systems that
-        break a pairwise axiom)."""
-        pairings = root_facts(self.diagram, gamma).pairings
-        v = pairings[min(colour.nodes)]
-        if (colour.doubled and v % 2) or any(pairings[a] != v
-                                             for a in colour.nodes):
-            d = self.diagram
-            nodes = ", ".join(d.node_id(i) for i in sorted(colour.nodes))
-            raise ValueError(f"colour {{{nodes}}} does not pair to one "
-                             f"integer with root {list(gamma)}")
-        return v // 2 if colour.doubled else v
-
     @property
     def rho_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Rows per colour (in colour order), columns per spherical root."""
+        """Rows per colour (in colour order), columns per spherical root:
+        the pairing of a node of the colour with the root, halved for a
+        doubled colour.  ValueError names the first root on which the
+        colour's nodes pair unequally, or a doubled colour oddly (only on
+        systems that break a pairwise axiom)."""
         if "rho" not in self._cache:
             d = self.diagram
             # per node, its pairings with the roots: one lookup per root
@@ -391,8 +379,13 @@ class SphericalSystem:
                 row = by_node[min(c.nodes)]
                 if (any(by_node[a] != row for a in c.nodes)
                         or c.doubled and any(v % 2 for v in row)):
-                    for g in self.sigma:
-                        self.rho(c, g)    # raises, naming the first bad root
+                    bad = next(k for k, v in enumerate(row)
+                               if c.doubled and v % 2
+                               or any(by_node[a][k] != v for a in c.nodes))
+                    nodes = ", ".join(d.node_id(i) for i in sorted(c.nodes))
+                    raise ValueError(
+                        f"colour {{{nodes}}} does not pair to one integer "
+                        f"with root {list(self.sigma[bad])}")
                 rows.append(tuple(v // 2 for v in row) if c.doubled else row)
             self._cache["rho"] = tuple(rows)
         return self._cache["rho"]

@@ -96,6 +96,27 @@ class TestPlumbing:
         assert "{0.1, 0.3}" in out["error"]["message"]
         assert "[1, 1, 0]" in out["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [["components"],
+                                      ["components", "--classify"]])
+    @pytest.mark.parametrize("spec,sigma,root", [
+        # a1+a3's colour pairs 1 and -1 with a1+a2
+        ("A3", [(1, 1, 0), (0, 1, 1), (1, 0, 1)], "[1, 1, 0]"),
+        # the doubled colour of 2a1 pairs 1 with a1+a2+a3, so it takes no
+        # integer value there, though strong adjacency never asks for it
+        ("B3", [(1, 1, 1), (2, 0, 0)], "[1, 1, 1]"),
+    ], ids=["A3", "B3"])
+    def test_components_error_matches_colours(self, capsys, monkeypatch,
+                                               argv, spec, sigma, root):
+        # both read the one colour functional, so both name the first root
+        # on which a colour pairs to no one integer
+        data = json.dumps(SphericalSystem(parse_diagram(spec), (),
+                                          sigma).to_json())
+        monkeypatch.setattr("sys.stdin", io.StringIO(data))
+        colours = run_json(capsys, ["colours"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(data))
+        assert run_json(capsys, argv) == colours
+        assert root in colours[1]["error"]["message"]
+
     def test_out_of_range_node_is_domain_error(self, capsys, monkeypatch):
         data = SphericalSystem(parse_diagram("B3")).to_json()
         data["sp"] = [99]
@@ -473,6 +494,15 @@ class TestDiagram:
         assert cli.run(["diagram", "--system", path]) == 0
         out = capsys.readouterr().out
         assert out == render.render_text(families.instantiate("b(n)", n=3))
+
+    def test_system_with_no_colour_functional(self, capsys, monkeypatch):
+        # a1+a3's colour pairs -1 and 3 with a2+2a3; drawing needs no
+        # colour functional
+        sys = SphericalSystem(parse_diagram("A3"), (), [(1, 0, 1), (0, 1, 2)])
+        data = json.dumps(sys.to_json())
+        monkeypatch.setattr("sys.stdin", io.StringIO(data))
+        assert cli.run(["diagram"]) == 0
+        assert capsys.readouterr().out == render.render_text(sys)
 
     def test_bare_spec_svg(self, capsys):
         assert cli.run(["diagram", "--diagram", "F4",

@@ -43,6 +43,12 @@ class TestAdjacency:
         assert not connect.strongly_adjacent(FORK5, (1, 1, 0, 0, 0),
                                              (0, 0, 1, 1, 0))
 
+    @pytest.mark.parametrize("pair", [
+        ((1, 1, 0), (0, 0, 1)), ((0, 0, 1), (0, 1, 1))])
+    def test_weight_off_the_roots_is_named(self, pair):
+        with pytest.raises(ValueError, match=r"system: \[\[0, 0, 1\]\]"):
+            connect.strongly_adjacent(CHAIN3, *pair)
+
     def test_symmetric(self):
         for sys in (CHAIN3, FORK5, GLUED6, PAIRS):
             for g1 in sys.sigma:

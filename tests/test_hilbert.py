@@ -66,7 +66,8 @@ def test_elements_are_solutions_and_incomparable():
 
 def test_cap_faults(monkeypatch):
     monkeypatch.setenv("SPHSYS_MAX_STATES", "3")
-    # a kernel line is answered in closed form, without spending states
+    # the one extreme ray of (6, -1) is lone, so the basis is that ray and
+    # the completion, which spends states, is never entered
     assert hilbert_basis([(6, -1)], 2) == ((1, 6),)
     with pytest.raises(BudgetExceeded):
         hilbert_basis([(6, -1, -1)], 3)

@@ -140,7 +140,7 @@ def test_row_catalog():
     assert len(only) == 1 and only[0]["support"] == "F4"
 
 
-def test_row_catalog_rank_drops_rank_one_rows():
+def test_row_catalog_lists_aa_at_rank_one_only():
     # aa(1,1) exists at rank 1 only, on its disconnected support
     assert row_catalog(label="aa") == [{
         "label": "aa(1,1)", "support": "A1,A1", "rank_constraint": "n=1",

@@ -213,6 +213,26 @@ class TestLayoutPaths:
                 'stroke="#000" stroke-width="1.2"/>') in svg
         assert "polyline" not in svg
 
+    def test_a_system_with_no_colour_functional_is_drawn(self):
+        # a1+a3 joins 1 and 3 in one colour, which pairs -1 and 3 with
+        # a2+2a3, so no colour functional exists; a shadow reads only its
+        # node's coroot pairing with the root, here 3 on node 3
+        sys = SphericalSystem("A3", [], [(1, 0, 1), (0, 1, 2)])
+        with pytest.raises(ValueError, match=r"with root \[0, 1, 2\]"):
+            sys.rho_matrix
+        assert render.render_text(sys) == (
+            "A3\n"
+            "        ~~~~~~~\n"
+            "  1 --- 2 --- 3\n"
+            "  o     o     O\n"
+            "  +-----------+\n"
+            "\n"
+            "  aa(1,1): a1+a3  [join 1-3]\n"
+            "  None: a2+2a3  [zigzag 2..3; shadow 3]\n")
+        svg = render.render_svg(sys)
+        assert svg.count('fill="#bbb"') == 1
+        assert 'id="circ-2" cx="150" cy="84" r="12" fill="#bbb"' in svg
+
     def test_renderers_route_a_connector_by_any_of_its_nodes(self):
         # an invalid system (its two orthogonal-pair roots share a node)
         # whose colour runs 1-2-3 through the branch node 2 in its middle

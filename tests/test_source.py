@@ -70,6 +70,26 @@ def test_dataclasses_only_in_ops(path):
     assert lines == [], f"dataclasses imported in {path.name} at {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_collections_namedtuple(path):
+    # one record idiom: every record is a typing.NamedTuple, so no module
+    # imports collections.namedtuple or calls namedtuple(...) or
+    # x.namedtuple(...)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            names = [getattr(f, "id", None) or getattr(f, "attr", None)]
+        else:
+            continue
+        if "namedtuple" in names:
+            lines.append(node.lineno)
+    assert lines == [], f"namedtuple used in {path.name} at {lines}"
+
+
 def _unused_imports(tree) -> list:
     imported = {}
     for node in tree.body:
