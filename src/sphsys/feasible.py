@@ -24,8 +24,10 @@ from sphsys.budget import BudgetExceeded, max_states
 
 def echelon_extend(basis, w):
     """Fraction-free echelon step; returns the new basis or None if w is
-    dependent.  Stored rows are divided by their content to stay small."""
-    v = list(w)
+    dependent.  Stored rows are divided by their content to stay small;
+    a row of content 1 is stored as it is, a tuple of w's entries when no
+    earlier row reduced it.  No stored row is ever changed."""
+    v = tuple(w)    # w itself when w is a tuple
     for pivot, row in basis:
         a = v[pivot]
         if a:
@@ -34,7 +36,7 @@ def echelon_extend(basis, w):
     for i, c in enumerate(v):
         if c:
             g = gcd(*v)
-            return basis + [(i, [x // g for x in v])]
+            return basis + [(i, [x // g for x in v] if g > 1 else v)]
     return None
 
 

@@ -297,7 +297,10 @@ def render_text(sys: SphericalSystem) -> str:
     if scene.roots:
         rows.append("")
         for mark in scene.roots:
-            rows.append(f"  {mark.label}: {_weight_str(d, mark.gamma)}"
+            # only a root of an invalid system lacks a rank-one row
+            label = ("no rank-one row" if mark.label is None
+                     else mark.label)
+            rows.append(f"  {label}: {_weight_str(d, mark.gamma)}"
                         f"  [{_decor_str(d, scene, mark)}]")
     return "\n".join(rows) + "\n"
 

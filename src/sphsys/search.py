@@ -8,9 +8,12 @@ pass) are built once per diagram.  The final validation gate keeps the
 walk honest: it reads the raw fault records of every axiom, those on sigma
 alone (system.sigma_faults) once per root set and the rank-one ones
 (system.rank_one_faults) once per trace assignment, as that axiom reads sp
-only on the roots' supports and paired nodes, and builds no report.  Each
-pruning rule either is only a necessary condition on a valid system or
-drops a subtree that holds no system the mode keeps.
+only on the roots' supports and paired nodes, and builds no report.  A
+root set is handled in one step: its candidate systems, one per trace
+assignment and subset of the free nodes, are counted against the budget
+at once, and the systems of each assignment that passes are built in one
+batch.  Each pruning rule either is only a necessary condition on a valid
+system or drops a subtree that holds no system the mode keeps.
 
 ``verify_catalog`` compares the primitive systems found this way with the
 members the family catalog predicts on the same diagram.
@@ -19,7 +22,6 @@ members the family catalog predicts on the same diagram.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
 from typing import NamedTuple
 
 from . import ops
@@ -164,6 +166,11 @@ def enumerate_systems(diagram, cuspidal_only=False,
     every axiom on the raw fault records, system.sigma_faults once per root
     set and system.rank_one_faults once per trace assignment (it reads no
     node that a parabolic set adds to one), then ops.is_primitive.
+    Budget: each walk node is one state, and each root set's candidate
+    systems (its trace assignments times the subsets of its free nodes)
+    are counted in one step before the gate, so the totals are those of a
+    count one system at a time, and a budget hit inside a batch raises
+    with count cap + 1 as that count would.
     Sigma's independence is decided there afresh by its rank, not read off
     the walk's echelon basis, so the gate does not lean on the walk.  No
     report is built, so a returned system builds its own on its first
@@ -172,26 +179,35 @@ def enumerate_systems(diagram, cuspidal_only=False,
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
+    new = SphericalSystem._from_normal
+    # one frozenset per parabolic set: the systems share them, so the
+    # collector tracks one object per system kept, not two
+    shared = {}
     cuspidal_only = cuspidal_only or primitive_only
     nodes = frozenset(range(d.n_nodes))
     full = (1 << len(d.components)) - 1
     # on a connected diagram every root set couples the lone component
     coupling = primitive_only and full > 1
     budget = max_states()
-    states = count(1)
+    states = 0
 
-    def tick():
-        n = next(states)
-        if n > budget:
+    def tick(n=1):
+        """Counts n states; past the budget, raises as a count one state
+        at a time would have on the first state over it."""
+        nonlocal states
+        states += n
+        if states > budget:
             raise BudgetExceeded(
                 f"enumeration on {d.spec()} exceeded {budget} states",
-                layer="search", count=n, cap=budget, input=d.spec())
+                layer="search", count=budget + 1, cap=budget,
+                input=d.spec())
 
     def emit(chosen, assignments):
-        """The valid systems on the root set `chosen`, in output order."""
-        kept = []
-        sigma = tuple(cands[k] for k in chosen)
-        roots = tuple(facts[k] for k in chosen)
+        """The valid systems on the root set `chosen`, in output order.
+        Each candidate system, one per assignment and subset of the free
+        nodes, is one state, all counted before the gate runs."""
+        sigma = tuple(map(cands.__getitem__, chosen))
+        roots = tuple(map(facts.__getitem__, chosen))
         # Exact: a base decides sp on the supports, and sp meeting a paired
         # set fails the rank-one axiom, so only the other nodes are free.
         free = nodes.difference(*(f.support | f.paired for f in roots))
@@ -199,19 +215,19 @@ def enumerate_systems(diagram, cuspidal_only=False,
         free_subsets = [frozenset()]
         for i in sorted(free):
             free_subsets += [s | {i} for s in free_subsets]
-        sigma_ok = not sigma_faults(sigma, roots)
+        tick(len(assignments) * len(free_subsets))
+        if sigma_faults(sigma, roots):
+            return []
+        kept = []
         # sorted, so the output order does not hang on set hashing
         for base in sorted(assignments, key=sorted):
             # Exact: an extra from free meets no support and no paired
             # set, so rank_one_faults(base | extra) yields base's records.
-            ok = sigma_ok and next(rank_one_faults(base, sigma, roots),
-                                   None) is None
-            for extra in free_subsets:
-                tick()
-                if ok:
-                    sys = SphericalSystem._from_normal(d, base | extra, sigma)
-                    if not primitive_only or ops.is_primitive(sys):
-                        kept.append(sys)
+            if next(rank_one_faults(base, sigma, roots), None) is None:
+                systems = [new(d, shared.setdefault(sp, sp), sigma)
+                           for sp in [base | extra for extra in free_subsets]]
+                kept += (filter(ops.is_primitive, systems) if primitive_only
+                         else systems)
         return kept
 
     def walk(chosen, basis, covered, assignments, banned, live):

@@ -10,13 +10,17 @@ rank_one_faults the rank-one axiom, the only one that reads sp, and that
 only on the roots' supports and paired nodes, so the search's final gate
 asks it once per trace assignment.  validation_report formats the records
 of both; the gate reads them raw, and pairwise_faults fills its pair matrix.
+A root set without faults, the common case in the search, costs sigma_faults
+only the comparisons: no record is built, the repeat scan runs only when a
+root is listed twice, and the doubled-root axiom is one set union.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
 doubled_node and orthogonal_pair recognise them for the whole package.
 
 Everything the axioms ask of a single root (its support, its pairing with
-each node, its admissible traces and its shape) is a RootFacts record,
+each node, its admissible traces, its shape and the nodes on which it
+breaks the doubled-root axiom) is a RootFacts record,
 read through root_facts from a per-diagram table, so validate, the colour
 pairing and the search compute it once per root rather than once per
 system.
@@ -70,6 +74,9 @@ class RootFacts(NamedTuple):
     simple: int | None   # simple_node(g)
     doubled: int | None  # doubled_node(g)
     pair: tuple | None   # orthogonal_pair(d, g)
+    # nodes i other than `doubled` with an odd or positive pairing: g breaks
+    # the doubled-root axiom with a root 2*alpha_i exactly on these
+    odd_or_positive: frozenset
 
 
 @lru_cache(maxsize=None)
@@ -86,12 +93,15 @@ def root_facts(d: Diagram, g) -> RootFacts:
     if facts is None:
         supp = support(g)
         pairings = tuple(sum(row[j] * g[j] for j in supp) for row in d.cartan)
+        doubled = doubled_node(g)
         facts = RootFacts(
             supp, pairings,
             frozenset(i for i, v in enumerate(pairings)
                       if v and i not in supp),
             rankone.admissible_traces(d, g),
-            simple_node(g), doubled_node(g), orthogonal_pair(d, g))
+            simple_node(g), doubled, orthogonal_pair(d, g),
+            frozenset(i for i, v in enumerate(pairings)
+                      if (v % 2 or v > 0) and i != doubled))
         # stray weights (no admissible trace) stay out, so the table holds
         # at most the candidate roots
         if facts.traces:
@@ -105,21 +115,23 @@ def pairwise_faults(sigma, roots):
     nonpositive integer, and i and j pair equally with every root when
     alpha_i + alpha_j is an orthogonal pair root.  Yields ("doubled", i, g,
     pairing) and then ("orthogonal", (i, j), h, (pairing_i, pairing_j)), in
-    report order."""
-    for i in sorted({f.doubled for f in roots} - {None}):
-        for g, f in zip(sigma, roots):
-            if f.doubled == i:
-                continue
-            v = f.pairings[i]
-            if v % 2 or v > 0:
-                yield "doubled", i, g, v
+    report order.  Without a fault, the doubled-root axiom costs one set
+    union and the orthogonal one a comparison per root and pair root; only
+    a fault looks up its weight."""
+    # a doubled node that no root pairs with oddly or positively has no
+    # record (and None is no node)
+    unfit = frozenset().union(*[f.odd_or_positive for f in roots])
+    for i in sorted({f.doubled for f in roots} & unfit):
+        for k, f in enumerate(roots):
+            if i in f.odd_or_positive:
+                yield "doubled", i, sigma[k], f.pairings[i]
     for f in roots:
         if f.pair is not None:
             i, j = f.pair
-            for h, fh in zip(sigma, roots):
-                vi, vj = fh.pairings[i], fh.pairings[j]
-                if vi != vj:
-                    yield "orthogonal", f.pair, h, (vi, vj)
+            for k, fh in enumerate(roots):
+                p = fh.pairings
+                if p[i] != p[j]:
+                    yield "orthogonal", f.pair, sigma[k], (p[i], p[j])
 
 
 def sigma_faults(sigma, roots) -> list:
@@ -132,8 +144,10 @@ def sigma_faults(sigma, roots) -> list:
     faults = list(pairwise_faults(sigma, roots))
     faults += [("simple", k) for k, f in enumerate(roots)
                if f.simple is not None]
-    faults += [("repeated", sigma.index(g), k) for k, g in enumerate(sigma)
-               if sigma.index(g) < k]
+    # the quadratic scan only when some root is listed twice
+    if len(set(sigma)) < len(sigma):
+        faults += [("repeated", sigma.index(g), k)
+                   for k, g in enumerate(sigma) if sigma.index(g) < k]
     if rank(sigma) < len(sigma):
         faults.append(("dependent",))
     return faults
@@ -262,10 +276,10 @@ class SphericalSystem:
 
     def __init__(self, diagram, sp=(), sigma=()):
         diagram = parse_diagram(diagram)
-        object.__setattr__(self, "diagram", diagram)
+        _set_diagram(self, diagram)
         spx = frozenset(diagram.node_index(a)
                         for a in _listed(sp, "sp must be a list of nodes"))
-        object.__setattr__(self, "sp", spx)
+        _set_sp(self, spx)
         sig = []
         for w in _listed(sigma, "sigma must be a list of roots"):
             if isinstance(w, dict):
@@ -288,8 +302,8 @@ class SphericalSystem:
                                  "an integer") from None
             if not any(sig[-1]):
                 raise ValueError(f"root {w!r} is zero")
-        object.__setattr__(self, "sigma", tuple(sig))
-        object.__setattr__(self, "_cache", {})
+        _set_sigma(self, tuple(sig))
+        _set_cache(self, {})
 
     @classmethod
     def _from_normal(cls, diagram, sp, sigma) -> "SphericalSystem":
@@ -300,10 +314,10 @@ class SphericalSystem:
         boundary.  validate() still checks every axiom, since normal form
         speaks only of types and shapes, never of the axioms."""
         self = object.__new__(cls)
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "sp", sp)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_cache", {})
+        _set_diagram(self, diagram)
+        _set_sp(self, sp)
+        _set_sigma(self, sigma)
+        _set_cache(self, {})
         return self
 
     def __setattr__(self, name, value):
@@ -480,3 +494,11 @@ class SphericalSystem:
                              '"diagram" key')
         d = Diagram.from_json(data["diagram"])
         return cls(d, data.get("sp", ()), data.get("sigma", ()))
+
+
+# The slots' own setters, which pass by the refusing __setattr__.  The
+# search builds tens of thousands of systems, and a slot setter takes about
+# half the time of object.__setattr__ by name.
+_set_diagram, _set_sp, _set_sigma, _set_cache = (
+    getattr(SphericalSystem, name).__set__
+    for name in SphericalSystem.__slots__)

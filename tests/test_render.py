@@ -228,7 +228,7 @@ class TestLayoutPaths:
             "  +-----------+\n"
             "\n"
             "  aa(1,1): a1+a3  [join 1-3]\n"
-            "  None: a2+2a3  [zigzag 2..3; shadow 3]\n")
+            "  no rank-one row: a2+2a3  [zigzag 2..3; shadow 3]\n")
         svg = render.render_svg(sys)
         assert svg.count('fill="#bbb"') == 1
         assert 'id="circ-2" cx="150" cy="84" r="12" fill="#bbb"' in svg

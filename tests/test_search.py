@@ -374,6 +374,46 @@ class TestWalk:
         search.enumerate_systems(spec)
         assert len(asked) == calls
 
+    @pytest.mark.parametrize("spec,calls", [
+        ("A1,A1,A1,A1,A1,A1,A1,A1", 7193), ("A2,A2,A2,A2", 1633),
+        ("A1,A2,B2,G2", 999), ("G2,G2,G2", 448),
+    ])
+    def test_sigma_faults_asked_once_per_root_set(self, spec, calls,
+                                                  monkeypatch):
+        # the same four enumerations: the gate's sigma verdict is asked
+        # once per root set the walk hands it, never per parabolic set
+        faults = search.sigma_faults
+        asked = []
+
+        def counted(sigma, roots):
+            asked.append(sigma)
+            return faults(sigma, roots)
+
+        monkeypatch.setattr(search, "sigma_faults", counted)
+        search.enumerate_systems(spec)
+        assert len(asked) == calls
+        assert len(set(asked)) == calls
+
+    @pytest.mark.parametrize("spec,mode,states", [
+        ("B3", "full", 51), ("B3", "primitive", 22),
+        ("G2", "full", 17), ("G2", "primitive", 10),
+    ])
+    def test_budget_hit_inside_a_batch_counts_one_past_the_cap(
+            self, spec, mode, states, monkeypatch):
+        # a root set's candidate systems are counted in one step; at every
+        # cap below the total the walk stops as a count one state at a time
+        # would, reporting the first state over the cap
+        kw = {"full": {}, "primitive": {"primitive_only": True}}[mode]
+        monkeypatch.setenv("SPHSYS_MAX_STATES", str(states))
+        search.enumerate_systems(spec, **kw)
+        for cap in range(1, states):
+            monkeypatch.setenv("SPHSYS_MAX_STATES", str(cap))
+            with pytest.raises(BudgetExceeded) as err:
+                search.enumerate_systems(spec, **kw)
+            e = err.value
+            assert (e.layer, e.count, e.cap, e.input) == (
+                "search", cap + 1, cap, spec)
+
     @pytest.mark.parametrize("mode", ["full", "cuspidal", "primitive"])
     @pytest.mark.parametrize("spec", ["B3", "B4", "A1,B3", "D4", "F4"])
     def test_final_gate_rejects_what_the_walk_lets_through(self, spec, mode,

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -10,9 +11,9 @@ from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, support
 from sphsys.feasible import rank
 from sphsys.system import (Colour, SphericalSystem, ValidationReport,
-                           doubled_node, orthogonal_pair, rank_one_faults,
-                           root_facts, sigma_faults, simple_node,
-                           validation_report)
+                           doubled_node, orthogonal_pair, pairwise_faults,
+                           rank_one_faults, root_facts, sigma_faults,
+                           simple_node, validation_report)
 
 
 def make(spec, sp, sigma):
@@ -444,6 +445,27 @@ def test_report_is_ok_exactly_when_no_layer_faults(seed):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("seed,digest", [
+    (20261018,
+     "311cb18b9685e31a1aaad78fd1baf55f963f1f74b2caeba1165e21777ac7c829"),
+    (20261019,
+     "1f6a5b7ffc63163a45d19ff1ddbf5bdec75505543375869e8619ce2099e99664"),
+])
+def test_gate_records_are_pinned(seed, digest):
+    # sha256 over the raw records the final gate reads, recorded before the
+    # gate's fault-free path was made cheap: the records and their order
+    text, kinds = [], set()
+    for sys in random_systems(seed, 600):
+        roots = tuple(root_facts(sys.diagram, g) for g in sys.sigma)
+        faults = sigma_faults(sys.sigma, roots)
+        text += [repr(faults),
+                 repr(list(pairwise_faults(sys.sigma, roots)))]
+        kinds |= {f[0] for f in faults}
+    assert kinds == {"doubled", "orthogonal", "simple", "repeated",
+                     "dependent"}
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
+
+
 def test_root_facts():
     d = parse_diagram("A1,A3")
     f = root_facts(d, (0, 1, 1, 0))
@@ -452,7 +474,11 @@ def test_root_facts():
     assert f.paired == {3}
     assert f.traces == rankone.admissible_traces(d, (0, 1, 1, 0))
     assert (f.simple, f.doubled, f.pair) == (None, None, None)
+    assert f.odd_or_positive == {1, 2, 3}
+    # 2*alpha_1 pairs 4 with alpha_1, its own doubled node
     assert root_facts(d, [2, 0, 0, 0]).doubled == 0
+    assert root_facts(d, [2, 0, 0, 0]).odd_or_positive == frozenset()
+    assert root_facts(d, [0, 2, 2, 0]).odd_or_positive == {1, 2}
     assert root_facts(d, (1, 0, 1, 0)).pair == (0, 2)
     # a weight no rank-one row realizes has no trace and is not kept
     stray = root_facts(d, (0, 1, -1, 2))
