@@ -12,8 +12,11 @@ only on the roots' supports and paired nodes, and builds no report.  A
 root set is handled in one step: its candidate systems, one per trace
 assignment and subset of the free nodes, are counted against the budget
 at once, and the systems of each assignment that passes are built in one
-batch.  Each pruning rule either is only a necessary condition on a valid
-system or drops a subtree that holds no system the mode keeps.
+batch.  The batch's parabolic sets come from a per-call list for each
+(assignment, free nodes), built on the first root set that asks for it:
+the list depends on nothing else, so every later one shares it.  Each
+pruning rule either is only a necessary condition on a valid system or
+drops a subtree that holds no system the mode keeps.
 
 ``verify_catalog`` compares the primitive systems found this way with the
 members the family catalog predicts on the same diagram.
@@ -171,11 +174,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
     are counted in one step before the gate, so the totals are those of a
     count one system at a time, and a budget hit inside a batch raises
     with count cap + 1 as that count would.
-    Sigma's independence is decided there afresh by its rank, not read off
-    the walk's echelon basis, so the gate does not lean on the walk.  No
-    report is built, so a returned system builds its own on its first
-    validate().  A leaf whose own roots leave the components unlinked is
-    not skipped: is_decomposable rejects its split systems.
+    Sigma's independence is decided there afresh, from disjoint supports
+    or else by its rank, never read off the walk's echelon basis, so the
+    gate does not lean on the walk.  A passing assignment's systems share
+    one list of parabolic sets per (assignment, free nodes) and one
+    frozenset per parabolic set.  No report is built, so a returned system
+    builds its own on its first validate().  A leaf whose own roots leave
+    the components unlinked is not skipped: is_decomposable rejects its
+    split systems.
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
@@ -183,6 +189,8 @@ def enumerate_systems(diagram, cuspidal_only=False,
     # one frozenset per parabolic set: the systems share them, so the
     # collector tracks one object per system kept, not two
     shared = {}
+    # the parabolic sets of each (assignment, free nodes), built once
+    sp_lists = {}
     cuspidal_only = cuspidal_only or primitive_only
     nodes = frozenset(range(d.n_nodes))
     full = (1 << len(d.components)) - 1
@@ -211,11 +219,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
         # Exact: a base decides sp on the supports, and sp meeting a paired
         # set fails the rank-one axiom, so only the other nodes are free.
         free = nodes.difference(*(f.support | f.paired for f in roots))
-        # every subset of free, in the order of its bitmask over free
-        free_subsets = [frozenset()]
-        for i in sorted(free):
-            free_subsets += [s | {i} for s in free_subsets]
-        tick(len(assignments) * len(free_subsets))
+        tick(len(assignments) << len(free))
         if sigma_faults(sigma, roots):
             return []
         kept = []
@@ -224,8 +228,16 @@ def enumerate_systems(diagram, cuspidal_only=False,
             # Exact: an extra from free meets no support and no paired
             # set, so rank_one_faults(base | extra) yields base's records.
             if next(rank_one_faults(base, sigma, roots), None) is None:
-                systems = [new(d, shared.setdefault(sp, sp), sigma)
-                           for sp in [base | extra for extra in free_subsets]]
+                sps = sp_lists.get((base, free))
+                if sps is None:
+                    # base | extra for every subset extra of free, in the
+                    # order of its bitmask over free
+                    sps = [base]
+                    for i in sorted(free):
+                        sps += [sp | {i} for sp in sps]
+                    sps = sp_lists[base, free] = [
+                        shared.setdefault(sp, sp) for sp in sps]
+                systems = [new(d, sp, sigma) for sp in sps]
                 kept += (filter(ops.is_primitive, systems) if primitive_only
                          else systems)
         return kept

@@ -11,8 +11,9 @@ only on the roots' supports and paired nodes, so the search's final gate
 asks it once per trace assignment.  validation_report formats the records
 of both; the gate reads them raw, and pairwise_faults fills its pair matrix.
 A root set without faults, the common case in the search, costs sigma_faults
-only the comparisons: no record is built, the repeat scan runs only when a
-root is listed twice, and the doubled-root axiom is one set union.
+only the comparisons: no record is built, the doubled-root axiom is one set
+union, the orthogonal one a tuple comparison per pair root, and roots on
+pairwise disjoint supports skip the repeat scan and the rank.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
@@ -116,8 +117,9 @@ def pairwise_faults(sigma, roots):
     alpha_i + alpha_j is an orthogonal pair root.  Yields ("doubled", i, g,
     pairing) and then ("orthogonal", (i, j), h, (pairing_i, pairing_j)), in
     report order.  Without a fault, the doubled-root axiom costs one set
-    union and the orthogonal one a comparison per root and pair root; only
-    a fault looks up its weight."""
+    union and the orthogonal one a comparison of two pairing columns per
+    pair root; only unequal columns run the per-root loop, and only a
+    fault looks up its weight."""
     # a doubled node that no root pairs with oddly or positively has no
     # record (and None is no node)
     unfit = frozenset().union(*[f.odd_or_positive for f in roots])
@@ -125,13 +127,19 @@ def pairwise_faults(sigma, roots):
         for k, f in enumerate(roots):
             if i in f.odd_or_positive:
                 yield "doubled", i, sigma[k], f.pairings[i]
+    columns = None
     for f in roots:
         if f.pair is not None:
             i, j = f.pair
-            for k, fh in enumerate(roots):
-                p = fh.pairings
-                if p[i] != p[j]:
-                    yield "orthogonal", f.pair, sigma[k], (p[i], p[j])
+            if columns is None:
+                # per node, its pairings with the roots
+                columns = tuple(zip(*[fh.pairings for fh in roots]))
+            # Exact: equal columns hold no root that pairs unequally.
+            if columns[i] != columns[j]:
+                for k, fh in enumerate(roots):
+                    p = fh.pairings
+                    if p[i] != p[j]:
+                        yield "orthogonal", f.pair, sigma[k], (p[i], p[j])
 
 
 def sigma_faults(sigma, roots) -> list:
@@ -140,16 +148,22 @@ def sigma_faults(sigma, roots) -> list:
     ("simple", k) for each simple root sigma[k], ("repeated", first, k) for
     each root sigma[k] listed before at sigma[first], and ("dependent",)
     when sigma is linearly dependent.  The parabolic set plays no part, so
-    the search asks this once per root set."""
+    the search asks this once per root set.  The repeat scan and the rank
+    run only when two supports overlap or one is empty."""
     faults = list(pairwise_faults(sigma, roots))
     faults += [("simple", k) for k, f in enumerate(roots)
                if f.simple is not None]
-    # the quadratic scan only when some root is listed twice
-    if len(set(sigma)) < len(sigma):
-        faults += [("repeated", sigma.index(g), k)
-                   for k, g in enumerate(sigma) if sigma.index(g) < k]
-    if rank(sigma) < len(sigma):
-        faults.append(("dependent",))
+    supports = [f.support for f in roots]
+    # Exact: nonzero roots on pairwise disjoint supports are distinct and
+    # independent, since on one root's support every other root is zero.
+    if not all(supports) or sum(map(len, supports)) != len(
+            frozenset().union(*supports)):
+        # the quadratic scan only when some root is listed twice
+        if len(set(sigma)) < len(sigma):
+            faults += [("repeated", sigma.index(g), k)
+                       for k, g in enumerate(sigma) if sigma.index(g) < k]
+        if rank(sigma) < len(sigma):
+            faults.append(("dependent",))
     return faults
 
 

@@ -242,3 +242,13 @@ def test_imports_follow_the_layers(path):
     bad = [(line, name) for line, name in _library_imports(tree)
            if name not in below]
     assert bad == [], f"{path.name} imports above its layer: {bad}"
+
+
+def test_search_gate_does_not_lean_on_the_walk():
+    # the final gate decides independence afresh: emit in search.py reads
+    # neither the walk's echelon basis nor the echelon step that grows it
+    tree = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
+    emits = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "emit"]
+    assert len(emits) == 1
+    assert _identifiers(emits[0]) & {"basis", "echelon_extend"} == set()

@@ -1,12 +1,15 @@
 import copy
 import hashlib
+import itertools
 import json
 import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sphsys import ops, rankone, search
+from sphsys import ops, rankone, search, system
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, support
 from sphsys.feasible import rank
@@ -464,6 +467,119 @@ def test_gate_records_are_pinned(seed, digest):
     assert kinds == {"doubled", "orthogonal", "simple", "repeated",
                      "dependent"}
     assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
+
+
+# the oracle diagrams and products whose roots mostly have disjoint supports
+ROOT_LIST_DIAGRAMS = ORACLE_DIAGRAMS + ("A1,A1,A1,A1,A1,A1", "A2,A2,A2",
+                                        "A1,A2,B2,G2", "G2,G2,G2")
+
+
+def random_root_lists(seed, per_diagram):
+    """(diagram, root list) pairs of 0-6 weights: candidate roots, stray
+    weights (coefficients -1..2), doubled simple roots, an earlier weight
+    again, the sum of two earlier ones (a dependent list) and, rarely, the
+    zero weight, which no system holds but sigma_faults still answers."""
+    rng = random.Random(seed)
+    for spec in ROOT_LIST_DIAGRAMS:
+        d = parse_diagram(spec)
+        n = d.n_nodes
+        cands = search.candidate_roots(d)
+        for _ in range(per_diagram):
+            sigma = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.random()
+                if kind < 0.5 or not sigma:
+                    sigma.append(rng.choice(cands))
+                elif kind < 0.62:
+                    sigma.append(tuple(rng.randint(-1, 2) for _ in range(n)))
+                elif kind < 0.74:
+                    i = rng.randrange(n)
+                    sigma.append(tuple(2 * (k == i) for k in range(n)))
+                elif kind < 0.84:
+                    sigma.append(rng.choice(sigma))
+                elif kind < 0.97:
+                    g, h = rng.choice(sigma), rng.choice(sigma)
+                    sigma.append(tuple(a + b for a, b in zip(g, h)))
+                else:
+                    sigma.append((0,) * n)
+            yield d, tuple(sigma)
+
+
+def test_gate_records_on_root_lists_are_pinned():
+    # sha256 over the sigma_faults and pairwise_faults records of a root
+    # list corpus and of the walk table's pass over every candidate,
+    # recorded before the gate's independence and pair-root shortcuts
+    text, kinds, shapes = [], set(), set()
+    for d, sigma in random_root_lists(20261020, 400):
+        roots = tuple(root_facts(d, g) for g in sigma)
+        faults = sigma_faults(sigma, roots)
+        text += [repr(faults), repr(list(pairwise_faults(sigma, roots)))]
+        kinds |= {f[0] for f in faults}
+        supports = [f.support for f in roots]
+        disjoint = sum(map(len, supports)) == len(frozenset().union(
+            *supports)) and all(supports)
+        shapes.add((disjoint, ("dependent",) in faults))
+    assert kinds == {"doubled", "orthogonal", "simple", "repeated",
+                     "dependent"}
+    # disjoint supports are never dependent; overlapping ones may be either
+    assert shapes == {(True, False), (False, False), (False, True)}
+    for spec in ROOT_LIST_DIAGRAMS + ("B4", "C4", "F4,F4", "D5"):
+        cands, facts, _, _ = search._walk_table(parse_diagram(spec))
+        text.append(repr(list(pairwise_faults(cands, facts))))
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == (
+        "e1f357efe48f7e4ba3d7ae2e1c33cf6867d53e946650a219f1f34073a8fa593f")
+
+
+@st.composite
+def _root_list(draw):
+    """(n, vectors): up to 6 integer vectors of length n, mostly sparse, so
+    that disjoint supports are common, with an earlier vector repeated or
+    the zero vector added now and then."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 0, -2, -1, 1, 2))
+    vectors = draw(st.lists(
+        st.lists(entry, min_size=n, max_size=n).map(tuple), max_size=6))
+    extra = draw(st.sampled_from(("none", "repeat", "zero")))
+    if extra == "repeat" and vectors:
+        vectors.append(draw(st.sampled_from(vectors)))
+    elif extra == "zero":
+        vectors.insert(draw(st.integers(0, len(vectors))), (0,) * n)
+    return n, vectors
+
+
+@settings(max_examples=400, deadline=None)
+@given(_root_list())
+@example((3, [(1, 0, 0), (0, 2, -1)]))               # disjoint supports
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, -1)]))    # overlapping, dependent
+@example((2, [(1, 0), (1, 0)]))                      # a repeated vector
+@example((2, [(0, 0), (0, 1)]))                      # the zero vector
+def test_disjoint_supports_decide_independence(case):
+    # sigma_faults asks rank only when two supports overlap or one is
+    # empty; whether it asks or not, its verdict is rank(v) == len(v)
+    n, vectors = case
+    d = parse_diagram(f"A{n}")
+    sigma = tuple(vectors)
+    roots = tuple(root_facts(d, g) for g in sigma)
+    asked = []
+
+    def counted(rows):
+        asked.append(rows)
+        return rank(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system, "rank", counted)
+        faults = sigma_faults(sigma, roots)
+    independent = rank(sigma) == len(sigma)
+    assert (("dependent",) not in faults) == independent
+    # the repeat scan, skipped with the rank, misses no repeated vector
+    assert [f for f in faults if f[0] == "repeated"] == [
+        ("repeated", sigma.index(g), k) for k, g in enumerate(sigma)
+        if sigma.index(g) < k]
+    # the shortcut, taken, says independent
+    assert asked or independent
+    supports = [support(g) for g in sigma]
+    overlap = any(a & b for a, b in itertools.combinations(supports, 2))
+    assert bool(asked) == (overlap or not all(supports))
 
 
 def test_root_facts():
