@@ -2,14 +2,16 @@
 
 Everything here is exact.  Whether a colour subset is distinguished is
 decided in three steps, cheapest first: the witness phi = (1, ..., 1), a
-root refuting every witness, and a lookup among the supports of the
-extreme rays of the cone of witnesses, enumerated once per system.  The
-witnesses themselves are sums of extreme rays of the cone each one asks
-about (feasible.feasible_nonneg).  Quotient monoids come from Hilbert
-bases, which start from the extreme rays of the pairing kernel
-(feasible.kernel_rays); the smooth test reads those rays alone.  A
-colour subset is a set: repeated indices count once.  Quotient systems
-are constructed and validated, never assumed valid.
+root refuting every witness, both read off per-root sign masks, and a
+lookup among the supports of the extreme rays of the cone of witnesses;
+masks and rays are computed once per system.  The witnesses themselves
+are sums of extreme rays of the cone each one asks about
+(feasible.feasible_nonneg).  Quotient monoids come from Hilbert bases,
+which start from the extreme rays of the pairing kernel
+(feasible.kernel_rays); the smooth test reads those rays alone, and needs
+none for one colour.  A colour subset is a set: repeated indices count
+once.  Quotient systems are constructed and validated, never assumed
+valid.
 """
 
 from __future__ import annotations
@@ -101,11 +103,17 @@ def is_distinguished(sys: SphericalSystem, subset) -> bool:
 
     The subset S is distinguished when the cone C = {phi >= 0 :
     <rho(phi), gamma> >= 0 for every spherical root gamma} has a point
-    with support exactly S.  Three tests, cheapest first:
+    with support exactly S.  Three tests, cheapest first; the first two
+    read each root's sign masks (SphericalSystem.sign_masks: the colours
+    pairing negatively with it, and those pairing positively):
     1. phi = (1, ..., 1) on S is such a point when no column sum of S's
-       rho rows is negative: a witness, so True is exact.
-    2. A root pairing <= 0 with every colour of S and < 0 with one pairs
-       negatively with every phi > 0 on S: a refutation, so False is exact.
+       rho rows is negative: a witness, so True is exact.  Only the roots
+       where S has both signs need a sum: a root with no negative entry in
+       S sums to >= 0, and one with no positive entry is test 2's.
+    2. A root whose negative mask meets S and whose positive mask misses
+       it pairs negatively with every phi > 0 on S: a refutation, so
+       False is exact.  Such a root's column sum is negative, so tests 1
+       and 2 exclude each other and one pass over the roots runs both.
     3. Otherwise S is distinguished iff S is the union of the supports of
        the extreme rays of C that lie inside S.  C lies in the orthant, so
        it is pointed, and every point of C is a nonnegative combination of
@@ -114,17 +122,27 @@ def is_distinguished(sys: SphericalSystem, subset) -> bool:
        is a sum of rays whose supports lie inside S and cover S.
        Conversely, the sum of the rays inside S is a point of C whose
        support is their union.
-    The ray supports are SphericalSystem.distinguished_rays, enumerated
-    once per system.
+    The masks and the ray supports (SphericalSystem.distinguished_rays)
+    are computed once per system.
     """
-    subset = _colour_subset(sys, subset)
+    return _distinguished(sys, _colour_subset(sys, subset))
+
+
+def _distinguished(sys, subset) -> bool:
+    """is_distinguished on a sorted tuple of distinct valid colour
+    indices, the form every caller in this module already holds."""
+    mask = 0
+    for c in subset:
+        mask |= 1 << c
+    mixed = []
+    for j, (neg, pos) in enumerate(sys.sign_masks):
+        if neg & mask:
+            if not pos & mask:
+                return False
+            mixed.append(j)
     rho = sys.rho_matrix
-    cols = list(zip(*(rho[c] for c in subset)))
-    if all(sum(col) >= 0 for col in cols):
+    if all(sum(rho[c][j] for c in subset) >= 0 for j in mixed):
         return True
-    if any(max(col) <= 0 for col in cols if min(col) < 0):
-        return False
-    mask = sum(1 << c for c in subset)
     union = 0
     for ray in sys.distinguished_rays:
         if not ray & ~mask:
@@ -161,7 +179,7 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     ValueError when the subset is not distinguished.
     """
     subset = _colour_subset(sys, subset)
-    if not is_distinguished(sys, subset):
+    if not _distinguished(sys, subset):
         raise ValueError("quotient by a non-distinguished subset")
     # one equation per chosen colour, variables are root multiplicities
     coeffs = hilbert_basis([sys.rho_matrix[c] for c in subset], len(sys.sigma))
@@ -212,42 +230,44 @@ def decomposes(sys: SphericalSystem, s1, s2) -> bool:
     subsets never decompose.  Raises ValueError on empty or overlapping
     subsets and on an entry that is no colour index of the system.
     """
-    s1 = frozenset(_colour_subset(sys, s1))
-    s2 = frozenset(_colour_subset(sys, s2))
+    s1 = _colour_subset(sys, s1)
+    s2 = _colour_subset(sys, s2)
     if not s1 or not s2:
         raise ValueError("decomposition subsets must be nonempty")
-    if s1 & s2:
+    if set(s1) & set(s2):
         raise ValueError("decomposition subsets must be disjoint")
-    if not (is_distinguished(sys, s1) and is_distinguished(sys, s2)):
+    if not (_distinguished(sys, s1) and _distinguished(sys, s2)):
         return False
     masks = _moved_masks(sys)
     if _moved(masks, s1) & _moved(masks, s2):
         return False
-    return _splits(sys, s1, s2)
+    return _splits(sys, s1, s2) and (_smooth(sys, s1) or _smooth(sys, s2))
 
 
 def _splits(sys, s1, s2) -> bool:
-    """The rest of decomposes() for distinguished subsets moving disjoint
-    roots: orthogonal new parabolic nodes and a smooth quotient."""
+    """Whether distinguished subsets moving disjoint roots add mutually
+    orthogonal parabolic nodes; decomposes() also needs a smooth side."""
     d = sys.diagram
     add1 = frozenset().union(*(sys.colours[c].nodes for c in s1))
     add2 = frozenset().union(*(sys.colours[c].nodes for c in s2))
     # Each connected piece of the subdiagram spanned by the two enlarged
     # parabolic sets must lie on one side: a chain through shared sp nodes
     # couples the factors just as a direct edge would.
-    if any(p & add1 and p & add2
-           for p in pieces(sorted(sys.sp | add1 | add2), d.adjacent)):
-        return False
-    return _smooth(sys, s1) or _smooth(sys, s2)
+    return not any(p & add1 and p & add2
+                   for p in pieces(sorted(sys.sp | add1 | add2), d.adjacent))
 
 
 def _smooth(sys, subset) -> bool:
-    """Whether quotient(sys, subset) is smooth, from the extreme rays of the
-    pointed cone C = {x >= 0 : rho_s x = 0}, one equality row per colour.
-    Sigma is independent, so the quotient is smooth iff C's Hilbert basis
-    is all unit vectors.  The basis holds every ray's primitive vector, and
-    an orthant's basis is its units, so that holds iff every ray is a unit
-    vector."""
+    """Whether quotient(sys, subset) is smooth, for a distinguished subset,
+    from the extreme rays of the pointed cone C = {x >= 0 : rho_s x = 0},
+    one equality row per colour.  Sigma is independent, so the quotient is
+    smooth iff C's Hilbert basis is all unit vectors.  The basis holds
+    every ray's primitive vector, and an orthant's basis is its units, so
+    that holds iff every ray is a unit vector.  One colour needs no rays:
+    a distinguished colour pairs >= 0 with every root, so C is the face of
+    the orthant where its positive roots vanish, spanned by unit vectors."""
+    if len(subset) == 1:
+        return True
     return all(sum(x) == 1 for x in kernel_rays(
         [sys.rho_matrix[c] for c in subset], len(sys.sigma)))
 
@@ -256,26 +276,33 @@ def is_decomposable(sys: SphericalSystem):
     """First pair of colour subsets decomposing the system, else None.
 
     Pairs (a, b) come in (size, indices) order of their subsets, a before
-    b, and each subset's distinguishedness is decided at most once.  The
-    factors of a decomposition use disjoint colours and move disjoint roots
-    (_splits() tests the rest), so three cuts keep the answer exact:
+    b.  The factors of a decomposition use disjoint colours and move
+    disjoint roots (_splits() and _smooth() test the rest), so three cuts
+    keep the answer exact:
     - a colour sharing a moved root with every other colour is in neither
       factor, so a and b are drawn from the other, loose colours;
     - b comes in (size, indices) order after a, so |a| <= |b| and a has at
       most half the loose colours;
     - b is drawn from the loose colours outside a that move no root of a.
-    is_distinguished decides each subset from the system's cached rays.
+    Whether a subset is distinguished, and whether its quotient is smooth,
+    is decided at most once per call.  The subsets are sorted tuples of
+    colour indices already, so they skip is_distinguished's input check.
     """
     n = len(sys.colours)
     masks = _moved_masks(sys)
     loose = [c for c in range(n)
              if any(not masks[c] & masks[e] for e in range(n) if e != c)]
-    dist = {}
+    dist, smooth = {}, {}
 
     def distinguished(s):
         if s not in dist:
-            dist[s] = is_distinguished(sys, s)
+            dist[s] = _distinguished(sys, s)
         return dist[s]
+
+    def smooth_quotient(s):
+        if s not in smooth:
+            smooth[s] = _smooth(sys, s)
+        return smooth[s]
 
     for size in range(1, len(loose) // 2 + 1):
         for a in itertools.combinations(loose, size):
@@ -289,7 +316,8 @@ def is_decomposable(sys: SphericalSystem):
                     continue      # b precedes a: came as (b, a)
                 if not distinguished(a):
                     break
-                if distinguished(b) and _splits(sys, a, b):
+                if (distinguished(b) and _splits(sys, a, b)
+                        and (smooth_quotient(a) or smooth_quotient(b))):
                     return (a, b)
     return None
 

@@ -430,6 +430,23 @@ class SphericalSystem:
             self._cache["rays"] = extreme_ray_supports(zip(*rho), len(rho))
         return self._cache["rays"]
 
+    @property
+    def sign_masks(self) -> tuple[tuple[int, int], ...]:
+        """Per spherical root, the bitmasks (bit c for colour c) of the
+        colours pairing negatively and of those pairing positively with
+        it: the sign tests of ops.is_distinguished read these."""
+        if "signs" not in self._cache:
+            k = len(self.sigma)
+            neg, pos = [0] * k, [0] * k
+            for c, row in enumerate(self.rho_matrix):
+                for j, v in enumerate(row):
+                    if v < 0:
+                        neg[j] |= 1 << c
+                    elif v > 0:
+                        pos[j] |= 1 << c
+            self._cache["signs"] = tuple(zip(neg, pos))
+        return self._cache["signs"]
+
     # -- derived predicates ---------------------------------------------------
 
     @property

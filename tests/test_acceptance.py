@@ -411,7 +411,9 @@ def test_7_dictionary_property_suite(monkeypatch):
 
 def test_7b_quotient_sweep_every_connected_member_up_to_rank_eight():
     # Every colour subset of every catalog member: distinguished? then
-    # the quotient, checked against invariants re-derived here.
+    # the quotient, checked against invariants re-derived here and
+    # validated.  distinguished_witness eliminates (Fourier-Motzkin), so it
+    # referees is_distinguished's sign masks and ray lookup.
     start = time.perf_counter()
     specs = [f"{fam}{r}" for fam, (lo, hi) in sorted(_RANK_RANGE.items())
              for r in range(lo, min(hi or 8, 8) + 1)]
@@ -425,6 +427,8 @@ def test_7b_quotient_sweep_every_connected_member_up_to_rank_eight():
                 for subset in itertools.combinations(range(len(rho)), r):
                     subsets += 1
                     phi = ops.distinguished_witness(sys, subset)
+                    assert ops.is_distinguished(sys, subset) == (
+                        phi is not None), (entry.label, subset)
                     if phi is None:
                         assert any(sum(rho[c][j] for c in subset) < 0
                                    for j in range(k)), (entry.label, subset)
@@ -446,7 +450,8 @@ def test_7b_quotient_sweep_every_connected_member_up_to_rank_eight():
                         for x in q.coefficients)
                     assert q.sp == sys.sp.union(
                         *(sys.colours[c].nodes for c in subset))
-    assert (len(specs), members, subsets) == (31, 328, 9566)
+                    assert q.is_valid_system, (entry.label, subset)
+    assert (len(specs), members, subsets, quotients) == (31, 328, 9566, 1001)
     elapsed = time.perf_counter() - start
     _report("7b", f"quotient sweep: {subsets} colour subsets of {members} "
                   f"catalog members on {len(specs)} connected diagrams of "

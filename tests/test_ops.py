@@ -295,13 +295,14 @@ class TestDecompose:
     def test_smooth_test_matches_hilbert_basis(self):
         # Oracle: the quotient is smooth iff every element of the Hilbert
         # basis of the pairing kernel is a unit vector, and quotient()
-        # reports the same through its set-inclusion rule
+        # reports the same through its set-inclusion rule; it referees
+        # _smooth's one-colour rule too, which asks for no rays at all
         systems = [e.system for spec in SWEEP_DIAGRAMS
                    for e in expand_catalog(spec)]
         systems += [s for spec in diagrams_up_to_rank(5)
                     for s in search.enumerate_systems(spec,
                                                       cuspidal_only=True)]
-        subsets = singular = 0
+        subsets = singular = one_colour = 0
         for sys in systems:
             n, rho = len(sys.colours), sys.rho_matrix
             for r in range(1, n + 1):
@@ -314,7 +315,11 @@ class TestDecompose:
                     assert ops.quotient(sys, s).smooth == units, (sys, s)
                     subsets += 1
                     singular += not units
+                    if r == 1:
+                        assert units, (sys, s)
+                        one_colour += 1
         assert (len(systems), subsets, singular) == (978, 6059, 380)
+        assert one_colour == 1602
 
     def test_decompositions_pinned(self):
         # sha256 over repr((system, is_decomposable)) of every cuspidal
@@ -328,6 +333,42 @@ class TestDecompose:
         assert count == 3306
         assert h.hexdigest() == \
             "3ea045d665b454c15454fba0c12962429770bf8b09eb05aac6a2aaf6650ec450"
+
+    def test_long_chain_decompositions_pinned(self):
+        # the same over the cuspidal systems of B12, C12 and D12, where
+        # subsets are many and most smooth tests take one colour
+        h, count = hashlib.sha256(), 0
+        for spec in ("B12", "C12", "D12"):
+            for sys in search.enumerate_systems(spec, cuspidal_only=True):
+                h.update(repr((sys, ops.is_decomposable(sys))).encode()
+                         + b"\n")
+                count += 1
+        assert count == 2769
+        assert h.hexdigest() == \
+            "38a81a715be115fcf2a2c58fd96e59e41b20f91ce0509606fabb92749342cfe3"
+
+    def test_decomposition_skips_input_checks_and_one_colour_rays(
+            self, monkeypatch):
+        # is_decomposable hands its own sorted tuples to the distinguished
+        # decision, unchecked, and a one-colour smooth test enumerates no
+        # rays; the answers stay those of the full path
+        systems = search.enumerate_systems("B10", cuspidal_only=True)
+        expect = [ops.is_decomposable(sys) for sys in systems]
+        rows_seen = []
+        kernel_rays = ops.kernel_rays
+
+        def recording(rows, n_vars):
+            rows = list(rows)
+            rows_seen.append(len(rows))
+            return kernel_rays(rows, n_vars)
+
+        def refuse(*args):
+            raise AssertionError("is_decomposable checked a subset")
+        monkeypatch.setattr(ops, "_colour_subset", refuse)
+        monkeypatch.setattr(ops, "kernel_rays", recording)
+        assert len(systems) == 456
+        assert [ops.is_decomposable(sys) for sys in systems] == expect
+        assert rows_seen and 1 not in rows_seen
 
     def test_random_decompositions_pinned(self):
         # the same over random, mostly invalid systems, errors included
