@@ -55,8 +55,9 @@ def components(sys) -> tuple:
 
 
 def delta_of(sys, roots) -> tuple:
-    """Colours on the subset's support that ignore every outside root."""
-    inside = set(map(tuple, roots))
+    """Colours on the subset's support that ignore every outside root.
+    Raises ValueError on a weight that is no root of the system."""
+    inside = set(_as_roots(sys, roots))
     supp = frozenset().union(*map(support, inside))
     outside = [k for k, g in enumerate(sys.sigma) if g not in inside]
     rho = sys.rho_matrix

@@ -34,6 +34,10 @@ _RANK_RANGE = {
 # A50 builds in under a second, A100 in about ten.
 MAX_RANK = 50
 
+# The one lifetime of every per-diagram table: a benchmark pass cycles through
+# at most 31 diagrams, so a warm pass rebuilds nothing; a sweep keeps the last.
+per_diagram = lru_cache(maxsize=64)
+
 
 class DiagramError(ValueError):
     """Component spec outside the simple families, or a bad node reference."""
@@ -122,7 +126,7 @@ def _profiles(a, nodes):
             for i in nodes}, adj
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_RANK)
 def _types(n: int):
     """Per type of rank n in _RANK_RANGE: its family, Cartan matrix,
     positions' profiles, their sorted list, and for each position the
@@ -338,9 +342,9 @@ class Diagram:
         """Number of positive roots whose support is not contained in sp.
 
         This is the dimension of the flag variety of the parabolic attached
-        to the node set sp.
+        to the node set sp.  Raises DiagramError on a node not in the diagram.
         """
-        sp = frozenset(sp)
+        sp = frozenset(map(self.node_index, sp))
         count = 0
         for r in self.positive_roots:
             if any(c and i not in sp for i, c in enumerate(r)):
@@ -429,7 +433,7 @@ def pieces(items, linked) -> list[set]:
     return out
 
 
-@lru_cache(maxsize=None)
+@per_diagram
 def _positive_roots(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """All positive roots: the simple roots closed under the simple
     reflections s_i(g) = g - <alpha_i^vee, g> alpha_i.

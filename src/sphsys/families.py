@@ -16,18 +16,17 @@ Strictness is not listed: ``CatalogEntry.strict`` asks the member itself.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .dynkin import (_RANK_RANGE, Diagram, DiagramError, _check_rank,
-                     parse_diagram)
+                     parse_diagram, per_diagram)
 from .system import SphericalSystem
 
 
-@functools.lru_cache(maxsize=None)
+@per_diagram
 def _diag(spec: str) -> Diagram:
     return parse_diagram(spec)
 
@@ -605,7 +604,7 @@ class CatalogEntry(NamedTuple):
                 f"strict={self.strict!r})")
 
 
-@functools.lru_cache(maxsize=None)
+@per_diagram
 def _index(d: Diagram) -> MappingProxyType:
     index = {}
     for fam in CATALOG:

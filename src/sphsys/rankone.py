@@ -11,11 +11,10 @@ the identification.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from sphsys.dynkin import Diagram, bourbaki_orders
+from sphsys.dynkin import Diagram, bourbaki_orders, per_diagram
 
 
 class Row(NamedTuple):
@@ -101,7 +100,7 @@ def _segments(d: Diagram):
     return segs
 
 
-@lru_cache(maxsize=None)
+@per_diagram
 def rank1_embeddings(d: Diagram):
     """All (label, weight, trace) triples realizable on the diagram.
 
@@ -129,7 +128,7 @@ def rank1_embeddings(d: Diagram):
     return tuple((label, w, t) for (w, t), label in seen.items())
 
 
-@lru_cache(maxsize=None)
+@per_diagram
 def _table(d: Diagram):
     """Weight -> {trace: label} over the embeddings of d."""
     table: dict[tuple, dict] = {}

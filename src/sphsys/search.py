@@ -4,7 +4,8 @@ The rank-one table lists every weight a root set may contain, so the search
 space is finite: walk independent, pairwise-admissible subsets of those
 weights, then attach every parabolic set the trace conditions allow.  The
 candidates, their RootFacts and the pair matrix (one system.pairwise_faults
-pass) are built once per diagram.  The final validation gate keeps the
+pass) are built on a diagram's first search and kept while the diagram
+stays in the dynkin.per_diagram cache.  The final validation gate keeps the
 walk honest: it reads the raw fault records of every axiom, those on sigma
 alone (system.sigma_faults) once per root set and the rank-one ones
 (system.rank_one_faults) once per trace assignment, as that axiom reads sp
@@ -24,12 +25,11 @@ members the family catalog predicts on the same diagram.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import ops
 from .budget import BudgetExceeded, max_states
-from .dynkin import parse_diagram
+from .dynkin import parse_diagram, per_diagram
 from .families import catalog_index
 from .feasible import echelon_extend
 from .rankone import admissible_traces, rank1_embeddings
@@ -47,11 +47,12 @@ def candidate_roots(diagram) -> tuple:
     return tuple(sorted({w for _, w, _ in rank1_embeddings(d)}))
 
 
-@lru_cache(maxsize=None)
+@per_diagram
 def _walk_table(d) -> tuple:
     """The candidates of d, their RootFacts, compat[i][j]: whether
     candidates i and j together pass the pairwise axioms, and spans[i]: the
-    bitmask of the components that candidate i's support meets."""
+    bitmask of the components that candidate i's support meets.  Rebuilt
+    only when d has left the per_diagram cache."""
     cands = candidate_roots(d)
     facts = tuple(root_facts(d, w) for w in cands)
     compat = [[True] * len(cands) for _ in cands]

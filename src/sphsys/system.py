@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import lru_cache
 from typing import NamedTuple
 
 from sphsys import rankone
-from sphsys.dynkin import Diagram, parse_diagram, support
+from sphsys.dynkin import Diagram, parse_diagram, per_diagram, support
 from sphsys.feasible import extreme_ray_supports, rank
 
 
@@ -80,9 +79,10 @@ class RootFacts(NamedTuple):
     odd_or_positive: frozenset
 
 
-@lru_cache(maxsize=None)
+@per_diagram
 def _root_table(d: Diagram) -> dict:
-    """The RootFacts of the realizable weights looked up so far on d."""
+    """The RootFacts of the weights looked up on d since d last entered
+    the per_diagram cache."""
     return {}
 
 
@@ -188,6 +188,21 @@ def _listed(value, message) -> list:
     if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
         raise ValueError(f"{message}, not {value!r}")
     return list(value)
+
+
+def _coefficients(diagram, t, shown, noun="root") -> tuple:
+    """The list t as a tuple of ints, one per node of the diagram; ValueError
+    naming `shown` when the length is wrong or an entry is no integer."""
+    if len(t) != diagram.n_nodes:
+        raise ValueError(f"{noun} {t} has {len(t)} coefficients, but "
+                         f"{diagram.spec()} has {diagram.n_nodes} nodes")
+    try:
+        if bool in map(type, t):    # JSON true is no coefficient
+            raise TypeError
+        return tuple(map(operator.index, t))
+    except TypeError:
+        raise ValueError(f"{noun} {shown!r} has a coefficient that is not "
+                         "an integer") from None
 
 
 def _same_kind_eq(self, other):
@@ -303,17 +318,7 @@ class SphericalSystem:
             else:
                 t = _listed(w, "a root must be a list of coefficients or an "
                                "object of node: coefficient")
-                if len(t) != diagram.n_nodes:
-                    raise ValueError(
-                        f"root {t} has {len(t)} coefficients, but "
-                        f"{diagram.spec()} has {diagram.n_nodes} nodes")
-            try:
-                if bool in map(type, t):    # JSON true is no coefficient
-                    raise TypeError
-                sig.append(tuple(map(operator.index, t)))
-            except TypeError:
-                raise ValueError(f"root {w!r} has a coefficient that is not "
-                                 "an integer") from None
+            sig.append(_coefficients(diagram, t, w))
             if not any(sig[-1]):
                 raise ValueError(f"root {w!r} is zero")
         _set_sigma(self, tuple(sig))

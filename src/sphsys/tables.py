@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import families
 from .dynkin import Diagram, parse_diagram
 from .families import _need, _wt
-from .system import SphericalSystem
+from .system import SphericalSystem, _coefficients, _listed
 
 
 # -- restricted root bases of involutions -------------------------------------
@@ -208,8 +208,12 @@ def restricted_cartan(diagram: Diagram, basis) -> tuple:
     """Cartan matrix of the root subsystem spanned by ``basis``.
 
     Entries 2(g_i, g_j)/(g_i, g_i) must come out integral; fractions mean
-    the given weights do not form the basis of a root system.
+    the given weights do not form the basis of a root system.  ValueError
+    names a weight whose length is wrong or whose entries are not integers.
     """
+    shape = "a weight must be a list of coefficients"
+    basis = [_coefficients(diagram, _listed(g, shape), g, "weight")
+             for g in basis]
     mat = []
     for gi in basis:
         nii = diagram.inner(gi, gi)

@@ -102,6 +102,11 @@ class TestDeltaOf:
     def test_tail_root_keeps_nothing(self):
         assert connect.delta_of(GLUED6, GLUED6.sigma[3:]) == ()
 
+    def test_weight_outside_sigma_rejected(self):
+        sys = instantiate("b(n)", n=3)
+        with pytest.raises(ValueError, match=r"\[\[9, 9, 9\]\]"):
+            connect.delta_of(sys, [(9, 9, 9)])
+
 
 class TestClassify:
     def test_standalone_chain(self):

@@ -132,6 +132,15 @@ def test_dim_flag():
     assert a4.dim_flag({0, 1, 2, 3}) == 0
 
 
+def test_dim_flag_reads_nodes_through_node_index():
+    # other node forms agree with the indices, and a stray node raises
+    b3 = parse_diagram("B3")
+    assert b3.dim_flag(["0.2", (0, 3)]) == 5
+    for stray in ([7], [-1], [True]):
+        with pytest.raises(DiagramError):
+            b3.dim_flag(stray)
+
+
 def test_automorphism_counts():
     assert len(parse_diagram("A1").automorphisms) == 1
     assert len(parse_diagram("A3").automorphisms) == 2

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from sphsys import ops, rankone, search, system
+from sphsys import dynkin, families, ops, rankone, search, system
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, pieces, support
 from sphsys.families import instantiate
 from sphsys.system import (SphericalSystem, ValidationReport, doubled_node,
                            orthogonal_pair, rank_one_faults,
                            validation_report)
-from test_acceptance import ENUMERATION_DIAGRAMS, diagrams_up_to_rank
+from test_acceptance import (ENUMERATION_DIAGRAMS, SWEEP_DIAGRAMS,
+                             diagrams_up_to_rank)
 from test_system import ORACLE_DIAGRAMS
 
 # products where the coupling prune has work to do
@@ -562,3 +563,30 @@ class TestVerifyCatalog:
         empty = (SphericalSystem("", (), ()),)
         assert search.enumerate_systems("") == empty
         assert search.enumerate_systems("", cuspidal_only=True) == empty
+
+
+# every per-diagram table of the library, all under dynkin.per_diagram's bound
+PER_DIAGRAM_CACHES = (dynkin._positive_roots, rankone.rank1_embeddings,
+                      rankone._table, system._root_table, search._walk_table,
+                      families._index, families._diag)
+
+
+def test_sweep_keeps_the_bound_and_a_warm_pass_rebuilds_nothing():
+    (bound,) = {f.cache_info().maxsize for f in PER_DIAGRAM_CACHES}
+    assert bound is not None and len(SWEEP_DIAGRAMS) <= bound
+    rank7 = [spec for spec in diagrams_up_to_rank(7)
+             if sum(int(part[1:]) for part in spec.split(",")) == 7]
+    assert len(rank7) == 117
+    for spec in rank7:
+        assert search.verify_catalog(spec).ok, spec
+    assert all(f.cache_info().currsize <= bound for f in PER_DIAGRAM_CACHES)
+
+    def misses():
+        return [f.cache_info().misses
+                for f in (search._walk_table, families._index)]
+    for spec in ENUMERATION_DIAGRAMS:
+        search.verify_catalog(spec)
+    cold = misses()
+    for spec in ENUMERATION_DIAGRAMS:
+        search.verify_catalog(spec)
+    assert misses() == cold

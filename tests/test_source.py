@@ -90,6 +90,34 @@ def test_no_collections_namedtuple(path):
     assert lines == [], f"namedtuple used in {path.name} at {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # a table kept forever grows with every diagram a sweep visits, so no
+    # module passes maxsize=None (or a leading None) to lru_cache or uses
+    # functools.cache; per-diagram tables share dynkin.per_diagram's bound
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            unbounded = "cache" in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            unbounded = (node.attr == "cache"
+                         and getattr(node.value, "id", None) == "functools")
+        elif isinstance(node, ast.Call):
+            f = node.func
+            args = node.args[:1] + [k.value for k in node.keywords
+                                    if k.arg == "maxsize"]
+            unbounded = ((getattr(f, "id", None)
+                          or getattr(f, "attr", None)) == "lru_cache"
+                         and any(isinstance(a, ast.Constant)
+                                 and a.value is None for a in args))
+        else:
+            continue
+        if unbounded:
+            lines.append(node.lineno)
+    assert lines == [], f"unbounded cache in {path.name} at lines {lines}"
+
+
 def _unused_imports(tree) -> list:
     imported = {}
     for node in tree.body:

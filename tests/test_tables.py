@@ -239,6 +239,21 @@ class TestRestrictedCartan:
         with pytest.raises(ValueError, match=r"weight \[0, 0\] is zero"):
             tables.restricted_cartan(d, [(1, 0), (0, 0)])
 
+    @pytest.mark.parametrize("weight,message", [
+        ((1, 0), r"weight \[1, 0\] has 2 coefficients, but B3 has 3"),
+        ((1, 0, 0, 0), r"weight \[1, 0, 0, 0\] has 4 coefficients"),
+        ((1, True, 0), r"weight \(1, True, 0\) has a coefficient that is "
+                       "not an integer"),
+        ((1, 0.5, 0), r"weight \(1, 0.5, 0\) has a coefficient"),
+        (5, r"a weight must be a list of coefficients, not 5"),
+    ], ids=["short", "long", "bool", "float", "scalar"])
+    def test_malformed_weight_rejected_by_name(self, weight, message):
+        d = parse_diagram("B3")
+        with pytest.raises(ValueError, match=message):
+            tables.restricted_cartan(d, [weight])
+        with pytest.raises(ValueError, match=message):
+            tables.restricted_cartan(d, [(0, 0, 1), weight])
+
     def test_bc1_and_c2_shapes(self):
         assert tables.cartan_of_type("BC", 1) == ((2,),)
         assert tables.cartan_of_type("C", 2) == ((2, -2), (-1, 2))
