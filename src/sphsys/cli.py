@@ -123,10 +123,8 @@ def _cmd_components(args):
 def _cmd_enumerate(args):
     from sphsys import families, search
     d = parse_diagram(args.diagram)
-    if args.primitive:
-        found = search.enumerate_systems(d, primitive_only=True)
-    else:
-        found = search.enumerate_systems(d, cuspidal_only=args.cuspidal)
+    found = search.enumerate_systems(d, cuspidal_only=args.cuspidal,
+                                     primitive_only=args.primitive)
     out = []
     for s in found:
         entry = s.to_json()

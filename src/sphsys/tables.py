@@ -6,7 +6,7 @@ Three bodies of fixture data with their derived computations:
   turned into spherical systems by ``symmetric_system``;
 * integer gradings of a simple Lie algebra cut out by a characteristic
   vector, with the height filter for spherical orbits and the table of
-  height-3 cases;
+  height-3 cases, each classical case stated by its Jordan partition;
 * the model homogeneous spaces and the catalog families naming them.
 
 Each involution row builds the catalog member of ``sphsys.families`` whose
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import families
 from .dynkin import Diagram, parse_diagram
-from .families import _need, _wt
+from .families import _need
 from .system import SphericalSystem, _coefficients, _listed
 
 
@@ -323,33 +323,36 @@ class OrbitDatum(NamedTuple):
     realise: Callable  # (**params) -> OrbitInstance
 
 
-def _orb_b_tall(r):
-    _need(r >= 1, "needs r >= 1")
-    n = 2 * r + 1
-    return OrbitInstance(parse_diagram(f"B{n}"), _wt(n, {0: 1, n - 1: 1}),
-                         (3,) + (2,) * (2 * r))
+def _characteristic(family, partition) -> tuple:
+    """Characteristic of the nilpotent orbit with this Jordan partition.
+
+    Collingwood and McGovern, "Nilpotent Orbits in Semisimple Lie
+    Algebras" (1993), section 5.3: a part d gives the eigenvalues d-1,
+    d-3, ..., 1-d of h; sort them all as h_1 >= h_2 >= ...  In type A
+    node i gets h_i - h_(i+1).  Otherwise, at rank n, node i < n gets
+    h_i - h_(i+1), and the last node h_n in B, 2 h_n in C and
+    h_(n-1) + h_n in D.  The partition is not checked.
+    """
+    h = sorted((d - 1 - 2 * j for d in partition for j in range(d)),
+               reverse=True)
+    if family == "A":
+        return tuple(a - b for a, b in zip(h, h[1:]))
+    n = len(h) // 2
+    last = {"B": h[n - 1], "C": 2 * h[n - 1], "D": h[n - 2] + h[n - 1]}
+    return tuple(h[i] - h[i + 1] for i in range(n - 1)) + (last[family],)
 
 
-def _orb_b(r, s):
-    _need(r >= 1 and s >= 1, "needs r, s >= 1")
-    n = 2 * r + s + 1
-    return OrbitInstance(parse_diagram(f"B{n}"), _wt(n, {0: 1, 2 * r: 1}),
-                         (3,) + (2,) * (2 * r) + (1,) * (2 * s))
-
-
-def _orb_d_tall(r):
-    _need(r >= 1, "needs r >= 1")
-    n = 2 * r + 2
-    return OrbitInstance(parse_diagram(f"D{n}"),
-                         _wt(n, {0: 1, n - 2: 1, n - 1: 1}),
-                         (3,) + (2,) * (2 * r) + (1,))
-
-
-def _orb_d(r, s):
-    _need(r >= 1 and s >= 1, "needs r, s >= 1")
-    n = 2 * r + s + 2
-    return OrbitInstance(parse_diagram(f"D{n}"), _wt(n, {0: 1, 2 * r: 1}),
-                         (3,) + (2,) * (2 * r) + (1,) * (2 * s + 1))
+def _orb_so(family, r, s=None):
+    """The orbit (3, 2^2r, 1^k) of so(2n+1) in B, k = 2s, or of so(2n) in
+    D, k = 2s + 1.  The tall rows take r alone: they are the case s = 0."""
+    if s is None:
+        _need(r >= 1, "needs r >= 1")
+    else:
+        _need(r >= 1 and s >= 1, "needs r, s >= 1")
+    k = 2 * (s or 0) + (family == "D")
+    partition = (3,) + (2,) * (2 * r) + (1,) * k
+    return OrbitInstance(parse_diagram(f"{family}{sum(partition) // 2}"),
+                         _characteristic(family, partition), partition)
 
 
 def _orb_fixed(spec, char):
@@ -358,12 +361,14 @@ def _orb_fixed(spec, char):
 
 
 HEIGHT3 = (
-    OrbitDatum("B(2r+1)", "r >= 1", "sp(2r)", "V(w1)", ("r",), _orb_b_tall),
+    OrbitDatum("B(2r+1)", "r >= 1", "sp(2r)", "V(w1)", ("r",),
+               lambda r: _orb_so("B", r)),
     OrbitDatum("B(2r+s+1)", "r, s >= 1", "sp(2r) + so(2s)", "V(w1)",
-               ("r", "s"), _orb_b),
-    OrbitDatum("D(2r+2)", "r >= 1", "sp(2r)", "V(w1)", ("r",), _orb_d_tall),
+               ("r", "s"), lambda r, s: _orb_so("B", r, s)),
+    OrbitDatum("D(2r+2)", "r >= 1", "sp(2r)", "V(w1)", ("r",),
+               lambda r: _orb_so("D", r)),
     OrbitDatum("D(2r+s+2)", "r, s >= 1", "sp(2r) + so(2s+1)", "V(w1)",
-               ("r", "s"), _orb_d),
+               ("r", "s"), lambda r, s: _orb_so("D", r, s)),
     OrbitDatum("E6 (000100)", "", "sl(3) + sl(2)", "V(w1')", (),
                _orb_fixed("E6", (0, 0, 0, 1, 0, 0))),
     OrbitDatum("E7 (0010000)", "", "sl(2) + sp(6)", "V(w1)", (),
@@ -410,7 +415,7 @@ MODEL = (
     ModelDatum("B", "odd",
                "normaliser of the centraliser of a nilpotent element",
                "bc*(n)", _n,
-               lambda n: _wt(n, {0: 1, n - 1: 1})),
+               lambda n: _characteristic("B", (3,) + (2,) * (n - 1))),
     ModelDatum("C", "even",
                "parabolic of semisimple type C(n/2-1) x C(n/2) in the "
                "row C II (q = 2) subgroup", "ac*(p)+c*(q)",
@@ -422,7 +427,7 @@ MODEL = (
     ModelDatum("D", "even",
                "normaliser of the centraliser of a nilpotent element",
                "dc*(n)", _n,
-               lambda n: _wt(n, {0: 1, n - 2: 1, n - 1: 1})),
+               lambda n: _characteristic("D", (3,) + (2,) * (n - 2) + (1,))),
     ModelDatum("D", "odd",
                "inside the type-A(n-2) parabolic of the row D II subgroup, "
                "same radical, semisimple type C((n-1)/2)", "dc*(n)", _n),

@@ -458,6 +458,30 @@ def test_7b_quotient_sweep_every_connected_member_up_to_rank_eight():
                   f"rank <= 8, {quotients} quotients ({elapsed:.1f}s)")
 
 
+def test_7c_localisation_sweep_every_connected_member_up_to_rank_seven():
+    # Luna: the localisation of a spherical system at any set of nodes is
+    # again a spherical system.  Every node subset of every catalog member,
+    # the empty one and the whole diagram included.
+    start = time.perf_counter()
+    specs = [f"{fam}{r}" for fam, (lo, hi) in sorted(_RANK_RANGE.items())
+             for r in range(lo, min(hi or 7, 7) + 1)]
+    members = localisations = 0
+    for spec in specs:
+        d = parse_diagram(spec)
+        for entry in families.expand_catalog(d):
+            members += 1
+            for r in range(d.n_nodes + 1):
+                for keep in itertools.combinations(range(d.n_nodes), r):
+                    localisations += 1
+                    assert ops.localize(entry.system, keep).is_valid, (
+                        entry.label, keep)
+    assert (len(specs), members, localisations) == (26, 247, 15238)
+    elapsed = time.perf_counter() - start
+    _report("7c", f"localisation sweep: {localisations} node subsets of "
+                  f"{members} catalog members on {len(specs)} connected "
+                  f"diagrams of rank <= 7, all valid ({elapsed:.1f}s)")
+
+
 def test_8_dimension_identities():
     # group dimensions computed from the classical formulas, not the library
     def so(m):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphsys import cli, families, render
+from sphsys import cli, families, render, search
 from sphsys.dynkin import MAX_RANK, parse_diagram
 from sphsys.system import SphericalSystem
 
@@ -433,6 +433,19 @@ class TestSearchAndCatalog:
         assert len(out) == 4
         assert {e["label"] for e in out} \
             == {"go(2)", "g(2)", "g'(2)", "g*(2)"}
+
+    @pytest.mark.parametrize("spec", ["G2", "B3", "A1,A1"])
+    @pytest.mark.parametrize("flags,kwargs", [
+        (["--cuspidal"], {"cuspidal_only": True}),
+        (["--primitive", "--cuspidal"], {"primitive_only": True}),
+    ], ids=["cuspidal", "primitive-cuspidal"])
+    def test_enumerate_filters_match_the_library(self, capsys, spec, flags,
+                                                 kwargs):
+        status, out = run_json(capsys,
+                               ["enumerate", "--diagram", spec] + flags)
+        assert status == 0
+        found = search.enumerate_systems(spec, **kwargs)
+        assert out == json.loads(json.dumps([s.to_json() for s in found]))
 
     def test_enumerate_counts_all_a1(self, capsys):
         status, out = run_json(capsys, ["enumerate", "--diagram", "A1"])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -456,3 +457,110 @@ class TestModelTable:
                 assert ops.affine_witness(row.instantiate(4)) is not None
             if row.group == "B adjoint":
                 assert ops.affine_witness(row.instantiate(3)) is not None
+
+
+# sha256 of _orbit_identity(), recorded while the classical height-3 rows
+# and the B-odd and D-even model rows still typed their characteristics
+ORBIT_IDENTITY_DIGEST = \
+    "a2252869f5e5ce7e484b66d271078c169f71830416494df1f0f39f813770e51a"
+
+
+def _orbit_identity() -> list:
+    """Every height-3 row realised at each parameter choice below 18 whose
+    rank is at most 20, or its error; then the B-odd model characteristic
+    for n = 2..20 and the D-even one for n = 4..20."""
+    out = []
+    for row in tables.HEIGHT3:
+        for values in itertools.product(range(18), repeat=len(row.params)):
+            params = dict(zip(row.params, values))
+            try:
+                inst = row.realise(**params)
+            except ValueError as exc:   # outside the row's range or the cap
+                out.append((row[:5], params, str(exc)))
+                continue
+            if inst.diagram.n_nodes <= 20:
+                out.append((row[:5], params, inst))
+    model = {(r.group, r.parity): r.characteristic for r in tables.MODEL}
+    out += [("B", "odd", n, model["B", "odd"](n)) for n in range(2, 21)]
+    out += [("D", "even", n, model["D", "even"](n)) for n in range(4, 21)]
+    return out
+
+
+def test_orbit_rows_pinned():
+    text = repr(_orbit_identity())
+    assert hashlib.sha256(text.encode()).hexdigest() == ORBIT_IDENTITY_DIGEST
+
+
+def _partitions(m, largest=None):
+    """Partitions of m as non-increasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _classical_orbits(family, n):
+    """(partition, characteristic) of every nilpotent orbit of type
+    family and rank n: in so an even part, in sp an odd part, has even
+    multiplicity, and a very even partition of so(2n) gives two orbits,
+    whose characteristics swap the last two labels."""
+    dim = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[family]
+    paired = {"A": None, "B": 0, "C": 1, "D": 0}[family]
+    for lam in _partitions(dim):
+        if any(lam.count(d) % 2 for d in lam if d % 2 == paired):
+            continue
+        char = tables._characteristic(family, lam)
+        yield lam, char
+        if family == "D" and all(d % 2 == 0 for d in lam):
+            yield lam, char[:-2] + (char[-1], char[-2])
+
+
+def _classical_diagrams(top):
+    return [(fam, n) for fam, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+            for n in range(lo, top + 1)]
+
+
+class TestClassicalOrbits:
+    def test_height3_table_is_complete(self):
+        # every classical orbit of height 3 is a row of the table, and only
+        # those; on A and C none has height 3
+        for fam, n in _classical_diagrams(12):
+            d = parse_diagram(f"{fam}{n}")
+            found = set()
+            for lam, char in _classical_orbits(fam, n):
+                assert set(char) <= {0, 1, 2}, (fam, n, lam)
+                if tables.height(d, char) == 3:
+                    found.add(char)
+            assert found == _height3_characteristics(d), (fam, n)
+            assert fam in "BD" or not found, (fam, n)
+
+    def test_sphericity_and_dimension_follow_the_partition(self):
+        # Panyushev (Manuscripta Math. 83, 1994): the spherical orbits are
+        # (2^a, 1^b), and also (3, 2^a, 1^b) in so.  Collingwood and
+        # McGovern (1993), section 6.1: with s the transpose partition and
+        # k the number of odd parts, the orbit has dimension
+        # m^2 - sum s_i^2 in sl(m), dim g - (sum s_i^2 - k) / 2 in so(m)
+        # and dim g - (sum s_i^2 + k) / 2 in sp(m).
+        orbits = 0
+        for fam, n in _classical_diagrams(10):
+            d = parse_diagram(f"{fam}{n}")
+            for lam, char in _classical_orbits(fam, n):
+                orbits += 1
+                spherical = lam[0] <= 2 or (
+                    fam in "BD" and lam[0] == 3
+                    and (len(lam) == 1 or lam[1] <= 2))
+                assert tables.is_spherical_orbit(d, char) == spherical, lam
+                m = sum(lam)
+                squares = sum(sum(1 for p in lam if p > i) ** 2
+                              for i in range(lam[0]))
+                k = sum(p % 2 for p in lam)
+                if fam == "A":
+                    dim = m * m - squares
+                elif fam == "C":
+                    dim = (m * (m + 1) - squares - k) // 2
+                else:
+                    dim = (m * (m - 1) - squares + k) // 2
+                assert tables.orbit_dims(d, char).dim_orbit == dim, lam
+        assert orbits == 1826
