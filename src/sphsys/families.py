@@ -4,7 +4,9 @@ Every known primitive system belongs to one of the parameterized families
 listed here.  Each family carries a generic name like ``"a(p)+b(q)"``, a
 builder whose own check states the family's parameter range, and the
 candidate parameters on a diagram, mostly every nonnegative solution of one
-rank equation on a single chain (n = p + q on B_n for ``a(p)+b(q)``).
+rank equation on a single chain (n = p + q on B_n for ``a(p)+b(q)``).  A
+family with a single member on a fixed diagram is one row that states the
+diagram, the parabolic set and the roots once.
 ``instantiate`` builds one member.  ``catalog_index`` maps the canonical
 key of every member living on a diagram to its entry (earliest family wins
 when two recipes coincide); ``expand_catalog`` lists those entries,
@@ -195,15 +197,6 @@ def _b_a_b(p, q, head_pairs=False, coeff=1):
     return SphericalSystem(_diag(f"B{n}"), sp, sigma)
 
 
-def _b_bss():
-    return SphericalSystem(_diag("B3"), {0, 1}, [(1, 2, 3)])
-
-
-def _b_bstar4_bss3():
-    return SphericalSystem(_diag("B4"), {1, 2},
-                           [(1, 1, 1, 1), (0, 1, 2, 3)])
-
-
 def _b_c(n):
     _need(n >= 3, "c(n) needs n >= 3")
     sp = {0} | set(range(2, n))
@@ -298,12 +291,6 @@ def _b_d(n):
 
 def _b_dcprime(n):
     _need(n >= 6 and n % 2 == 0, "dc'(n) needs even n >= 6")
-    return _dc_prime(n)
-
-
-def _dc_prime(n):
-    # unchecked: at n = 4 this is the fork swap of do(1+3), the D III
-    # involution of so(8)
     sigma = _short_chain(n, (n - 2) // 2) + [_wt(n, {n - 1: 2})]
     return SphericalSystem(_diag(f"D{n}"), range(0, n - 1, 2), sigma)
 
@@ -322,11 +309,6 @@ def _b_ds(n):
     return SphericalSystem(_diag(f"D{n}"), range(1, n - 2), sigma)
 
 
-def _b_dsstar():
-    return SphericalSystem(_diag("D4"), {1},
-                           [(1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 0, 1)])
-
-
 def _b_dcstar(n):
     _need(n >= 4, "dc*(n) needs n >= 4")
     sigma = _pairs_row(n, n - 2) + [_wt(n, {n - 3: 1, n - 1: 1})]
@@ -343,17 +325,6 @@ def _b_a_d(p, q, head_pairs=False):
     return SphericalSystem(_diag(f"D{n}"), sp, sigma)
 
 
-def _b_ea6():
-    return SphericalSystem(_diag("E6"), (), [
-        (1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0),
-        (0, 2, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0)])
-
-
-def _b_ed6():
-    return SphericalSystem(_diag("E6"), {2, 3, 4}, [
-        (1, 0, 1, 1, 1, 1), (0, 2, 1, 2, 1, 0)])
-
-
 # the two long weights of ef(n) on the E6 nodes, shared with ef(6)+a(2)
 _EF_ROOTS = ((2, 1, 2, 2, 1, 0), (0, 1, 1, 2, 2, 2))
 
@@ -366,63 +337,11 @@ def _b_ef(n):
     return SphericalSystem(_diag(f"E{n}"), {1, 2, 3, 4}, sigma)
 
 
-def _b_ec7():
-    return SphericalSystem(_diag("E7"), {1, 4, 6}, [
-        (2, 0, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0, 0),
-        (0, 1, 0, 2, 1, 0, 0), (0, 0, 0, 0, 1, 2, 1)])
-
-
 def _b_ecstar(n):
     _need(n in (6, 7, 8), "ec*(n) needs n in {6,7,8}")
     sigma = [_wt(n, {0: 1, 2: 1}), _wt(n, {1: 1, 3: 1})]
     sigma += [_wt(n, {i: 1, i + 1: 1}) for i in range(2, n - 1)]
     return SphericalSystem(_diag(f"E{n}"), (), sigma)
-
-
-def _b_ef6_a2():
-    sigma = [w + (0, 0) for w in _EF_ROOTS]
-    sigma.append(_wt(8, {6: 1, 7: 1}))
-    return SphericalSystem(_diag("E8"), {1, 2, 3, 4}, sigma)
-
-
-def _b_aa22_a2():
-    return SphericalSystem(_diag("E6"), (), [
-        (1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0)])
-
-
-def _b_ac5_a2():
-    return SphericalSystem(_diag("E7"), {1, 4, 6}, [
-        (1, 0, 1, 0, 0, 0, 0), (0, 1, 0, 2, 1, 0, 0),
-        (0, 0, 0, 0, 1, 2, 1)])
-
-
-def _b_f4():
-    return SphericalSystem(_diag("F4"), {0, 1, 2}, [(1, 2, 3, 2)])
-
-
-def _b_fa():
-    return SphericalSystem(_diag("F4"), (), [(1, 0, 0, 1), (0, 1, 1, 0)])
-
-
-def _b_fd4():
-    return SphericalSystem(_diag("F4"), {1}, [(1, 1, 1, 0), (0, 1, 2, 1)])
-
-
-def _b_ao2_a2():
-    return SphericalSystem(_diag("F4"), (), [
-        (1, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
-
-
-def _b_fcstar():
-    return SphericalSystem(_diag("F4"), (), _pairs_row(4, 3))
-
-
-def _b_g(coeff):
-    return SphericalSystem(_diag("G2"), {1}, [(2 * coeff, coeff)])
-
-
-def _b_gstar():
-    return SphericalSystem(_diag("G2"), (), [(1, 1)])
 
 
 # -- the table ----------------------------------------------------------------
@@ -480,6 +399,12 @@ def _fixed(spec):
     return space
 
 
+def _member(name, spec, sp, sigma):
+    """A family with one member, stated by its diagram, sp and roots."""
+    return Family(name, lambda: SphericalSystem(_diag(spec), sp, sigma),
+                  _fixed(spec))
+
+
 def _c_rank(component):
     # a C chain of rank r, with B2 counting as C2; None for any other chain
     fam, r = component
@@ -523,8 +448,8 @@ CATALOG = (
     Family("ac*(p)+b'(q)",
            lambda p, q: _b_a_b(p, q, head_pairs=True, coeff=2),
            _chain("B", p=1, q=1)),
-    Family("b**(3)", _b_bss, _fixed("B3")),
-    Family("b*(4)+b**(3)", _b_bstar4_bss3, _fixed("B4")),
+    _member("b**(3)", "B3", {0, 1}, [(1, 2, 3)]),
+    _member("b*(4)+b**(3)", "B4", {1, 2}, [(1, 1, 1, 1), (0, 1, 2, 3)]),
 
     Family("cc(p,p)", lambda p: _b_group_pair("C", p), _pair_space("C")),
     Family("co(n)", lambda n: _b_all_doubled("C", n), _chain("C", n=1)),
@@ -546,7 +471,8 @@ CATALOG = (
     Family("dc'(n)", _b_dcprime, _chain("D", n=1)),
     Family("dc(n)", _b_dc, _chain("D", n=1)),
     Family("ds(n)", _b_ds, _chain("D", n=1)),
-    Family("ds*(4)", _b_dsstar, _fixed("D4")),
+    _member("ds*(4)", "D4", {1},
+            [(1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 0, 1)]),
     Family("dc*(n)", _b_dcstar, _chain("D", n=1)),
     Family("a(p)+d(q)", _b_a_d, _chain("D", p=1, q=1)),
     Family("ac*(p)+d(q)", lambda p, q: _b_a_d(p, q, head_pairs=True),
@@ -554,29 +480,39 @@ CATALOG = (
 
     Family("ee(p,p)", lambda p: _b_group_pair("E", p), _pair_space("E")),
     Family("eo(n)", lambda n: _b_all_doubled("E", n), _chain("E", n=1)),
-    Family("ea(6)", _b_ea6, _fixed("E6")),
-    Family("ed(6)", _b_ed6, _fixed("E6")),
+    _member("ea(6)", "E6", (),
+            [(1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0),
+             (0, 2, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0)]),
+    _member("ed(6)", "E6", {2, 3, 4},
+            [(1, 0, 1, 1, 1, 1), (0, 2, 1, 2, 1, 0)]),
     Family("ef(6)", lambda: _b_ef(6), _fixed("E6")),
-    Family("ec(7)", _b_ec7, _fixed("E7")),
+    _member("ec(7)", "E7", {1, 4, 6},
+            [(2, 0, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0, 0),
+             (0, 1, 0, 2, 1, 0, 0), (0, 0, 0, 0, 1, 2, 1)]),
     Family("ef(n)", _b_ef, _chain("E", n=1)),
     Family("ec*(n)", _b_ecstar, _chain("E", n=1)),
-    Family("ef(6)+a(2)", _b_ef6_a2, _fixed("E8")),
-    Family("aa(2,2)+a(2)", _b_aa22_a2, _fixed("E6")),
-    Family("ac(5)+a(2)", _b_ac5_a2, _fixed("E7")),
+    _member("ef(6)+a(2)", "E8", {1, 2, 3, 4},
+            [w + (0, 0) for w in _EF_ROOTS] + [(0,) * 6 + (1, 1)]),
+    _member("aa(2,2)+a(2)", "E6", (),
+            [(1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0)]),
+    _member("ac(5)+a(2)", "E7", {1, 4, 6},
+            [(1, 0, 1, 0, 0, 0, 0), (0, 1, 0, 2, 1, 0, 0),
+             (0, 0, 0, 0, 1, 2, 1)]),
 
     Family("ff(4,4)", lambda: _b_group_pair("F", 4), _fixed("F4,F4")),
     Family("fo(4)", lambda: _b_all_doubled("F", 4), _fixed("F4")),
-    Family("f(4)", _b_f4, _fixed("F4")),
-    Family("fa(1+2+1)", _b_fa, _fixed("F4")),
-    Family("fd(4)", _b_fd4, _fixed("F4")),
-    Family("ao(2)+a(2)", _b_ao2_a2, _fixed("F4")),
-    Family("fc*(4)", _b_fcstar, _fixed("F4")),
+    _member("f(4)", "F4", {0, 1, 2}, [(1, 2, 3, 2)]),
+    _member("fa(1+2+1)", "F4", (), [(1, 0, 0, 1), (0, 1, 1, 0)]),
+    _member("fd(4)", "F4", {1}, [(1, 1, 1, 0), (0, 1, 2, 1)]),
+    _member("ao(2)+a(2)", "F4", (),
+            [(1, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
+    _member("fc*(4)", "F4", (), [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
 
     Family("gg(2,2)", lambda: _b_group_pair("G", 2), _fixed("G2,G2")),
     Family("go(2)", lambda: _b_all_doubled("G", 2), _fixed("G2")),
-    Family("g(2)", lambda: _b_g(1), _fixed("G2")),
-    Family("g'(2)", lambda: _b_g(2), _fixed("G2")),
-    Family("g*(2)", _b_gstar, _fixed("G2")),
+    _member("g(2)", "G2", {1}, [(2, 1)]),
+    _member("g'(2)", "G2", {1}, [(4, 2)]),
+    _member("g*(2)", "G2", (), [(1, 1)]),
 )
 
 _BY_NAME = {f.name: f for f in CATALOG}

@@ -9,9 +9,12 @@ Three bodies of fixture data with their derived computations:
   height-3 cases, each classical case stated by its Jordan partition;
 * the model homogeneous spaces and the catalog families naming them.
 
-Each involution row builds the catalog member of ``sphsys.families`` whose
-spherical roots are its restricted basis, and takes its parabolic set from
-that member.  Subalgebra and module descriptions are opaque strings kept
+Each involution row states its Satake diagram (Araki, 1962) as the ordered
+orbits of its white nodes, and one derivation reads the system off it (De
+Concini and Procesi, 1983): the black nodes form the parabolic set, and
+each orbit gives a restricted basis element, a spherical root.  Nothing
+there reads ``sphsys.families``, so naming the result by the catalog is a
+check of both.  Subalgebra and module descriptions are opaque strings kept
 for documentation; nothing interprets them.
 """
 
@@ -22,7 +25,7 @@ from collections import Counter
 from typing import Callable, NamedTuple
 
 from . import families
-from .dynkin import Diagram, parse_diagram
+from .dynkin import Diagram, _check_rank, parse_diagram, per_diagram
 from .families import _need
 from .system import SphericalSystem, _coefficients, _listed
 
@@ -33,7 +36,7 @@ class SymmetricInstance(NamedTuple):
     diagram: Diagram
     basis: tuple
     restricted: tuple  # (family, rank) of the restricted root system
-    system: SphericalSystem  # catalog member with the basis as its roots
+    system: SphericalSystem  # read off the Satake diagram, basis as roots
 
 
 class SymmetricDatum(NamedTuple):
@@ -44,100 +47,121 @@ class SymmetricDatum(NamedTuple):
     realise: Callable  # (**params) -> SymmetricInstance
 
 
-def _sym(system, family, rank) -> SymmetricInstance:
-    return SymmetricInstance(system.diagram, system.sigma, (family, rank),
-                             system)
+def _satake(spec, orbits, restricted) -> SymmetricInstance:
+    """System of G/N_G(H) read off the Satake diagram of the involution.
+
+    De Concini and Procesi, "Complete symmetric varieties" (1983): the
+    black nodes, those in no orbit of white nodes, form sp, and each orbit,
+    a pair (i, j) joined by an arrow or a lone node i = j, gives the
+    spherical root alpha_i - theta(alpha_i) = alpha_i + w_B(alpha_j).  As
+    alpha_j pairs <= 0 with every black coroot, w_B(alpha_j) is reached by
+    reflecting through black simple roots while one of them pairs
+    negatively.  The roots keep the order of the orbits.
+    """
+    d = parse_diagram(spec)
+    # below its family's range a chain is another type: D3 is A3
+    _need(d.spec() == spec, f"{spec} is the diagram {d.spec()}")
+    pairs = [o if isinstance(o, tuple) else (o, o) for o in orbits]
+    black = set(range(d.n_nodes)).difference(*pairs)
+    basis = []
+    for i, j in pairs:
+        w = [0] * d.n_nodes
+        w[j] = 1
+        while any(d.pairing_weight(b, w) < 0 for b in black):
+            for b in black:
+                w[b] -= min(0, d.pairing_weight(b, w))
+        w[i] += 1
+        basis.append(tuple(w))
+    system = SphericalSystem(d, black, basis)
+    return SymmetricInstance(d, system.sigma, restricted, system)
 
 
-def _a3q1(p, q=1):
-    _need(q == 1, "needs q = 1")
-    return _sym(families._b_aa_p1p(p), "C", p + 1)
-
-
-def _a4n1(n=1):
-    _need(n == 1, "needs n = 1")
-    return _sym(families._b_all_doubled("A", 1), "A", 1)
-
-
-def _c2(p, q):
-    _need(p >= 0 and p % 2 == 0 and q >= 3, "needs even p >= 0, q >= 3")
-    member = families._b_c(q) if p == 0 else families._b_cc_pq(p, q)
-    return _sym(member, "BC", p // 2 + 1)
-
-
-def _c2q2(p, q=2):
-    _need(q == 2, "needs q = 2")
-    return _sym(families._b_ccprime(p), "C", p // 2 + 1)
-
-
-def _d1q0(p, q=0):
-    _need(q == 0, "needs q = 0")
-    return _sym(families._b_all_doubled("D", p), "D", p)
-
-
-def _d3even(n):
-    _need(n >= 4 and n % 2 == 0, "needs even n >= 4")
-    return _sym(families._dc_prime(n), "C", n // 2)
-
-
-def _doubled(family, n):
-    return lambda: _sym(families._b_all_doubled(family, n), family, n)
+def _involution(label, constraints, subalgebra, params, satake):
+    """A row whose satake(**params) gives its Satake diagram as (spec,
+    white orbits in basis order, restricted type), or False outside the
+    row's constraints."""
+    def realise(**values):
+        # no parameter exceeds the rank it builds, so none may pass the cap
+        _check_rank(max(values.values(), default=0))
+        found = satake(**values)
+        _need(found, f"needs {constraints}")
+        return _satake(*found)
+    return SymmetricDatum(label, constraints, subalgebra, params, realise)
 
 
 SYMMETRIC = (
-    SymmetricDatum("A I", "n >= 1", "so(n+1)", ("n",),
-                   lambda n: _sym(families._b_all_doubled("A", n), "A", n)),
-    SymmetricDatum("A II", "odd n >= 3", "sp(n+1)", ("n",),
-                   lambda n: _sym(families._b_ac(n), "A", (n - 1) // 2)),
-    SymmetricDatum("A III (q >= 2)", "n = 2p+q, p >= 1, q >= 2",
-                   "sl(p+1) + sl(p+q) + gl(1)", ("p", "q"),
-                   lambda p, q: _sym(families._b_aa_pqp(p, q), "BC", p + 1)),
-    SymmetricDatum("A III (q = 1)", "n = 2p+1, p >= 1",
-                   "sl(p+1) + sl(p+1) + gl(1)", ("p",), _a3q1),
-    SymmetricDatum("A IV (n >= 2)", "n >= 2", "gl(n)", ("n",),
-                   lambda n: _sym(families._b_a(n), "A", 1)),
-    SymmetricDatum("A IV (n = 1)", "n = 1", "gl(1)", ("n",), _a4n1),
-    SymmetricDatum("B I", "n = p+q, p, q >= 1", "so(p+1) + so(2n-p)",
-                   ("p", "q"),
-                   lambda p, q: _sym(families._b_bo(p, q), "B", p + 1)),
-    SymmetricDatum("B II", "n >= 2", "so(2n)", ("n",),
-                   lambda n: _sym(families._b_b(n, coeff=2), "A", 1)),
-    SymmetricDatum("C I", "n >= 3", "gl(n)", ("n",),
-                   lambda n: _sym(families._b_all_doubled("C", n), "C", n)),
-    SymmetricDatum("C II (q >= 3)", "n = p+q, even p >= 0, q >= 3",
-                   "sp(p+2) + sp(2n-p-2)", ("p", "q"), _c2),
-    SymmetricDatum("C II (q = 2)", "n = p+2, even p >= 2",
-                   "sp(n) + sp(n)", ("p",), _c2q2),
-    SymmetricDatum("D I (q >= 2)", "n = p+q, p >= 1, q >= 2",
-                   "so(p+1) + so(2n-p-1)", ("p", "q"),
-                   lambda p, q: _sym(families._b_do_pq(p, q), "B", p + 1)),
-    SymmetricDatum("D I (q = 0)", "n = p >= 4", "so(n) + so(n)",
-                   ("p",), _d1q0),
-    SymmetricDatum("D II", "n >= 4", "so(2n-1)", ("n",),
-                   lambda n: _sym(families._b_d(n), "A", 1)),
-    SymmetricDatum("D III (n even)", "even n >= 4", "gl(n)", ("n",),
-                   _d3even),
-    SymmetricDatum("D III (n odd)", "odd n >= 5", "gl(n)", ("n",),
-                   lambda n: _sym(families._b_dc(n), "BC", (n - 1) // 2)),
-    SymmetricDatum("E I", "", "sp(8)", (), _doubled("E", 6)),
-    SymmetricDatum("E II", "", "sl(6) + sl(2)", (),
-                   lambda: _sym(families._b_ea6(), "F", 4)),
-    SymmetricDatum("E III", "", "so(10) + gl(1)", (),
-                   lambda: _sym(families._b_ed6(), "BC", 2)),
-    SymmetricDatum("E IV", "", "f4", (),
-                   lambda: _sym(families._b_ef(6), "A", 2)),
-    SymmetricDatum("E V", "", "sl(8)", (), _doubled("E", 7)),
-    SymmetricDatum("E VI", "", "so(12) + sl(2)", (),
-                   lambda: _sym(families._b_ec7(), "F", 4)),
-    SymmetricDatum("E VII", "", "e6 + gl(1)", (),
-                   lambda: _sym(families._b_ef(7), "C", 3)),
-    SymmetricDatum("E VIII", "", "so(16)", (), _doubled("E", 8)),
-    SymmetricDatum("E IX", "", "e7 + sl(2)", (),
-                   lambda: _sym(families._b_ef(8), "F", 4)),
-    SymmetricDatum("F I", "", "sp(6) + sl(2)", (), _doubled("F", 4)),
-    SymmetricDatum("F II", "", "so(9)", (),
-                   lambda: _sym(families._b_f4(), "BC", 1)),
-    SymmetricDatum("G", "", "sl(2) + sl(2)", (), _doubled("G", 2)),
+    _involution("A I", "n >= 1", "so(n+1)", ("n",),
+                lambda n: n >= 1 and (f"A{n}", range(n), ("A", n))),
+    _involution("A II", "odd n >= 3", "sp(n+1)", ("n",),
+                lambda n: n >= 3 and n % 2 == 1 and (
+                    f"A{n}", range(1, n, 2), ("A", n // 2))),
+    _involution("A III (q >= 2)", "n = 2p+q, p >= 1, q >= 2",
+                "sl(p+1) + sl(p+q) + gl(1)", ("p", "q"),
+                lambda p, q: p >= 1 and q >= 2 and (
+                    f"A{2 * p + q}", [(i, 2 * p + q - 1 - i) for i in range(p)]
+                    + [(p, p + q - 1)], ("BC", p + 1))),
+    _involution("A III (q = 1)", "n = 2p+1, p >= 1",
+                "sl(p+1) + sl(p+1) + gl(1)", ("p",),
+                lambda p, q=1: p >= 1 and q == 1 and (
+                    f"A{2 * p + 1}", [(i, 2 * p - i) for i in range(p)] + [p],
+                    ("C", p + 1))),
+    _involution("A IV (n >= 2)", "n >= 2", "gl(n)", ("n",),
+                lambda n: n >= 2 and (f"A{n}", [(0, n - 1)], ("A", 1))),
+    _involution("A IV (n = 1)", "n = 1", "gl(1)", ("n",),
+                lambda n=1: n == 1 and ("A1", [0], ("A", 1))),
+    _involution("B I", "n = p+q, p, q >= 1", "so(p+1) + so(2n-p)",
+                ("p", "q"), lambda p, q: p >= 1 and q >= 1 and (
+                    f"B{p + q}", range(p + 1), ("B", p + 1))),
+    _involution("B II", "n >= 2", "so(2n)", ("n",),
+                lambda n: n >= 2 and (f"B{n}", [0], ("A", 1))),
+    _involution("C I", "n >= 3", "gl(n)", ("n",),
+                lambda n: n >= 3 and (f"C{n}", range(n), ("C", n))),
+    _involution("C II (q >= 3)", "n = p+q, even p >= 0, q >= 3",
+                "sp(p+2) + sp(2n-p-2)", ("p", "q"),
+                lambda p, q: p >= 0 and p % 2 == 0 and q >= 3 and (
+                    f"C{p + q}", range(1, p + 2, 2), ("BC", p // 2 + 1))),
+    _involution("C II (q = 2)", "n = p+2, even p >= 2", "sp(n) + sp(n)",
+                ("p",), lambda p, q=2: p >= 2 and p % 2 == 0 and q == 2 and (
+                    f"C{p + 2}", range(1, p + 2, 2), ("C", p // 2 + 1))),
+    # at q = 2 an arrow joins the last white node to the other fork end
+    _involution("D I (q >= 2)", "n = p+q, p >= 1, q >= 2",
+                "so(p+1) + so(2n-p-1)", ("p", "q"),
+                lambda p, q: p >= 1 and q >= 2 and (
+                    f"D{p + q}", [*range(p), (p, p + 1) if q == 2 else p],
+                    ("B", p + 1))),
+    _involution("D I (q = 0)", "n = p >= 4", "so(n) + so(n)", ("p",),
+                lambda p, q=0: p >= 4 and q == 0 and (
+                    f"D{p}", range(p), ("D", p))),
+    _involution("D II", "n >= 4", "so(2n-1)", ("n",),
+                lambda n: n >= 4 and (f"D{n}", [0], ("A", 1))),
+    _involution("D III (n even)", "even n >= 4", "gl(n)", ("n",),
+                lambda n: n >= 4 and n % 2 == 0 and (
+                    f"D{n}", [*range(1, n - 2, 2), n - 1], ("C", n // 2))),
+    _involution("D III (n odd)", "odd n >= 5", "gl(n)", ("n",),
+                lambda n: n >= 5 and n % 2 == 1 and (
+                    f"D{n}", [*range(1, n - 3, 2), (n - 2, n - 1)],
+                    ("BC", n // 2))),
+    _involution("E I", "", "sp(8)", (), lambda: ("E6", range(6), ("E", 6))),
+    # the two arrow orbits first, as the catalog's ea(6) lists them
+    _involution("E II", "", "sl(6) + sl(2)", (),
+                lambda: ("E6", [(0, 5), (2, 4), 1, 3], ("F", 4))),
+    _involution("E III", "", "so(10) + gl(1)", (),
+                lambda: ("E6", [(0, 5), 1], ("BC", 2))),
+    _involution("E IV", "", "f4", (), lambda: ("E6", [0, 5], ("A", 2))),
+    _involution("E V", "", "sl(8)", (), lambda: ("E7", range(7), ("E", 7))),
+    _involution("E VI", "", "so(12) + sl(2)", (),
+                lambda: ("E7", [0, 2, 3, 5], ("F", 4))),
+    _involution("E VII", "", "e6 + gl(1)", (),
+                lambda: ("E7", [0, 5, 6], ("C", 3))),
+    _involution("E VIII", "", "so(16)", (),
+                lambda: ("E8", range(8), ("E", 8))),
+    _involution("E IX", "", "e7 + sl(2)", (),
+                lambda: ("E8", [0, 5, 6, 7], ("F", 4))),
+    _involution("F I", "", "sp(6) + sl(2)", (),
+                lambda: ("F4", range(4), ("F", 4))),
+    _involution("F II", "", "so(9)", (), lambda: ("F4", [3], ("BC", 1))),
+    _involution("G", "", "sl(2) + sl(2)", (),
+                lambda: ("G2", range(2), ("G", 2))),
 )
 
 # Rows whose fixed-point subgroup is wonderful on its own, next to the
@@ -187,7 +211,7 @@ def symmetric_system(label: str, selfnormalising: bool = True,
     """Spherical system of the wonderful symmetric subgroup of a row.
 
     The spherical roots are exactly the restricted basis elements, and the
-    parabolic set is that of the catalog member built from them.
+    parabolic set is the set of black nodes of the row's Satake diagram.
 
     With ``selfnormalising=False`` the doubled basis element is halved,
     giving the system of the plain fixed-point subgroup on the same
@@ -287,8 +311,20 @@ def grading_dims(diagram, characteristic) -> dict:
     return dims
 
 
+@per_diagram
+def _highest_roots(d: Diagram) -> tuple:
+    # the highest root of a component is its tallest root of full support
+    return tuple(max((r for r in d.positive_roots
+                      if all(r[i] for i in d.component_nodes(ci))), key=sum)
+                 for ci in range(len(d.components)))
+
+
 def height(diagram, characteristic) -> int:
-    return max(grading_dims(diagram, characteristic))
+    # every positive root lies coefficientwise below its component's
+    # highest root, and the entries are >= 0, so that root is the top layer
+    d, char = _checked(diagram, characteristic)
+    return max((sum(c * k for c, k in zip(r, char))
+                for r in _highest_roots(d)), default=0)
 
 
 def is_spherical_orbit(diagram, characteristic) -> bool:

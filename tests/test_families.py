@@ -204,6 +204,17 @@ def test_index_is_pinned_to_rank_ten():
         "a33cc0339b1e4d4d8f205ad36f2607575ec412c6a7c4ba68fa97fdd361e78f66"
 
 
+def test_catalog_rows_pinned():
+    # sha256 over the expansion reprs of the 472 diagrams of rank <= 8 and
+    # each family's name and display, recorded while every family with one
+    # member still had a builder of its own
+    lines = [repr(families.expand_catalog(spec))
+             for spec in diagrams_up_to_rank(8)]
+    lines += [f"{f.name} {f.display}" for f in families.CATALOG]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "8532443291b575846ca39fcea2a374582df0e0553f930e327839e8228a0ae372"
+
+
 @pytest.fixture
 def bare_index(monkeypatch):
     # an index built from a stand-in catalog must not outlive the test

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from sphsys import dynkin, families, ops, rankone, search, system
+from sphsys import (dynkin, families, ops, rankone, search, system,
+                    tables)
 from sphsys.budget import BudgetExceeded
 from sphsys.dynkin import parse_diagram, pieces, support
 from sphsys.families import instantiate
@@ -568,7 +569,8 @@ class TestVerifyCatalog:
 # every per-diagram table of the library, all under dynkin.per_diagram's bound
 PER_DIAGRAM_CACHES = (dynkin._positive_roots, rankone.rank1_embeddings,
                       rankone._table, system._root_table, search._walk_table,
-                      families._index, families._diag)
+                      families._index, families._diag,
+                      tables._highest_roots)
 
 
 def test_sweep_keeps_the_bound_and_a_warm_pass_rebuilds_nothing():

@@ -194,6 +194,17 @@ def test_private_constructor_stays_in_the_library(path):
     assert "_from_normal" not in _identifiers(tree)
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "families.py"],
+                         ids=lambda p: p.name)
+def test_catalog_builders_stay_in_families(path):
+    # the involution table derives its systems from Satake diagrams, so
+    # naming a catalog member with the catalog checks it; only families
+    # may name or import one of its _b_ builders
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(n for n in _identifiers(tree) if n.startswith("_b_")) == []
+
+
 def _traced_targets() -> list:
     """(module, attribute) of each entry of perfbench/tracer.py's TARGETS."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -181,6 +182,86 @@ class TestSymmetricSystem:
             assert tables.symmetric_system(label, **params).validate().ok
 
 
+# sha256 of _involution_identity(), recorded while each row still built its
+# system with a catalog builder
+INVOLUTION_IDENTITY_DIGEST = \
+    "4ba35073ac9c3bfc89113a7d8e553da0cdf6cfe4fe046fdc31fac317dd12695c"
+
+
+def _involution_identity() -> list:
+    """Every involution row at each parameter tuple in 0..9 whose rank is
+    at most 20: the diagram, sorted sp, the basis in order and the
+    restricted type, or "rejected" for a refused tuple."""
+    out = []
+    for row in tables.SYMMETRIC:
+        for values in itertools.product(range(10), repeat=len(row.params)):
+            params = dict(zip(row.params, values))
+            try:
+                inst = row.realise(**params)
+            except (ValueError, TypeError):
+                out.append((row.label, params, "rejected"))
+                continue
+            if inst.diagram.n_nodes <= 20:
+                out.append((row.label, params, inst.diagram.spec(),
+                            sorted(inst.system.sp), inst.basis,
+                            inst.restricted))
+    return out
+
+
+def test_involution_rows_pinned():
+    text = repr(_involution_identity())
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == INVOLUTION_IDENTITY_DIGEST
+
+
+# dimensions of the subalgebras a row's description names: a classical one
+# by the size m of its matrices, an exceptional one by name
+_SERIES = {"sl": lambda m: m * m - 1, "gl": lambda m: m * m,
+           "so": lambda m: m * (m - 1) // 2, "sp": lambda m: m * (m + 1) // 2}
+_EXCEPTIONAL = {"e6": 78, "e7": 133, "f4": 52}
+
+
+def _dim_k(subalgebra, values) -> int:
+    """Dimension of a description like "so(p+1) + so(2n-p)", with the
+    row's parameters and n, the rank, bound to their values."""
+    total = 0
+    for part in subalgebra.split(" + "):
+        m = re.fullmatch(r"(sl|gl|so|sp)\((.+)\)", part)
+        if m is None:
+            total += _EXCEPTIONAL[part]
+            continue
+        size = eval(re.sub(r"(\d)([a-z])", r"\1*\2", m[2]),
+                    {"__builtins__": {}}, values)
+        total += _SERIES[m[1]](size)
+    return total
+
+
+def test_dimension_is_dim_g_minus_dim_k():
+    # dim G/K read off the row's subalgebra must be the dimension of the
+    # wonderful variety's open orbit that the system predicts, at every
+    # realisation with parameters 0..7 and in both variants where halved
+    seen = set()
+    for row in tables.SYMMETRIC:
+        for values in itertools.product(range(8), repeat=len(row.params)):
+            params = dict(zip(row.params, values))
+            try:
+                inst = row.realise(**params)
+            except ValueError:      # outside the row's constraints
+                continue
+            d = inst.diagram
+            dim_g = d.n_nodes + 2 * len(d.positive_roots)
+            dim_k = _dim_k(row.subalgebra, dict(params, n=d.n_nodes))
+            halved = row.label in tables._TWO_VARIANTS
+            for selfnormalising in (True, False) if halved else (True,):
+                sys = tables.symmetric_system(
+                    row.label, selfnormalising=selfnormalising, **params)
+                assert ops.expected_dims(sys)[0] == dim_g - dim_k, (
+                    row.label, params, selfnormalising)
+            seen.add((row.label, tuple(params.items())))
+    assert len(seen) == 214
+    assert {label for label, _ in seen} == {r.label for r in tables.SYMMETRIC}
+
+
 def _maximal_parabolic(sys):
     """Reference oracle for the parabolic set of a restricted basis.
 
@@ -309,6 +390,17 @@ class TestGrading:
             for char in itertools.islice(
                     itertools.product((0, 1, 2), repeat=d.n_nodes), 40):
                 assert sum(tables.grading_dims(d, char).values()) == total
+
+    def test_height_is_the_top_layer(self):
+        # height reads the highest roots; the grading lists every layer
+        for fam, lo, hi in (("A", 1, 5), ("B", 2, 5), ("C", 3, 5),
+                            ("D", 4, 5), ("G", 2, 2), ("F", 4, 4)):
+            for n in range(lo, hi + 1):
+                d = parse_diagram(f"{fam}{n}")
+                for char in itertools.product((0, 1, 2), repeat=n):
+                    assert tables.height(d, char) \
+                        == max(tables.grading_dims(d, char)), (d, char)
+        assert tables.height("", ()) == 0
 
     def test_spherical_filter_matches_height_bound(self):
         for spec in ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1,A1"]:
