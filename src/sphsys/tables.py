@@ -81,6 +81,11 @@ def _involution(label, constraints, subalgebra, params, satake):
     white orbits in basis order, restricted type), or False outside the
     row's constraints."""
     def realise(**values):
+        # a name the row lacks fails as the call would, ahead of the cap
+        code = satake.__code__
+        unknown = set(values) - set(code.co_varnames[:code.co_argcount])
+        if unknown:
+            raise TypeError(f"{label} takes no {', '.join(sorted(unknown))}")
         # no parameter exceeds the rank it builds, so none may pass the cap
         _check_rank(max(values.values(), default=0))
         found = satake(**values)

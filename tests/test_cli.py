@@ -574,6 +574,12 @@ class TestAppendixCommands:
         assert status == 1
         assert "A III (q >= 2) takes p, q" in out["error"]["message"]
         assert "lambda" not in out["error"]["message"]
+        status, out = run_json(
+            capsys, ["symmetric", "--label", "E I", "--n", "100"])
+        assert status == 1
+        assert out["error"]["message"] == (
+            "no sub-case of 'E I' accepts {'n': 100} "
+            "(E I takes no parameters)")
 
     def test_orbit_g2(self, capsys):
         status, out = run_json(

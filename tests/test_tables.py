@@ -134,6 +134,9 @@ class TestSymmetricTable:
         ("A I", {}, "A I takes n"),
         ("A III", {"n": 3}, "A III (q >= 2) takes p, q; "
                             "A III (q = 1) takes p"),
+        # a wrong name is named as such even when its value passes the cap
+        ("E I", {"n": 100}, "E I takes no parameters"),
+        ("A II", {"p": 60}, "A II takes n"),
     ])
     def test_wrong_parameters_name_what_the_row_takes(self, label, params,
                                                       message):
