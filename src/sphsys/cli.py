@@ -178,8 +178,7 @@ def _cmd_symmetric(args):
     params = {k: getattr(args, k) for k in ("p", "q", "n")
               if getattr(args, k) is not None}
     row, inst = tables.symmetric_instance(args.label, **params)
-    sys = tables.symmetric_system(
-        args.label, selfnormalising=args.variant != "halved", **params)
+    sys = tables._variant(row, inst, args.variant != "halved")
     fam, rank = inst.restricted
     return {
         "label": row.label,

@@ -4,9 +4,17 @@ Every known primitive system belongs to one of the parameterized families
 listed here.  Each family carries a generic name like ``"a(p)+b(q)"``, a
 builder whose own check states the family's parameter range, and the
 candidate parameters on a diagram, mostly every nonnegative solution of one
-rank equation on a single chain (n = p + q on B_n for ``a(p)+b(q)``).  A
-family with a single member on a fixed diagram is one row that states the
-diagram, the parabolic set and the roots once.
+rank equation on a single chain (n = p + q on B_n for ``a(p)+b(q)``).
+
+A member is a list of rank-one rows placed on nodes: each spherical root is
+one row of ``sphsys.rankone.ROWS`` on its support, so ``a(p)+b(q)`` is
+``a`` on the first p nodes of B_n and ``b`` on the others.  Every member
+is cuspidal, and each root's support meets the parabolic set in its row's
+trace (Luna, "Variétés sphériques de type A", 2001), so the parabolic set
+is the union of the traces and no member states it.  A family with a
+single member on a fixed diagram is one row that states the diagram and
+the placements once.
+
 ``instantiate`` builds one member.  ``catalog_index`` maps the canonical
 key of every member living on a diagram to its entry (earliest family wins
 when two recipes coincide); ``expand_catalog`` lists those entries,
@@ -23,8 +31,9 @@ import re
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from .dynkin import (_RANK_RANGE, Diagram, DiagramError, _check_rank,
-                     parse_diagram, per_diagram)
+from .dynkin import (_RANK_RANGE, Diagram, DiagramError, parse_diagram,
+                     per_diagram)
+from .rankone import ROWS
 from .system import SphericalSystem
 
 
@@ -33,47 +42,29 @@ def _diag(spec: str) -> Diagram:
     return parse_diagram(spec)
 
 
-def _wt(n, coeffs) -> tuple:
-    # most builders make their weights before their diagram, so the rank
-    # cap is checked here: an over-cap n raises before n^2/2 entries exist
-    _check_rank(n)
-    w = [0] * n
-    for i, c in coeffs.items():
-        w[i] += c
-    return tuple(w)
+# a row by its base; of the two "d" rows the dict keeps the later, the D
+# row, and on three nodes, branch node first, that reads as the A3 row d(3)
+_ROW = {row.base: row for row in ROWS}
 
 
-def _pairs_row(n, count):
-    """Consecutive-node sums from the first node: (0,1), (1,2), ..."""
-    return [_wt(n, {i: 1, i + 1: 1}) for i in range(count)]
+def _placed(d: Diagram, placements) -> SphericalSystem:
+    """The member of d with one root per (row base, nodes) placement.
 
-
-def _chain_row(n, lo, hi, coeff=1):
-    return _wt(n, {i: coeff for i in range(lo, hi + 1)})
-
-
-def _short_chain(n, count):
-    """Coefficient pattern 1,2,1 repeated along even offsets from node 0."""
-    return [_wt(n, {2 * k: 1, 2 * k + 1: 2, 2 * k + 2: 1})
-            for k in range(count)]
-
-
-def _c_tail(n, start, chain=None):
-    # 1, 2, ..., 2, 1 from chain[start] to the double-bond end of a C chain,
-    # given double bond last (the whole diagram by default)
-    c = range(n) if chain is None else chain
-    w = {c[i]: 2 for i in range(start + 1, len(c) - 1)}
-    w[c[start]] = 1
-    w[c[-1]] = w.get(c[-1], 0) + 1
-    return _wt(n, w)
-
-
-def _d_tail(n, start):
-    # 2, ..., 2, 1, 1 from start to the fork of a D chain
-    w = {i: 2 for i in range(start, n - 2)}
-    w[n - 2] = 1
-    w[n - 1] = 1
-    return _wt(n, w)
+    The nodes list the row's support in its Bourbaki order, and the row is
+    read at their number, also below its own range: b' on one node is
+    a'(1), c and c* on two are b(2) and b*(2), d on three is d(3).  The
+    parabolic set is the union of the traces.  Each builder makes d first,
+    so the rank cap trips before any weight exists.
+    """
+    sigma, sp = [], set()
+    for base, nodes in placements:
+        row, k = _ROW[base], len(nodes)
+        w = [0] * d.n_nodes
+        for v, c in zip(nodes, row.coeffs(k)):
+            w[v] = c
+        sigma.append(tuple(w))
+        sp.update(nodes[i - 1] for i in row.trace(k))
+    return SphericalSystem(d, sp, sigma)
 
 
 def _c_positions(d: Diagram, ci: int) -> list:
@@ -94,6 +85,8 @@ def _need(cond: bool, msg: str):
 
 
 # -- builders, one per family ------------------------------------------------
+# A short chain places d on the nodes (i + 1, i, i + 2) for even i: the
+# weight 1, 2, 1 with both ends in the trace.
 
 def _need_rank(fam, n, name):
     # outside its family's range a chain is another type (C2 is B2, D3 is
@@ -106,242 +99,216 @@ def _need_rank(fam, n, name):
 def _b_group_pair(fam, p):
     _need_rank(fam, p, f"{fam.lower() * 2}(p,p)")
     d = _diag(f"{fam}{p},{fam}{p}")
-    a, b = d.component_nodes(0), d.component_nodes(1)
-    sigma = [_wt(d.n_nodes, {a[i]: 1, b[i]: 1}) for i in range(p)]
-    return SphericalSystem(d, (), sigma)
+    return _placed(d, [("aa", pair) for pair in zip(d.component_nodes(0),
+                                                     d.component_nodes(1))])
 
 
 def _b_all_doubled(fam, n):
     _need_rank(fam, n, f"{fam.lower()}o(n)")
-    return SphericalSystem(_diag(f"{fam}{n}"), (),
-                           [_wt(n, {i: 2}) for i in range(n)])
+    return _placed(_diag(f"{fam}{n}"), [("a'", [i]) for i in range(n)])
 
 
 def _b_ac(n):
     _need(n >= 3 and n % 2 == 1, "ac(n) needs odd n >= 3")
-    sigma = _short_chain(n, (n - 1) // 2)
-    return SphericalSystem(_diag(f"A{n}"), range(0, n, 2), sigma)
+    return _placed(_diag(f"A{n}"),
+                   [("d", (i + 1, i, i + 2)) for i in range(0, n - 1, 2)])
 
 
 def _b_aa_pqp(p, q):
     _need(p >= 1 and q >= 2, "aa(p+q+p) needs p >= 1, q >= 2")
     n = 2 * p + q
-    sigma = [_wt(n, {i: 1, n - 1 - i: 1}) for i in range(p)]
-    sigma.append(_chain_row(n, p, p + q - 1))
-    return SphericalSystem(_diag(f"A{n}"), range(p + 1, p + q - 1), sigma)
+    return _placed(_diag(f"A{n}"), [("aa", (i, n - 1 - i)) for i in range(p)]
+                   + [("a", range(p, p + q))])
 
 
 def _b_aa_p1p(p):
     _need(p >= 1, "aa'(p+1+p) needs p >= 1")
     n = 2 * p + 1
-    sigma = [_wt(n, {i: 1, n - 1 - i: 1}) for i in range(p)]
-    sigma.append(_wt(n, {p: 2}))
-    return SphericalSystem(_diag(f"A{n}"), (), sigma)
+    return _placed(_diag(f"A{n}"), [("aa", (i, n - 1 - i)) for i in range(p)]
+                   + [("a'", [p])])
 
 
 def _b_a(n):
     _need(n >= 2, "a(n) needs n >= 2")
-    return SphericalSystem(_diag(f"A{n}"), range(1, n - 1),
-                           [_chain_row(n, 0, n - 1)])
+    return _placed(_diag(f"A{n}"), [("a", range(n))])
 
 
 def _b_acstar(n):
     _need(n >= 3, "ac*(n) needs n >= 3")
-    return SphericalSystem(_diag(f"A{n}"), (), _pairs_row(n, n - 1))
+    return _placed(_diag(f"A{n}"), [("a", (i, i + 1)) for i in range(n - 1)])
 
 
 def _b_bo(p, q):
     _need(p >= 1 and q >= 1, "bo(p+q) needs p, q >= 1")
     n = p + q
-    sigma = [_wt(n, {i: 2}) for i in range(p)]
-    sigma.append(_chain_row(n, p, n - 1, coeff=2))
-    return SphericalSystem(_diag(f"B{n}"), range(p + 1, n), sigma)
+    return _placed(_diag(f"B{n}"), [("a'", [i]) for i in range(p)]
+                   + [("b'", range(p, n))])
 
 
-def _b_b(n, coeff=1):
+def _b_b(n, base="b"):
     _need(n >= 2, "needs n >= 2")
-    return SphericalSystem(_diag(f"B{n}"), range(1, n),
-                           [_chain_row(n, 0, n - 1, coeff=coeff)])
+    return _placed(_diag(f"B{n}"), [(base, range(n))])
 
 
 def _b_bstar(n):
     _need(n >= 2, "b*(n) needs n >= 2")
-    return SphericalSystem(_diag(f"B{n}"), range(1, n - 1),
-                           [_chain_row(n, 0, n - 1)])
+    return _placed(_diag(f"B{n}"), [("b*", range(n))])
 
 
 def _b_bcstar(n):
     _need(n >= 3, "bc*(n) needs n >= 3")
-    return SphericalSystem(_diag(f"B{n}"), (), _pairs_row(n, n - 1))
+    return _placed(_diag(f"B{n}"), [("a", (i, i + 1)) for i in range(n - 2)]
+                   + [("b*", (n - 2, n - 1))])
 
 
 def _b_bcprime(n):
     _need(n >= 2, "bc'(n) needs n >= 2")
-    sigma = _pairs_row(n, n - 1) + [_wt(n, {n - 1: 2})]
-    return SphericalSystem(_diag(f"B{n}"), (), sigma)
+    return _placed(_diag(f"B{n}"), [("a", (i, i + 1)) for i in range(n - 2)]
+                   + [("b*", (n - 2, n - 1)), ("a'", [n - 1])])
 
 
-def _a_head(n, p, consecutive):
-    if consecutive:
-        return _pairs_row(n, p - 1), set()
-    return [_chain_row(n, 0, p - 1)], set(range(1, p - 1))
-
-
-def _b_a_b(p, q, head_pairs=False, coeff=1):
-    _need(p >= 2 and q >= (2 if coeff == 1 else 1),
+def _b_a_b(p, q, head_pairs=False, tail="b"):
+    _need(p >= 2 and q >= (2 if tail == "b" else 1),
           "tail too short for this family")
     n = p + q
-    sigma, sp = _a_head(n, p, head_pairs)
-    sigma.append(_chain_row(n, p, n - 1, coeff=coeff))
-    sp |= set(range(p + 1, n))
-    return SphericalSystem(_diag(f"B{n}"), sp, sigma)
+    d = _diag(f"B{n}")
+    head = ([("a", (i, i + 1)) for i in range(p - 1)] if head_pairs
+            else [("a", range(p))])
+    return _placed(d, head + [(tail, range(p, n))])
 
 
 def _b_c(n):
     _need(n >= 3, "c(n) needs n >= 3")
-    sp = {0} | set(range(2, n))
-    return SphericalSystem(_diag(f"C{n}"), sp, [_c_tail(n, 0)])
+    return _placed(_diag(f"C{n}"), [("c", range(n))])
 
 
 def _b_cc_pq(p, q):
     _need(p >= 2 and p % 2 == 0 and q >= 2,
           "cc(p+q) needs even p >= 2 and q >= 2")
     n = p + q
-    sigma = _short_chain(n, p // 2) + [_c_tail(n, p)]
-    sp = set(range(0, p + 1, 2)) | set(range(p + 2, n))
-    return SphericalSystem(_diag(f"C{n}"), sp, sigma)
+    return _placed(_diag(f"C{n}"),
+                   [("d", (i + 1, i, i + 2)) for i in range(0, p, 2)]
+                   + [("c", range(p, n))])
 
 
 def _b_ccprime(p):
     _need(p >= 2 and p % 2 == 0, "cc'(p+2) needs even p >= 2")
     n = p + 2
-    sigma = _short_chain(n, p // 2)
-    sigma.append(_wt(n, {n - 2: 2, n - 1: 2}))
-    return SphericalSystem(_diag(f"C{n}"), range(0, n - 1, 2), sigma)
+    return _placed(_diag(f"C{n}"),
+                   [("d", (i + 1, i, i + 2)) for i in range(0, p, 2)]
+                   + [("b'", (n - 1, n - 2))])
 
 
 def _b_cstar(n):
     _need(n >= 3, "c*(n) needs n >= 3")
-    return SphericalSystem(_diag(f"C{n}"), range(2, n), [_c_tail(n, 0)])
+    return _placed(_diag(f"C{n}"), [("c*", range(n))])
 
 
 def _b_ca(q):
     _need(q >= 2, "ca(1+q+1) needs q >= 2")
     n = q + 2
-    sigma = [_wt(n, {0: 1, n - 1: 1}), _chain_row(n, 1, n - 2)]
-    return SphericalSystem(_diag(f"C{n}"), range(2, q), sigma)
+    return _placed(_diag(f"C{n}"),
+                   [("aa", (0, n - 1)), ("a", range(1, n - 1))])
 
 
 def _b_aa1p1_cstar(p, q):
     _need(p >= 2 and q >= 2, "aa(1+p+1)+c*(q) needs p, q >= 2")
     n = p + q + 1
-    sigma = [_wt(n, {0: 1, p + 1: 1}),
-             _chain_row(n, 1, p),
-             _c_tail(n, p + 1)]
-    sp = set(range(2, p)) | set(range(p + 3, n))
-    return SphericalSystem(_diag(f"C{n}"), sp, sigma)
+    return _placed(_diag(f"C{n}"), [("aa", (0, p + 1)), ("a", range(1, p + 1)),
+                                    ("c*", range(p + 1, n))])
 
 
 def _b_aa11_cstar(n):
     _need(n >= 2, "aa(1,1)+c*(n) needs n >= 2")
     d = _diag(f"A1,C{n}")
-    a = d.component_nodes(0)[0]
     c = _c_positions(d, 1)
-    m = d.n_nodes
-    sigma = [_wt(m, {a: 1, c[0]: 1}), _c_tail(m, 0, c)]
-    return SphericalSystem(d, c[2:], sigma)
+    return _placed(d, [("aa", (d.component_nodes(0)[0], c[0])), ("c*", c)])
 
 
 def _b_aa11_cstar_cstar(n1, n2):
     _need(2 <= n1 <= n2, "aa(1,1)+c*(n1)+c*(n2) needs 2 <= n1 <= n2")
     d = _diag(f"C{n1},C{n2}")
-    m = d.n_nodes
     c1, c2 = (_c_positions(d, ci) for ci in range(2))
-    sigma = [_wt(m, {c1[0]: 1, c2[0]: 1}), _c_tail(m, 0, c1),
-             _c_tail(m, 0, c2)]
-    return SphericalSystem(d, c1[2:] + c2[2:], sigma)
+    return _placed(d, [("aa", (c1[0], c2[0])), ("c*", c1), ("c*", c2)])
 
 
 def _b_acstar_cstar(p, q):
     _need(p >= 2 and q >= 2, "ac*(p)+c*(q) needs p, q >= 2")
     n = p + q - 1
-    sigma = _pairs_row(n, p - 1) + [_c_tail(n, p - 1)]
-    return SphericalSystem(_diag(f"C{n}"), range(p + 1, n), sigma)
+    return _placed(_diag(f"C{n}"), [("a", (i, i + 1)) for i in range(p - 1)]
+                   + [("c*", range(p - 1, n))])
 
 
 def _b_aprime_cstar(q):
     _need(q >= 3, "a'(1)+c*(q) needs q >= 3")
-    n = q
-    sigma = [_wt(n, {0: 2}), _c_tail(n, 0)]
-    return SphericalSystem(_diag(f"C{n}"), range(2, n), sigma)
+    return _placed(_diag(f"C{q}"), [("a'", [0]), ("c*", range(q))])
 
 
 def _b_do_pq(p, q):
     _need(p >= 1 and q >= 2 and p + q >= 4, "do(p+q) needs q >= 2, p+q >= 4")
     n = p + q
-    sigma = [_wt(n, {i: 2}) for i in range(p)] + [_d_tail(n, p)]
-    sp = () if q == 2 else range(p + 1, n)
-    return SphericalSystem(_diag(f"D{n}"), sp, sigma)
+    d = _diag(f"D{n}")
+    # read on two nodes d would put one in the trace, so the two fork ends
+    # take aa(1,1)
+    tail = ("aa", (n - 2, n - 1)) if q == 2 else ("d", range(p, n))
+    return _placed(d, [("a'", [i]) for i in range(p)] + [tail])
 
 
 def _b_d(n):
     _need(n >= 4, "d(n) needs n >= 4")
-    return SphericalSystem(_diag(f"D{n}"), range(1, n), [_d_tail(n, 0)])
+    return _placed(_diag(f"D{n}"), [("d", range(n))])
 
 
 def _b_dcprime(n):
     _need(n >= 6 and n % 2 == 0, "dc'(n) needs even n >= 6")
-    sigma = _short_chain(n, (n - 2) // 2) + [_wt(n, {n - 1: 2})]
-    return SphericalSystem(_diag(f"D{n}"), range(0, n - 1, 2), sigma)
+    return _placed(_diag(f"D{n}"),
+                   [("d", (i + 1, i, i + 2)) for i in range(0, n - 2, 2)]
+                   + [("a'", [n - 1])])
 
 
 def _b_dc(n):
     _need(n >= 5 and n % 2 == 1, "dc(n) needs odd n >= 5")
-    sigma = _short_chain(n, (n - 3) // 2)
-    sigma.append(_wt(n, {n - 3: 1, n - 2: 1, n - 1: 1}))
-    return SphericalSystem(_diag(f"D{n}"), range(0, n - 2, 2), sigma)
+    return _placed(_diag(f"D{n}"),
+                   [("d", (i + 1, i, i + 2)) for i in range(0, n - 3, 2)]
+                   + [("a", (n - 2, n - 3, n - 1))])
 
 
 def _b_ds(n):
     _need(n >= 4, "ds(n) needs n >= 4")
-    sigma = [_chain_row(n, 0, n - 2),
-             _wt(n, {i: 1 for i in range(n - 2)} | {n - 1: 1})]
-    return SphericalSystem(_diag(f"D{n}"), range(1, n - 2), sigma)
+    return _placed(_diag(f"D{n}"),
+                   [("a", range(n - 1)), ("a", [*range(n - 2), n - 1])])
 
 
 def _b_dcstar(n):
     _need(n >= 4, "dc*(n) needs n >= 4")
-    sigma = _pairs_row(n, n - 2) + [_wt(n, {n - 3: 1, n - 1: 1})]
-    return SphericalSystem(_diag(f"D{n}"), (), sigma)
+    return _placed(_diag(f"D{n}"), [("a", (i, i + 1)) for i in range(n - 2)]
+                   + [("a", (n - 3, n - 1))])
 
 
 def _b_a_d(p, q, head_pairs=False):
     _need(p >= 2 and q >= 2, "needs p, q >= 2")
     n = p + q
-    sigma, sp = _a_head(n, p, head_pairs)
-    sigma.append(_d_tail(n, p))
-    if q != 2:
-        sp |= set(range(p + 1, n))
-    return SphericalSystem(_diag(f"D{n}"), sp, sigma)
+    d = _diag(f"D{n}")
+    head = ([("a", (i, i + 1)) for i in range(p - 1)] if head_pairs
+            else [("a", range(p))])
+    tail = ("aa", (n - 2, n - 1)) if q == 2 else ("d", range(p, n))
+    return _placed(d, head + [tail])
 
 
-# the two long weights of ef(n) on the E6 nodes, shared with ef(6)+a(2)
-_EF_ROOTS = ((2, 1, 2, 2, 1, 0), (0, 1, 1, 2, 2, 2))
+# the two D5 roots of ef(n) on the E6 nodes, shared with ef(6)+a(2)
+_EF_ROOTS = [("d", (0, 2, 3, 1, 4)), ("d", (5, 4, 3, 1, 2))]
 
 
 def _b_ef(n):
     _need(n in (6, 7, 8), "ef(n) needs n in {6,7,8}")
-    sigma = [w + (0,) * (n - 6) for w in _EF_ROOTS]
-    for i in range(6, n):
-        sigma.append(_wt(n, {i: 2}))
-    return SphericalSystem(_diag(f"E{n}"), {1, 2, 3, 4}, sigma)
+    return _placed(_diag(f"E{n}"),
+                   _EF_ROOTS + [("a'", [i]) for i in range(6, n)])
 
 
 def _b_ecstar(n):
     _need(n in (6, 7, 8), "ec*(n) needs n in {6,7,8}")
-    sigma = [_wt(n, {0: 1, 2: 1}), _wt(n, {1: 1, 3: 1})]
-    sigma += [_wt(n, {i: 1, i + 1: 1}) for i in range(2, n - 1)]
-    return SphericalSystem(_diag(f"E{n}"), (), sigma)
+    return _placed(_diag(f"E{n}"), [("a", (0, 2)), ("a", (1, 3))]
+                   + [("a", (i, i + 1)) for i in range(2, n - 1)])
 
 
 # -- the table ----------------------------------------------------------------
@@ -399,9 +366,9 @@ def _fixed(spec):
     return space
 
 
-def _member(name, spec, sp, sigma):
-    """A family with one member, stated by its diagram, sp and roots."""
-    return Family(name, lambda: SphericalSystem(_diag(spec), sp, sigma),
+def _member(name, spec, placements):
+    """A family with one member, stated by its diagram and placements."""
+    return Family(name, lambda: _placed(_diag(spec), placements),
                   _fixed(spec))
 
 
@@ -436,20 +403,20 @@ CATALOG = (
     Family("bb(p,p)", lambda p: _b_group_pair("B", p), _pair_space("B")),
     Family("bo(p+q)", _b_bo, _chain("B", p=1, q=1)),
     Family("b(n)", _b_b, _chain("B", n=1)),
-    Family("b'(n)", lambda n: _b_b(n, coeff=2), _chain("B", n=1)),
+    Family("b'(n)", lambda n: _b_b(n, "b'"), _chain("B", n=1)),
     Family("b*(n)", _b_bstar, _chain("B", n=1)),
     Family("bc*(n)", _b_bcstar, _chain("B", n=1)),
     Family("bc'(n)", _b_bcprime, _chain("B", n=1)),
     Family("a(p)+b(q)", _b_a_b, _chain("B", p=1, q=1)),
-    Family("a(p)+b'(q)", lambda p, q: _b_a_b(p, q, coeff=2),
+    Family("a(p)+b'(q)", lambda p, q: _b_a_b(p, q, tail="b'"),
            _chain("B", p=1, q=1)),
     Family("ac*(p)+b(q)", lambda p, q: _b_a_b(p, q, head_pairs=True),
            _chain("B", p=1, q=1)),
     Family("ac*(p)+b'(q)",
-           lambda p, q: _b_a_b(p, q, head_pairs=True, coeff=2),
+           lambda p, q: _b_a_b(p, q, head_pairs=True, tail="b'"),
            _chain("B", p=1, q=1)),
-    _member("b**(3)", "B3", {0, 1}, [(1, 2, 3)]),
-    _member("b*(4)+b**(3)", "B4", {1, 2}, [(1, 1, 1, 1), (0, 1, 2, 3)]),
+    _member("b**(3)", "B3", [("b**", range(3))]),
+    _member("b*(4)+b**(3)", "B4", [("b*", range(4)), ("b**", (1, 2, 3))]),
 
     Family("cc(p,p)", lambda p: _b_group_pair("C", p), _pair_space("C")),
     Family("co(n)", lambda n: _b_all_doubled("C", n), _chain("C", n=1)),
@@ -471,8 +438,8 @@ CATALOG = (
     Family("dc'(n)", _b_dcprime, _chain("D", n=1)),
     Family("dc(n)", _b_dc, _chain("D", n=1)),
     Family("ds(n)", _b_ds, _chain("D", n=1)),
-    _member("ds*(4)", "D4", {1},
-            [(1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 0, 1)]),
+    _member("ds*(4)", "D4",
+            [("a", (0, 1, 2)), ("a", (2, 1, 3)), ("a", (0, 1, 3))]),
     Family("dc*(n)", _b_dcstar, _chain("D", n=1)),
     Family("a(p)+d(q)", _b_a_d, _chain("D", p=1, q=1)),
     Family("ac*(p)+d(q)", lambda p, q: _b_a_d(p, q, head_pairs=True),
@@ -480,39 +447,33 @@ CATALOG = (
 
     Family("ee(p,p)", lambda p: _b_group_pair("E", p), _pair_space("E")),
     Family("eo(n)", lambda n: _b_all_doubled("E", n), _chain("E", n=1)),
-    _member("ea(6)", "E6", (),
-            [(1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0),
-             (0, 2, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0)]),
-    _member("ed(6)", "E6", {2, 3, 4},
-            [(1, 0, 1, 1, 1, 1), (0, 2, 1, 2, 1, 0)]),
+    _member("ea(6)", "E6", [("aa", (0, 5)), ("aa", (2, 4)),
+                            ("a'", [1]), ("a'", [3])]),
+    _member("ed(6)", "E6", [("a", (0, 2, 3, 4, 5)), ("d", (1, 3, 2, 4))]),
     Family("ef(6)", lambda: _b_ef(6), _fixed("E6")),
-    _member("ec(7)", "E7", {1, 4, 6},
-            [(2, 0, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0, 0),
-             (0, 1, 0, 2, 1, 0, 0), (0, 0, 0, 0, 1, 2, 1)]),
+    _member("ec(7)", "E7", [("a'", [0]), ("a'", [2]),
+                            ("d", (3, 1, 4)), ("d", (5, 4, 6))]),
     Family("ef(n)", _b_ef, _chain("E", n=1)),
     Family("ec*(n)", _b_ecstar, _chain("E", n=1)),
-    _member("ef(6)+a(2)", "E8", {1, 2, 3, 4},
-            [w + (0, 0) for w in _EF_ROOTS] + [(0,) * 6 + (1, 1)]),
-    _member("aa(2,2)+a(2)", "E6", (),
-            [(1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0)]),
-    _member("ac(5)+a(2)", "E7", {1, 4, 6},
-            [(1, 0, 1, 0, 0, 0, 0), (0, 1, 0, 2, 1, 0, 0),
-             (0, 0, 0, 0, 1, 2, 1)]),
+    _member("ef(6)+a(2)", "E8", _EF_ROOTS + [("a", (6, 7))]),
+    _member("aa(2,2)+a(2)", "E6",
+            [("aa", (0, 5)), ("aa", (2, 4)), ("a", (1, 3))]),
+    _member("ac(5)+a(2)", "E7",
+            [("a", (0, 2)), ("d", (3, 1, 4)), ("d", (5, 4, 6))]),
 
     Family("ff(4,4)", lambda: _b_group_pair("F", 4), _fixed("F4,F4")),
     Family("fo(4)", lambda: _b_all_doubled("F", 4), _fixed("F4")),
-    _member("f(4)", "F4", {0, 1, 2}, [(1, 2, 3, 2)]),
-    _member("fa(1+2+1)", "F4", (), [(1, 0, 0, 1), (0, 1, 1, 0)]),
-    _member("fd(4)", "F4", {1}, [(1, 1, 1, 0), (0, 1, 2, 1)]),
-    _member("ao(2)+a(2)", "F4", (),
-            [(1, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
-    _member("fc*(4)", "F4", (), [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+    _member("f(4)", "F4", [("f", range(4))]),
+    _member("fa(1+2+1)", "F4", [("aa", (0, 3)), ("b*", (1, 2))]),
+    _member("fd(4)", "F4", [("b*", (0, 1, 2)), ("c*", (3, 2, 1))]),
+    _member("ao(2)+a(2)", "F4", [("a", (0, 1)), ("a'", [2]), ("a'", [3])]),
+    _member("fc*(4)", "F4", [("a", (0, 1)), ("b*", (1, 2)), ("a", (2, 3))]),
 
     Family("gg(2,2)", lambda: _b_group_pair("G", 2), _fixed("G2,G2")),
     Family("go(2)", lambda: _b_all_doubled("G", 2), _fixed("G2")),
-    _member("g(2)", "G2", {1}, [(2, 1)]),
-    _member("g'(2)", "G2", {1}, [(4, 2)]),
-    _member("g*(2)", "G2", (), [(1, 1)]),
+    _member("g(2)", "G2", [("g", range(2))]),
+    _member("g'(2)", "G2", [("g'", range(2))]),
+    _member("g*(2)", "G2", [("g*", range(2))]),
 )
 
 _BY_NAME = {f.name: f for f in CATALOG}

@@ -86,6 +86,9 @@ def _involution(label, constraints, subalgebra, params, satake):
         unknown = set(values) - set(code.co_varnames[:code.co_argcount])
         if unknown:
             raise TypeError(f"{label} takes no {', '.join(sorted(unknown))}")
+        for name, value in values.items():
+            _need(isinstance(value, int) and not isinstance(value, bool),
+                  f"{name} = {value!r} is not an integer")
         # no parameter exceeds the rank it builds, so none may pass the cap
         _check_rank(max(values.values(), default=0))
         found = satake(**values)
@@ -223,7 +226,12 @@ def symmetric_system(label: str, selfnormalising: bool = True,
     parabolic set; only the rows with the so(2n) and sp(n)+sp(n) fixed
     subalgebras admit this.
     """
-    row, inst = symmetric_instance(label, **params)
+    return _variant(*symmetric_instance(label, **params), selfnormalising)
+
+
+def _variant(row, inst, selfnormalising) -> SphericalSystem:
+    # symmetric_system's answer for a row already resolved, so a caller
+    # holding (row, inst) derives the Satake system once
     if selfnormalising:
         return inst.system
     if row.label not in _TWO_VARIANTS:

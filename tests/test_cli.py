@@ -581,6 +581,22 @@ class TestAppendixCommands:
             "no sub-case of 'E I' accepts {'n': 100} "
             "(E I takes no parameters)")
 
+    @pytest.mark.parametrize("variant", ["selfnormalising", "halved"])
+    def test_symmetric_derives_the_satake_system_once(self, capsys,
+                                                      monkeypatch, variant):
+        from sphsys import tables
+        calls = []
+        satake = tables._satake
+        monkeypatch.setattr(tables, "_satake",
+                            lambda *a: calls.append(a) or satake(*a))
+        status, out = run_json(
+            capsys, ["symmetric", "--label", "B II", "--n", "3",
+                     "--variant", variant])
+        assert status == 0
+        assert out["classification"] == ("b(3)" if variant == "halved"
+                                         else "b'(3)")
+        assert len(calls) == 1
+
     def test_orbit_g2(self, capsys):
         status, out = run_json(
             capsys, ["orbit", "--diagram", "G2", "--char", "1,0"])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from sphsys import cli, families, tables
+from sphsys import cli, families, rankone, tables
 from sphsys.dynkin import DiagramError, parse_diagram
 from sphsys.system import SphericalSystem
 from test_acceptance import diagrams_up_to_rank
@@ -264,6 +264,43 @@ def test_index_is_keyed_by_orbit():
         assert entry.system.canonical_key() == key
     with pytest.raises(TypeError):
         index["x"] = None
+
+
+# every builder that places a root on fewer nodes than its row's range
+# starts at, each on its smallest member: (family, params, root position,
+# the name the row reads as there)
+BELOW_RANGE = [
+    ("bo(p+q)", {"p": 1, "q": 1}, 1, "b'(1)"),
+    ("a(p)+b'(q)", {"p": 2, "q": 1}, 1, "b'(1)"),
+    ("ac*(p)+b'(q)", {"p": 2, "q": 1}, 1, "b'(1)"),
+    ("cc(p+q)", {"p": 2, "q": 2}, 1, "c(2)"),
+    ("aa(1+p+1)+c*(q)", {"p": 2, "q": 2}, 2, "c*(2)"),
+    ("aa(1,1)+c*(n)", {"n": 2}, 1, "c*(2)"),
+    ("aa(1,1)+c*(n1)+c*(n2)", {"n1": 2, "n2": 2}, 1, "c*(2)"),
+    ("ac*(p)+c*(q)", {"p": 2, "q": 2}, 1, "c*(2)"),
+    ("ac(n)", {"n": 3}, 0, "d(3)"),
+    ("cc(p+q)", {"p": 2, "q": 2}, 0, "d(3)"),
+    ("cc'(p+2)", {"p": 2}, 0, "d(3)"),
+    ("do(p+q)", {"p": 1, "q": 3}, 1, "d(3)"),
+    ("dc'(n)", {"n": 6}, 0, "d(3)"),
+    ("dc(n)", {"n": 5}, 0, "d(3)"),
+    ("a(p)+d(q)", {"p": 2, "q": 3}, 1, "d(3)"),
+    ("ac*(p)+d(q)", {"p": 2, "q": 3}, 1, "d(3)"),
+    ("ec(7)", {}, 2, "d(3)"),
+    ("ac(5)+a(2)", {}, 1, "d(3)"),
+]
+
+
+@pytest.mark.parametrize("name,params,root,placed", BELOW_RANGE)
+def test_rows_below_their_range_read_as_the_aliases(name, params, root,
+                                                     placed):
+    # rankone.ALIASES names each low-rank reading by a row of the table;
+    # d(3) is a row of its own
+    sys = families.instantiate(name, **params)
+    w = sys.sigma[root]
+    trace = {i for i in sys.sp if w[i]}
+    assert rankone.rank1_label(sys.diagram, w, trace) == \
+        rankone.ALIASES.get(placed, placed)
 
 
 def test_length_two_head_collapses_to_earlier_family():

@@ -205,6 +205,22 @@ def test_catalog_builders_stay_in_families(path):
     assert sorted(n for n in _identifiers(tree) if n.startswith("_b_")) == []
 
 
+def _system_calls(tree) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "SphericalSystem" in _identifiers(node.func)]
+
+
+def test_families_builds_every_member_in_one_place():
+    # a member is rank-one rows placed on nodes and its sp is the union of
+    # their traces, so only the placement function makes a system: no
+    # builder can state sp by hand
+    tree = ast.parse((SRC / "families.py").read_text(encoding="utf-8"))
+    placed = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_placed"]
+    assert len(placed) == 1
+    assert len(_system_calls(tree)) == len(_system_calls(placed[0])) == 1
+
+
 def _traced_targets() -> list:
     """(module, attribute) of each entry of perfbench/tracer.py's TARGETS."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(

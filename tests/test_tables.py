@@ -137,6 +137,12 @@ class TestSymmetricTable:
         # a wrong name is named as such even when its value passes the cap
         ("E I", {"n": 100}, "E I takes no parameters"),
         ("A II", {"p": 60}, "A II takes n"),
+        # a right name with a value that is no integer names the value
+        ("A II", {"n": "x"}, "A II: n = 'x' is not an integer"),
+        ("A II", {"n": 3.0}, "A II: n = 3.0 is not an integer"),
+        ("A II", {"n": None}, "A II: n = None is not an integer"),
+        ("A II", {"n": True}, "A II: n = True is not an integer"),
+        ("A II", {"n": 2001.0}, "A II: n = 2001.0 is not an integer"),
     ])
     def test_wrong_parameters_name_what_the_row_takes(self, label, params,
                                                       message):
