@@ -183,6 +183,11 @@ def enumerate_systems(diagram, cuspidal_only=False,
     builds its own on its first validate().  A leaf whose own roots leave
     the components unlinked is not skipped: is_decomposable rejects its
     split systems.
+    The gate's shortcuts are exact.  Each candidate's support | paired set,
+    built once per call, holds the nodes a base decides, so the free nodes
+    are read off those sets.  A root set with one assignment skips the
+    sort, as one assignment is already in order.  sigma_faults screens with
+    bitmasks that RootFacts holds beside the node sets they stand for.
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
@@ -192,6 +197,8 @@ def enumerate_systems(diagram, cuspidal_only=False,
     shared = {}
     # the parabolic sets of each (assignment, free nodes), built once
     sp_lists = {}
+    # per candidate, the nodes a trace assignment decides
+    decided = [f.support | f.paired for f in facts]
     cuspidal_only = cuspidal_only or primitive_only
     nodes = frozenset(range(d.n_nodes))
     full = (1 << len(d.components)) - 1
@@ -219,13 +226,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
         roots = tuple(map(facts.__getitem__, chosen))
         # Exact: a base decides sp on the supports, and sp meeting a paired
         # set fails the rank-one axiom, so only the other nodes are free.
-        free = nodes.difference(*(f.support | f.paired for f in roots))
+        free = nodes.difference(*map(decided.__getitem__, chosen))
         tick(len(assignments) << len(free))
         if sigma_faults(sigma, roots):
             return []
         kept = []
         # sorted, so the output order does not hang on set hashing
-        for base in sorted(assignments, key=sorted):
+        for base in (assignments if len(assignments) == 1
+                     else sorted(assignments, key=sorted)):
             # Exact: an extra from free meets no support and no paired
             # set, so rank_one_faults(base | extra) yields base's records.
             if next(rank_one_faults(base, sigma, roots), None) is None:
@@ -243,13 +251,15 @@ def enumerate_systems(diagram, cuspidal_only=False,
                          else systems)
         return kept
 
+    root_sets = []
+
     def walk(chosen, basis, covered, assignments, banned, live):
-        """Yields (sorted chosen indices, kept systems) for each root set
-        below with a kept system.  `assignments` holds the sp-part on
-        `covered`, the union of the chosen supports, of each choice of one
-        admissible trace per chosen root that agrees on shared nodes and
-        avoids `banned`; it is never empty.  `live` is in index order, as
-        above."""
+        """Appends (sorted chosen indices, kept systems) to root_sets for
+        each root set below with a kept system.  `assignments` holds the
+        sp-part on `covered`, the union of the chosen supports, of each
+        choice of one admissible trace per chosen root that agrees on
+        shared nodes and avoids `banned`; it is never empty.  `live` is in
+        index order, as above."""
         tick()
         order = live
         if cuspidal_only:
@@ -277,7 +287,7 @@ def enumerate_systems(diagram, cuspidal_only=False,
             key = tuple(sorted(chosen))
             kept = emit(key, assignments)
             if kept:
-                yield key, kept
+                root_sets.append((key, kept))
         excluded = set()
         for k in order:
             # the branch choosing k excludes it and the earlier ones of
@@ -297,14 +307,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
             # once, sigma_faults the set.  The trace filter is exact:
             # the assignments below restrict to `below` on `grown`, so a
             # candidate inconsistent with `below` stays so further down.
-            yield from walk(
+            walk(
                 chosen + [k], nb, grown, below, grown_ban,
                 [j for j in live if j not in excluded and compat[k][j]
                  and next(_extensions(facts[j], below, grown, grown_ban),
                           None) is not None])
 
-    root_sets = walk([], [], frozenset(), {frozenset()}, frozenset(),
-                     list(range(len(cands))))
+    walk([], [], frozenset(), {frozenset()}, frozenset(),
+         list(range(len(cands))))
     return tuple(s for _, kept in sorted(root_sets) for s in kept)
 
 

@@ -11,9 +11,11 @@ only on the roots' supports and paired nodes, so the search's final gate
 asks it once per trace assignment.  validation_report formats the records
 of both; the gate reads them raw, and pairwise_faults fills its pair matrix.
 A root set without faults, the common case in the search, costs sigma_faults
-only the comparisons: no record is built, the doubled-root axiom is one set
-union, the orthogonal one a tuple comparison per pair root, and roots on
-pairwise disjoint supports skip the repeat scan and the rank.
+a few int operations and the pairing comparisons: no record is built, the
+doubled-root axiom ORs each root's doubled bit and unfit mask and meets
+the two, the orthogonal one compares two pairings per root and pair root,
+and ORing the support masks finds roots on pairwise disjoint supports,
+which skip the repeat scan and the rank.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
@@ -21,10 +23,10 @@ doubled_node and orthogonal_pair recognise them for the whole package.
 
 Everything the axioms ask of a single root (its support, its pairing with
 each node, its admissible traces, its shape and the nodes on which it
-breaks the doubled-root axiom) is a RootFacts record,
-read through root_facts from a per-diagram table, so validate, the colour
-pairing and the search compute it once per root rather than once per
-system.
+breaks the doubled-root axiom) is a RootFacts record, which also holds the
+support, the doubled node and those nodes as bitmasks.  It is read through
+root_facts from a per-diagram table, so validate, the colour pairing and
+the search compute it once per root rather than once per system.
 """
 
 from __future__ import annotations
@@ -77,6 +79,15 @@ class RootFacts(NamedTuple):
     # nodes i other than `doubled` with an odd or positive pairing: g breaks
     # the doubled-root axiom with a root 2*alpha_i exactly on these
     odd_or_positive: frozenset
+    # the same as bitmasks (bit i for node i), for the gate's screens
+    doubled_bit: int     # 1 << doubled, or 0 when doubled is None
+    unfit_mask: int      # odd_or_positive
+    support_mask: int    # support
+
+
+def _mask(nodes) -> int:
+    """The bitmask of a node set, bit i for node i."""
+    return sum(1 << i for i in nodes)
 
 
 @per_diagram
@@ -95,14 +106,16 @@ def root_facts(d: Diagram, g) -> RootFacts:
         supp = support(g)
         pairings = tuple(sum(row[j] * g[j] for j in supp) for row in d.cartan)
         doubled = doubled_node(g)
+        unfit = frozenset(i for i, v in enumerate(pairings)
+                          if (v % 2 or v > 0) and i != doubled)
         facts = RootFacts(
             supp, pairings,
             frozenset(i for i, v in enumerate(pairings)
                       if v and i not in supp),
             rankone.admissible_traces(d, g),
-            simple_node(g), doubled, orthogonal_pair(d, g),
-            frozenset(i for i, v in enumerate(pairings)
-                      if (v % 2 or v > 0) and i != doubled))
+            simple_node(g), doubled, orthogonal_pair(d, g), unfit,
+            0 if doubled is None else 1 << doubled, _mask(unfit),
+            _mask(supp))
         # stray weights (no admissible trace) stay out, so the table holds
         # at most the candidate roots
         if facts.traces:
@@ -116,30 +129,29 @@ def pairwise_faults(sigma, roots):
     nonpositive integer, and i and j pair equally with every root when
     alpha_i + alpha_j is an orthogonal pair root.  Yields ("doubled", i, g,
     pairing) and then ("orthogonal", (i, j), h, (pairing_i, pairing_j)), in
-    report order.  Without a fault, the doubled-root axiom costs one set
-    union and the orthogonal one a comparison of two pairing columns per
-    pair root; only unequal columns run the per-root loop, and only a
-    fault looks up its weight."""
+    report order.  Without a fault, the doubled-root axiom costs two ORs
+    of bitmasks and an AND, and the orthogonal one a pairing comparison
+    per root and pair root; only a fault looks up its weight."""
+    doubled = unfit = 0
+    for f in roots:
+        doubled |= f.doubled_bit
+        unfit |= f.unfit_mask
     # a doubled node that no root pairs with oddly or positively has no
-    # record (and None is no node)
-    unfit = frozenset().union(*[f.odd_or_positive for f in roots])
-    for i in sorted({f.doubled for f in roots} & unfit):
+    # record; the lowest bit first, so the nodes come in sorted order
+    met = doubled & unfit
+    while met:
+        i = (met & -met).bit_length() - 1
+        met &= met - 1
         for k, f in enumerate(roots):
             if i in f.odd_or_positive:
                 yield "doubled", i, sigma[k], f.pairings[i]
-    columns = None
     for f in roots:
         if f.pair is not None:
             i, j = f.pair
-            if columns is None:
-                # per node, its pairings with the roots
-                columns = tuple(zip(*[fh.pairings for fh in roots]))
-            # Exact: equal columns hold no root that pairs unequally.
-            if columns[i] != columns[j]:
-                for k, fh in enumerate(roots):
-                    p = fh.pairings
-                    if p[i] != p[j]:
-                        yield "orthogonal", f.pair, sigma[k], (p[i], p[j])
+            for k, fh in enumerate(roots):
+                p = fh.pairings
+                if p[i] != p[j]:
+                    yield "orthogonal", f.pair, sigma[k], (p[i], p[j])
 
 
 def sigma_faults(sigma, roots) -> list:
@@ -153,17 +165,21 @@ def sigma_faults(sigma, roots) -> list:
     faults = list(pairwise_faults(sigma, roots))
     faults += [("simple", k) for k, f in enumerate(roots)
                if f.simple is not None]
-    supports = [f.support for f in roots]
     # Exact: nonzero roots on pairwise disjoint supports are distinct and
     # independent, since on one root's support every other root is zero.
-    if not all(supports) or sum(map(len, supports)) != len(
-            frozenset().union(*supports)):
-        # the quadratic scan only when some root is listed twice
-        if len(set(sigma)) < len(sigma):
-            faults += [("repeated", sigma.index(g), k)
-                       for k, g in enumerate(sigma) if sigma.index(g) < k]
-        if rank(sigma) < len(sigma):
-            faults.append(("dependent",))
+    covered = 0
+    for f in roots:
+        if not f.support_mask or covered & f.support_mask:
+            break
+        covered |= f.support_mask
+    else:
+        return faults
+    # the quadratic scan only when some root is listed twice
+    if len(set(sigma)) < len(sigma):
+        faults += [("repeated", sigma.index(g), k)
+                   for k, g in enumerate(sigma) if sigma.index(g) < k]
+    if rank(sigma) < len(sigma):
+        faults.append(("dependent",))
     return faults
 
 

@@ -334,6 +334,22 @@ class TestDecompose:
         assert h.hexdigest() == \
             "3ea045d665b454c15454fba0c12962429770bf8b09eb05aac6a2aaf6650ec450"
 
+    def test_decomposition_quotients_are_valid(self):
+        # Luna's closure under quotients, on the first pair is_decomposable
+        # finds: for every split cuspidal system of rank <= 6 both quotients
+        # are spherical systems and at least one of them is smooth
+        count = 0
+        for spec in diagrams_up_to_rank(6):
+            for sys in search.enumerate_systems(spec, cuspidal_only=True):
+                pair = ops.is_decomposable(sys)
+                if pair is None:
+                    continue
+                count += 1
+                quotients = [ops.quotient(sys, s) for s in pair]
+                assert all(q.is_valid_system for q in quotients), (sys, pair)
+                assert any(q.smooth for q in quotients), (sys, pair)
+        assert count == 3102
+
     def test_long_chain_decompositions_pinned(self):
         # the same over the cuspidal systems of B12, C12 and D12, where
         # subsets are many and most smooth tests take one colour

@@ -17,6 +17,7 @@ from sphsys.system import (Colour, SphericalSystem, ValidationReport,
                            doubled_node, orthogonal_pair, pairwise_faults,
                            rank_one_faults, root_facts, sigma_faults,
                            simple_node, validation_report)
+from test_acceptance import diagrams_up_to_rank
 
 
 def make(spec, sp, sigma):
@@ -601,6 +602,29 @@ def test_root_facts():
     assert stray.traces == frozenset()
     assert stray.pairings == tuple(d.pairing_weight(i, (0, 1, -1, 2))
                                    for i in range(4))
+
+
+def test_root_masks_match_their_sets():
+    # the gate's bitmask screens read the same nodes as the sets beside
+    # them, on every candidate root of rank <= 6 and on stray and zero
+    # weights
+    def mask(nodes):
+        return sum(1 << i for i in nodes)
+
+    weights = [(d, g) for spec in diagrams_up_to_rank(6)
+               for d in [parse_diagram(spec)]
+               for g in search.candidate_roots(d)]
+    weights += [(d, g) for seed in (1, 2)
+                for d, sigma in random_root_lists(seed, 30) for g in sigma]
+    assert any(not any(g) for _, g in weights)
+    assert any(not root_facts(d, g).traces for d, g in weights)
+    assert any(root_facts(d, g).doubled is not None for d, g in weights)
+    for d, g in weights:
+        f = root_facts(d, g)
+        assert f.support_mask == mask(f.support), (d.spec(), g)
+        assert f.unfit_mask == mask(f.odd_or_positive), (d.spec(), g)
+        assert f.doubled_bit == (0 if f.doubled is None
+                                 else 1 << f.doubled), (d.spec(), g)
 
 
 def test_reports_sharing_a_root_tuple_are_separate():
