@@ -25,6 +25,7 @@ members the family catalog predicts on the same diagram.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from . import ops
@@ -186,8 +187,13 @@ def enumerate_systems(diagram, cuspidal_only=False,
     The gate's shortcuts are exact.  Each candidate's support | paired set,
     built once per call, holds the nodes a base decides, so the free nodes
     are read off those sets.  A root set with one assignment skips the
-    sort, as one assignment is already in order.  sigma_faults screens with
-    bitmasks that RootFacts holds beside the node sets they stand for.
+    sort, as one assignment is already in order.  sigma_faults screens every
+    axiom on sigma in one pass of ORs over bitmasks that RootFacts holds
+    beside the values they stand for, and rank_one_faults tests sp as one
+    bitmask; each builds records only for a fault.  A returned system
+    holds no memo of its own until it is asked for a value, and the walk,
+    which reaches itself through its closure, is unbound when the call
+    ends, so no reference cycle keeps the systems alive.
     """
     d = parse_diagram(diagram)
     cands, facts, compat, spans = _walk_table(d)
@@ -313,9 +319,14 @@ def enumerate_systems(diagram, cuspidal_only=False,
                  and next(_extensions(facts[j], below, grown, grown_ban),
                           None) is not None])
 
-    walk([], [], frozenset(), {frozenset()}, frozenset(),
-         list(range(len(cands))))
-    return tuple(s for _, kept in sorted(root_sets) for s in kept)
+    try:
+        walk([], [], frozenset(), {frozenset()}, frozenset(),
+             list(range(len(cands))))
+    finally:
+        # walk reaches itself through its closure; unbinding it breaks that
+        # cycle, so reference counting alone frees root_sets and the systems
+        del walk
+    return tuple(chain.from_iterable(kept for _, kept in sorted(root_sets)))
 
 
 class CatalogCheck(NamedTuple):

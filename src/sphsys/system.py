@@ -11,11 +11,11 @@ only on the roots' supports and paired nodes, so the search's final gate
 asks it once per trace assignment.  validation_report formats the records
 of both; the gate reads them raw, and pairwise_faults fills its pair matrix.
 A root set without faults, the common case in the search, costs sigma_faults
-a few int operations and the pairing comparisons: no record is built, the
-doubled-root axiom ORs each root's doubled bit and unfit mask and meets
-the two, the orthogonal one compares two pairings per root and pair root,
-and ORing the support masks finds roots on pairwise disjoint supports,
-which skip the repeat scan and the rank.
+one pass of int ORs over its roots and no record: the doubled bits meet no
+unfit mask, the pair bits no unequal mask, no root is simple and the
+support masks are nonempty and pairwise disjoint, which skips the repeat
+scan and the rank.  rank_one_faults reads sp as one bitmask against each
+root's support, paired and trace masks.
 
 The axioms single out three root shapes: a simple root alpha_i, a doubled
 root 2*alpha_i and an orthogonal pair alpha_i + alpha_j.  simple_node,
@@ -23,16 +23,22 @@ doubled_node and orthogonal_pair recognise them for the whole package.
 
 Everything the axioms ask of a single root (its support, its pairing with
 each node, its admissible traces, its shape and the nodes on which it
-breaks the doubled-root axiom) is a RootFacts record, which also holds the
-support, the doubled node and those nodes as bitmasks.  It is read through
-root_facts from a per-diagram table, so validate, the colour pairing and
-the search compute it once per root rather than once per system.
+breaks the doubled-root axiom) is a RootFacts record, which also holds
+these as bitmasks.  It is read through root_facts from a per-diagram
+table, so validate, the colour pairing and the search compute it once per
+root rather than once per system.
+
+A SphericalSystem keeps what it computes in a memo created on the first
+value it keeps; a system built and never asked, as most that the search
+returns are, shares one read-only empty memo with all the others.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from functools import reduce
+from types import MappingProxyType
 from typing import NamedTuple
 
 from sphsys import rankone
@@ -79,15 +85,39 @@ class RootFacts(NamedTuple):
     # nodes i other than `doubled` with an odd or positive pairing: g breaks
     # the doubled-root axiom with a root 2*alpha_i exactly on these
     odd_or_positive: frozenset
-    # the same as bitmasks (bit i for node i), for the gate's screens
+    # the same as bitmasks (bit i for node i, or the bit of an orthogonal
+    # node pair from _node_table), for the gate's screens
     doubled_bit: int     # 1 << doubled, or 0 when doubled is None
     unfit_mask: int      # odd_or_positive
     support_mask: int    # support
+    simple_bit: int      # 1 << simple, or 0 when simple is None
+    pair_bit: int        # the bit of pair, or 0 when pair is None
+    unequal_mask: int    # the orthogonal node pairs g pairs unequally with
+    paired_mask: int     # paired
+    trace_masks: frozenset   # traces, each as a bitmask
 
 
 def _mask(nodes) -> int:
     """The bitmask of a node set, bit i for node i."""
-    return sum(1 << i for i in nodes)
+    return sum(map((1).__lshift__, nodes))
+
+
+@per_diagram
+def _node_table(d: Diagram) -> tuple:
+    """(columns, stars) of d: columns[j] lists the (i, cartan[i][j]) that
+    are nonzero, and stars[i] is the mask of the orthogonal node pairs that
+    hold node i, one bit per orthogonal pair of d, so pair (i, j) has the
+    one bit that stars[i] and stars[j] share."""
+    n = d.n_nodes
+    columns = tuple(tuple((i, row[j]) for i, row in enumerate(d.cartan)
+                          if row[j]) for j in range(n))
+    stars = [0] * n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if d.orthogonal(i, j)]
+    for b, (i, j) in enumerate(pairs):
+        stars[i] |= 1 << b
+        stars[j] |= 1 << b
+    return columns, tuple(stars)
 
 
 @per_diagram
@@ -103,22 +133,39 @@ def root_facts(d: Diagram, g) -> RootFacts:
     table = _root_table(d)
     facts = table.get(g)
     if facts is None:
+        columns, stars = _node_table(d)
         supp = support(g)
-        pairings = tuple(sum(row[j] * g[j] for j in supp) for row in d.cartan)
-        doubled = doubled_node(g)
+        # only the support's columns of the Cartan matrix, and in each only
+        # its nonzero entries, add to a pairing
+        sums = [0] * d.n_nodes
+        for j in supp:
+            for i, a in columns[j]:
+                sums[i] += a * g[j]
+        pairings = tuple(sums)
+        simple, doubled = simple_node(g), doubled_node(g)
+        pair = orthogonal_pair(d, g)
         unfit = frozenset(i for i, v in enumerate(pairings)
                           if (v % 2 or v > 0) and i != doubled)
+        paired = frozenset(i for i, v in enumerate(pairings)
+                           if v and i not in supp)
+        traces = rankone.admissible_traces(d, g)
+        # Exact: the stars of the nodes sharing one pairing XOR to the pairs
+        # with just one node among them, and a pair that g pairs unequally
+        # is such a pair for each of its two pairings, one of them nonzero
+        leaving = {}
+        for i, v in enumerate(pairings):
+            if v:
+                leaving[v] = leaving.get(v, 0) ^ stars[i]
         facts = RootFacts(
-            supp, pairings,
-            frozenset(i for i, v in enumerate(pairings)
-                      if v and i not in supp),
-            rankone.admissible_traces(d, g),
-            simple_node(g), doubled, orthogonal_pair(d, g), unfit,
+            supp, pairings, paired, traces, simple, doubled, pair, unfit,
             0 if doubled is None else 1 << doubled, _mask(unfit),
-            _mask(supp))
+            _mask(supp), 0 if simple is None else 1 << simple,
+            0 if pair is None else stars[pair[0]] & stars[pair[1]],
+            reduce(operator.or_, leaving.values(), 0),
+            _mask(paired), frozenset(map(_mask, traces)))
         # stray weights (no admissible trace) stay out, so the table holds
         # at most the candidate roots
-        if facts.traces:
+        if traces:
             table[g] = facts
     return facts
 
@@ -160,19 +207,31 @@ def sigma_faults(sigma, roots) -> list:
     ("simple", k) for each simple root sigma[k], ("repeated", first, k) for
     each root sigma[k] listed before at sigma[first], and ("dependent",)
     when sigma is linearly dependent.  The parabolic set plays no part, so
-    the search asks this once per root set.  The repeat scan and the rank
-    run only when two supports overlap or one is empty."""
-    faults = list(pairwise_faults(sigma, roots))
-    faults += [("simple", k) for k, f in enumerate(roots)
-               if f.simple is not None]
+    the search asks this once per root set.  One pass over the roots ORs
+    their masks, and each kind of record is built only when its screen
+    fires."""
+    doubled = unfit = pairs = unequal = simple = covered = 0
+    disjoint = True
+    for f in roots:
+        doubled |= f.doubled_bit
+        unfit |= f.unfit_mask
+        pairs |= f.pair_bit
+        unequal |= f.unequal_mask
+        simple |= f.simple_bit
+        if not f.support_mask or covered & f.support_mask:
+            disjoint = False
+        covered |= f.support_mask
+    # Exact: a record of the doubled-root axiom names a doubled node that a
+    # root pairs with oddly or positively, one of the orthogonal axiom an
+    # orthogonal pair root's pair on which a root pairs unequally.
+    faults = (list(pairwise_faults(sigma, roots))
+              if doubled & unfit or pairs & unequal else [])
+    if simple:
+        faults += [("simple", k) for k, f in enumerate(roots)
+                   if f.simple is not None]
     # Exact: nonzero roots on pairwise disjoint supports are distinct and
     # independent, since on one root's support every other root is zero.
-    covered = 0
-    for f in roots:
-        if not f.support_mask or covered & f.support_mask:
-            break
-        covered |= f.support_mask
-    else:
+    if disjoint:
         return faults
     # the quadratic scan only when some root is listed twice
     if len(set(sigma)) < len(sigma):
@@ -188,13 +247,14 @@ def rank_one_faults(sp, sigma, roots):
     roots, as raw fault records in report order: ("trace", k, trace) when
     sp meets the support of sigma[k] in no admissible trace, else
     ("parabolic-pairing", k, nodes) when the nodes of sp off that support
-    pair nonzero with sigma[k].  The search asks only whether it yields
-    anything."""
+    pair nonzero with sigma[k].  The tests read sp as a bitmask, and a
+    record is built only on a fault.  The search asks only whether it
+    yields anything."""
+    sp_mask = _mask(sp)
     for k, f in enumerate(roots):
-        trace = sp & f.support
-        if trace not in f.traces:
-            yield "trace", k, trace
-        elif sp & f.paired:
+        if sp_mask & f.support_mask not in f.trace_masks:
+            yield "trace", k, sp & f.support
+        elif sp_mask & f.paired_mask:
             yield ("parabolic-pairing", k,
                    [i for i in sp - f.support if f.pairings[i]])
 
@@ -316,6 +376,12 @@ def validation_report(d: Diagram, sp: frozenset,
     return report
 
 
+# The memo of every system that has kept no value yet: one shared read-only
+# empty mapping, so a system built and never asked carries no dict of its
+# own.  SphericalSystem._memo swaps in a dict on the first value it keeps.
+_NO_MEMO = MappingProxyType({})
+
+
 class SphericalSystem:
     __slots__ = ("diagram", "sp", "sigma", "_cache")
 
@@ -338,7 +404,7 @@ class SphericalSystem:
             if not any(sig[-1]):
                 raise ValueError(f"root {w!r} is zero")
         _set_sigma(self, tuple(sig))
-        _set_cache(self, {})
+        _set_cache(self, _NO_MEMO)
 
     @classmethod
     def _from_normal(cls, diagram, sp, sigma) -> "SphericalSystem":
@@ -352,13 +418,13 @@ class SphericalSystem:
         _set_diagram(self, diagram)
         _set_sp(self, sp)
         _set_sigma(self, sigma)
-        _set_cache(self, {})
+        _set_cache(self, _NO_MEMO)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SphericalSystem is immutable")
 
-    def __reduce__(self):   # copy and pickle rebuild with an empty cache
+    def __reduce__(self):   # copy and pickle rebuild with no memo
         return SphericalSystem._from_normal, (self.diagram, self.sp,
                                               self.sigma)
 
@@ -375,14 +441,20 @@ class SphericalSystem:
         return (f"SphericalSystem({self.diagram.spec()!r}, "
                 f"sp={sorted(self.sp)}, sigma={list(self.sigma)})")
 
+    def _memo(self) -> dict:
+        """The system's own memo, created on the first value it keeps."""
+        if self._cache is _NO_MEMO:
+            _set_cache(self, {})
+        return self._cache
+
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         """validation_report of this system, built on the first call and
         returned again, the same object, on every later one."""
         if "report" not in self._cache:
-            self._cache["report"] = validation_report(self.diagram, self.sp,
-                                                      self.sigma)
+            self._memo()["report"] = validation_report(
+                self.diagram, self.sp, self.sigma)
         return self._cache["report"]
 
     @property
@@ -406,7 +478,7 @@ class SphericalSystem:
                         joined = cls[i] | cls[j]
                         for k in joined:
                             cls[k] = joined
-            self._cache["colours"] = tuple(
+            self._memo()["colours"] = tuple(
                 Colour(frozenset(c), i in doubled)
                 for i, c in cls.items() if min(c) == i)
         return self._cache["colours"]
@@ -436,7 +508,7 @@ class SphericalSystem:
                         f"colour {{{nodes}}} does not pair to one integer "
                         f"with root {list(self.sigma[bad])}")
                 rows.append(tuple(v // 2 for v in row) if c.doubled else row)
-            self._cache["rho"] = tuple(rows)
+            self._memo()["rho"] = tuple(rows)
         return self._cache["rho"]
 
     @property
@@ -448,7 +520,7 @@ class SphericalSystem:
         cone; ops.is_distinguished decides that from these rays."""
         if "rays" not in self._cache:
             rho = self.rho_matrix
-            self._cache["rays"] = extreme_ray_supports(zip(*rho), len(rho))
+            self._memo()["rays"] = extreme_ray_supports(zip(*rho), len(rho))
         return self._cache["rays"]
 
     @property
@@ -465,7 +537,7 @@ class SphericalSystem:
                         neg[j] |= 1 << c
                     elif v > 0:
                         pos[j] |= 1 << c
-            self._cache["signs"] = tuple(zip(neg, pos))
+            self._memo()["signs"] = tuple(zip(neg, pos))
         return self._cache["signs"]
 
     # -- derived predicates ---------------------------------------------------
@@ -520,7 +592,7 @@ class SphericalSystem:
         """Smallest (sp, sigma) over all diagram automorphisms."""
         if "canon" not in self._cache:
             d = self.diagram
-            self._cache["canon"] = min(
+            self._memo()["canon"] = min(
                 (tuple(sorted(perm[i] for i in self.sp)),
                  tuple(sorted(d.permute_weight(perm, g) for g in self.sigma)))
                 for perm in d.automorphisms)

@@ -532,14 +532,35 @@ class TestWalk:
                        {"primitive_only": True})) == counts
 
     def test_returned_systems_stay_small(self):
-        # a full enumeration keeps no report on the systems it returns:
-        # each cache is still the empty dict, which the cyclic collector
-        # does not track
+        # a full enumeration keeps no memo on the systems it returns: none
+        # holds a value or a memo object of its own, and a system makes its
+        # own memo on first use, leaving the others without one
         systems = search.enumerate_systems("A1,A1,A1,A1,A1,A1")
         assert len(systems) == 2364
-        for s in systems:
-            assert s._cache == {}
-            assert not gc.is_tracked(s._cache)
+        assert not any(s._cache for s in systems)
+        assert len({id(s._cache) for s in systems}) == 1
+        first, second = systems[:2]
+        assert first.validate().ok and "report" in first._cache
+        assert not second._cache and second._cache is not first._cache
+
+    def test_no_system_outlives_its_caller(self):
+        # with the cyclic collector off, reference counting alone frees
+        # every system a call returned once the caller drops them
+        def alive():
+            return sum(isinstance(o, SphericalSystem)
+                       for o in gc.get_objects())
+
+        search.enumerate_systems("G2,G2,G2")    # the walk table, built
+        gc.collect()
+        gc.disable()
+        try:
+            before = alive()
+            systems = search.enumerate_systems("G2,G2,G2")
+            assert len(systems) == 1150
+            del systems
+            assert alive() == before
+        finally:
+            gc.enable()
 
 
 class TestVerifyCatalog:
@@ -570,7 +591,7 @@ class TestVerifyCatalog:
 PER_DIAGRAM_CACHES = (dynkin._positive_roots, rankone.rank1_embeddings,
                       rankone._table, system._root_table, search._walk_table,
                       families._index, families._diag,
-                      tables._highest_roots)
+                      tables._highest_roots, system._node_table)
 
 
 def test_sweep_keeps_the_bound_and_a_warm_pass_rebuilds_nothing():

@@ -314,8 +314,10 @@ def test_copy_and_pickle_round_trip(copier):
     assert again == sys and hash(again) == hash(sys)
     assert (again.diagram, again.sp, again.sigma) == (
         sys.diagram, sys.sp, sys.sigma)
-    assert again._cache == {}
+    # the copy holds no memo until it is asked for a value
+    assert not again._cache and again._cache is not sys._cache
     assert again.rho_matrix == sys.rho_matrix
+    assert again._cache["rho"] == sys.rho_matrix
 
 
 def test_equality_ignores_sigma_order():
@@ -470,6 +472,25 @@ def test_gate_records_are_pinned(seed, digest):
     assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed,digest", [
+    (20261018,
+     "5e833f03da5de1a9a60e25da6645227d89ce8f5141ea0deac6c2981acfd1fe3a"),
+    (20261019,
+     "e968e7664046cadb611964f882d3abbcb8b2e8ca18ab905adf220fb2121bb542"),
+])
+def test_rank_one_records_are_pinned(seed, digest):
+    # sha256 over the rank-one records the final gate reads, recorded before
+    # rank_one_faults read node bitmasks: the records and their order
+    text, kinds = [], set()
+    for sys in random_systems(seed, 600):
+        roots = tuple(root_facts(sys.diagram, g) for g in sys.sigma)
+        records = list(rank_one_faults(sys.sp, sys.sigma, roots))
+        text.append(repr(records))
+        kinds |= {r[0] for r in records}
+    assert kinds == {"trace", "parabolic-pairing"}
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
+
+
 # the oracle diagrams and products whose roots mostly have disjoint supports
 ROOT_LIST_DIAGRAMS = ORACLE_DIAGRAMS + ("A1,A1,A1,A1,A1,A1", "A2,A2,A2",
                                         "A1,A2,B2,G2", "G2,G2,G2")
@@ -605,9 +626,9 @@ def test_root_facts():
 
 
 def test_root_masks_match_their_sets():
-    # the gate's bitmask screens read the same nodes as the sets beside
-    # them, on every candidate root of rank <= 6 and on stray and zero
-    # weights
+    # the gate's bitmask screens read the same nodes, pairs and traces as
+    # the values beside them, on every candidate root of rank <= 6 and on
+    # stray and zero weights
     def mask(nodes):
         return sum(1 << i for i in nodes)
 
@@ -619,12 +640,34 @@ def test_root_masks_match_their_sets():
     assert any(not any(g) for _, g in weights)
     assert any(not root_facts(d, g).traces for d, g in weights)
     assert any(root_facts(d, g).doubled is not None for d, g in weights)
+    assert any(root_facts(d, g).simple is not None for d, g in weights)
+    assert any(root_facts(d, g).pair is not None for d, g in weights)
     for d, g in weights:
         f = root_facts(d, g)
         assert f.support_mask == mask(f.support), (d.spec(), g)
         assert f.unfit_mask == mask(f.odd_or_positive), (d.spec(), g)
         assert f.doubled_bit == (0 if f.doubled is None
                                  else 1 << f.doubled), (d.spec(), g)
+        assert f.simple_bit == (0 if f.simple is None
+                                else 1 << f.simple), (d.spec(), g)
+        assert f.paired_mask == mask(f.paired), (d.spec(), g)
+        assert f.trace_masks == frozenset(map(mask, f.traces)), (d.spec(), g)
+        # each orthogonal node pair (i, j) has the bit of the pair root
+        # alpha_i + alpha_j, and g's unequal mask holds exactly the bits of
+        # the pairs on which g pairs unequally
+        bits = 0
+        for i, j in itertools.combinations(range(d.n_nodes), 2):
+            if d.orthogonal(i, j):
+                h = root_facts(d, [int(k in (i, j))
+                                   for k in range(d.n_nodes)])
+                assert h.pair == (i, j)
+                assert h.pair_bit & (h.pair_bit - 1) == 0 < h.pair_bit
+                assert not bits & h.pair_bit
+                bits |= h.pair_bit
+                assert (bool(f.unequal_mask & h.pair_bit)
+                        == (f.pairings[i] != f.pairings[j])), (d.spec(), g)
+        assert not f.unequal_mask & ~bits, (d.spec(), g)
+        assert (f.pair_bit == 0) == (f.pair is None), (d.spec(), g)
 
 
 def test_reports_sharing_a_root_tuple_are_separate():
