@@ -10,8 +10,11 @@ are sums of extreme rays of the cone each one asks about
 which start from the extreme rays of the pairing kernel
 (feasible.kernel_rays); the smooth test reads those rays alone, and needs
 none for one colour.  A colour subset is a set: repeated indices count
-once.  Quotient systems are constructed and validated, never assumed
-valid.
+once, and inside the module it is a bitmask, bit c for colour c.  The
+primitivity filter (is_decomposable) carries its subsets as such masks
+from end to end, and answers from the colour pairing alone, reading no
+sign mask, when fewer than two colours are loose.  Quotient systems are
+constructed and validated, never assumed valid.
 """
 
 from __future__ import annotations
@@ -74,24 +77,30 @@ def decuspidalize(sys: SphericalSystem) -> SphericalSystem:
 # -- distinguished subsets and quotients ------------------------------------
 
 
-def _colour_subset(sys, subset) -> tuple:
-    """The distinct indices of subset, sorted; ValueError on an entry that
-    is no colour index of the system.  A bool is no colour, though Python
-    counts it as an int."""
-    subset = tuple(subset)
+def _colour_subset(sys, subset) -> int:
+    """The colours of subset as a bitmask, bit c for colour c; ValueError on
+    an entry that is no colour index of the system.  A bool is no colour,
+    though Python counts it as an int."""
     n = len(sys.colours)
+    mask = 0
     for c in subset:
         if type(c) is not int or not 0 <= c < n:
             raise ValueError(
                 f"no colour D{c!r}: the system has {n} colour(s)")
-    return tuple(sorted(set(subset)))
+        mask |= 1 << c
+    return mask
+
+
+def _members(mask) -> tuple:
+    """The colour indices of a bitmask, in increasing order."""
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
 def distinguished_witness(sys: SphericalSystem, subset):
     """Positive integer colour multiplicities phi with <rho(phi), gamma> >= 0
     for every spherical root, or None.  Raises ValueError on a colour index
     the system does not have."""
-    subset = _colour_subset(sys, subset)
+    subset = _members(_colour_subset(sys, subset))
     rho = sys.rho_matrix
     return feasible_nonneg(zip(*(rho[c] for c in subset)), len(subset),
                            strict=range(len(subset)))
@@ -125,23 +134,22 @@ def is_distinguished(sys: SphericalSystem, subset) -> bool:
     The masks and the ray supports (SphericalSystem.distinguished_rays)
     are computed once per system.
     """
-    return _distinguished(sys, _colour_subset(sys, subset))
+    return _distinguished(sys, _colour_subset(sys, subset), sys.sign_masks)
 
 
-def _distinguished(sys, subset) -> bool:
-    """is_distinguished on a sorted tuple of distinct valid colour
-    indices, the form every caller in this module already holds."""
-    mask = 0
-    for c in subset:
-        mask |= 1 << c
+def _distinguished(sys, mask, signs) -> bool:
+    """is_distinguished on a bitmask of valid colours, given the system's
+    sign_masks; the rho rows are read only when a root is mixed."""
     mixed = []
-    for j, (neg, pos) in enumerate(sys.sign_masks):
+    for j, (neg, pos) in enumerate(signs):
         if neg & mask:
             if not pos & mask:
                 return False
             mixed.append(j)
-    rho = sys.rho_matrix
-    if all(sum(rho[c][j] for c in subset) >= 0 for j in mixed):
+    if not mixed:
+        return True
+    rows = [row for c, row in enumerate(sys.rho_matrix) if mask >> c & 1]
+    if all(sum(row[j] for row in rows) >= 0 for j in mixed):
         return True
     union = 0
     for ray in sys.distinguished_rays:
@@ -178,9 +186,10 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
     nonnegative root combinations killed by every chosen colour.  Raises
     ValueError when the subset is not distinguished.
     """
-    subset = _colour_subset(sys, subset)
-    if not _distinguished(sys, subset):
+    mask = _colour_subset(sys, subset)
+    if not _distinguished(sys, mask, sys.sign_masks):
         raise ValueError("quotient by a non-distinguished subset")
+    subset = _members(mask)
     # one equation per chosen colour, variables are root multiplicities
     coeffs = hilbert_basis([sys.rho_matrix[c] for c in subset], len(sys.sigma))
     sigma_out = tuple(sorted(
@@ -210,14 +219,21 @@ def quotient(sys: SphericalSystem, subset) -> QuotientResult:
 
 def _moved_masks(sys) -> list:
     """Per colour, the bitmask of the spherical roots it pairs with."""
-    return [sum(1 << j for j, v in enumerate(row) if v)
-            for row in sys.rho_matrix]
+    masks = []
+    for row in sys.rho_matrix:
+        mask = 0
+        for j, v in enumerate(row):
+            if v:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
 
 
 def _moved(masks, subset) -> int:
-    """Bitmask of the spherical roots some colour of the subset pairs with."""
+    """Bitmask of the spherical roots some colour of the subset pairs with;
+    the subset is a colour bitmask."""
     out = 0
-    for c in subset:
+    for c in _members(subset):
         out |= masks[c]
     return out
 
@@ -234,9 +250,10 @@ def decomposes(sys: SphericalSystem, s1, s2) -> bool:
     s2 = _colour_subset(sys, s2)
     if not s1 or not s2:
         raise ValueError("decomposition subsets must be nonempty")
-    if set(s1) & set(s2):
+    if s1 & s2:
         raise ValueError("decomposition subsets must be disjoint")
-    if not (_distinguished(sys, s1) and _distinguished(sys, s2)):
+    signs = sys.sign_masks
+    if not (_distinguished(sys, s1, signs) and _distinguished(sys, s2, signs)):
         return False
     masks = _moved_masks(sys)
     if _moved(masks, s1) & _moved(masks, s2):
@@ -246,10 +263,13 @@ def decomposes(sys: SphericalSystem, s1, s2) -> bool:
 
 def _splits(sys, s1, s2) -> bool:
     """Whether distinguished subsets moving disjoint roots add mutually
-    orthogonal parabolic nodes; decomposes() also needs a smooth side."""
-    d = sys.diagram
-    add1 = frozenset().union(*(sys.colours[c].nodes for c in s1))
-    add2 = frozenset().union(*(sys.colours[c].nodes for c in s2))
+    orthogonal parabolic nodes; decomposes() also needs a smooth side.
+    The subsets are colour bitmasks."""
+    d, colours = sys.diagram, sys.colours
+    add1 = frozenset().union(*(c.nodes for k, c in enumerate(colours)
+                               if s1 >> k & 1))
+    add2 = frozenset().union(*(c.nodes for k, c in enumerate(colours)
+                               if s2 >> k & 1))
     # Each connected piece of the subdiagram spanned by the two enlarged
     # parabolic sets must lie on one side: a chain through shared sp nodes
     # couples the factors just as a direct edge would.
@@ -265,11 +285,12 @@ def _smooth(sys, subset) -> bool:
     every ray's primitive vector, and an orthant's basis is its units, so
     that holds iff every ray is a unit vector.  One colour needs no rays:
     a distinguished colour pairs >= 0 with every root, so C is the face of
-    the orthant where its positive roots vanish, spanned by unit vectors."""
-    if len(subset) == 1:
+    the orthant where its positive roots vanish, spanned by unit vectors.
+    The subset is a colour bitmask."""
+    if not subset & subset - 1:
         return True
-    return all(sum(x) == 1 for x in kernel_rays(
-        [sys.rho_matrix[c] for c in subset], len(sys.sigma)))
+    rows = [row for c, row in enumerate(sys.rho_matrix) if subset >> c & 1]
+    return all(sum(x) == 1 for x in kernel_rays(rows, len(sys.sigma)))
 
 
 def is_decomposable(sys: SphericalSystem):
@@ -280,45 +301,73 @@ def is_decomposable(sys: SphericalSystem):
     disjoint roots (_splits() and _smooth() test the rest), so three cuts
     keep the answer exact:
     - a colour sharing a moved root with every other colour is in neither
-      factor, so a and b are drawn from the other, loose colours;
-    - b comes in (size, indices) order after a, so |a| <= |b| and a has at
-      most half the loose colours;
+      factor, so a and b are drawn from the other, loose colours; with
+      fewer than two loose colours there is no pair, and the call returns
+      before it reads any sign mask;
+    - b comes in (size, indices) order after a, so |a| <= |b|, a has at
+      most half the loose colours, and a b of a's size starts after a's
+      least colour (disjoint sorted tuples compare at their first entry);
     - b is drawn from the loose colours outside a that move no root of a.
-    Whether a subset is distinguished, and whether its quotient is smooth,
-    is decided at most once per call.  The subsets are sorted tuples of
-    colour indices already, so they skip is_distinguished's input check.
+    Subsets are carried as colour bitmasks, and only the returned pair is
+    turned into index tuples.  Whether a subset is distinguished, and
+    whether its quotient is smooth, is decided at most once per call, in
+    dicts keyed by the bitmask; the sign masks are read once per call, and
+    the subsets skip is_distinguished's input check.
     """
-    n = len(sys.colours)
     masks = _moved_masks(sys)
-    loose = [c for c in range(n)
-             if any(not masks[c] & masks[e] for e in range(n) if e != c)]
+    loose = []
+    for c, m in enumerate(masks):
+        for e, other in enumerate(masks):
+            if not m & other and e != c:
+                loose.append(c)
+                break
+    if len(loose) < 2:
+        return None
+    signs = sys.sign_masks
     dist, smooth = {}, {}
-
-    def distinguished(s):
-        if s not in dist:
-            dist[s] = _distinguished(sys, s)
-        return dist[s]
 
     def smooth_quotient(s):
         if s not in smooth:
             smooth[s] = _smooth(sys, s)
         return smooth[s]
 
+    bits = [1 << c for c in loose]
+    # per loose colour, its bit and the loose colours moving none of its
+    # roots: a's partners are the colours outside a in all of a's sets
+    items = []
+    for c in loose:
+        free = 0
+        for e in loose:
+            if not masks[e] & masks[c]:
+                free |= 1 << e
+        items.append((1 << c, free))
     for size in range(1, len(loose) // 2 + 1):
-        for a in itertools.combinations(loose, size):
-            moved = _moved(masks, a)
-            pool = [c for c in loose if c not in a and not masks[c] & moved]
-            partners = itertools.chain.from_iterable(
-                itertools.combinations(pool, r)
-                for r in range(size, len(pool) + 1))
-            for b in partners:
-                if len(b) == size and b < a:
-                    continue      # b precedes a: came as (b, a)
-                if not distinguished(a):
-                    break
-                if (distinguished(b) and _splits(sys, a, b)
+        for chosen in itertools.combinations(items, size):
+            a, apart = 0, -1
+            for bit, free in chosen:
+                a |= bit
+                apart &= free
+            pool = apart & ~a
+            later = pool & -((a & -a) << 1)      # above a's least colour
+            if later.bit_count() < size and pool.bit_count() <= size:
+                continue          # no partner
+            if a not in dist:
+                dist[a] = _distinguished(sys, a, signs)
+            if not dist[a]:
+                continue
+            pool_bits = [bit for bit in bits if bit & pool]
+            partners = itertools.chain(
+                itertools.combinations(
+                    [bit for bit in pool_bits if bit & later], size),
+                *(itertools.combinations(pool_bits, r)
+                  for r in range(size + 1, len(pool_bits) + 1)))
+            for group in partners:
+                b = sum(group)
+                if b not in dist:
+                    dist[b] = _distinguished(sys, b, signs)
+                if (dist[b] and _splits(sys, a, b)
                         and (smooth_quotient(a) or smooth_quotient(b))):
-                    return (a, b)
+                    return _members(a), _members(b)
     return None
 
 

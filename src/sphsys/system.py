@@ -28,6 +28,11 @@ these as bitmasks.  It is read through root_facts from a per-diagram
 table, so validate, the colour pairing and the search compute it once per
 root rather than once per system.
 
+A colour of one node is shared: every system on a diagram takes it from
+the diagram's table _one_node_colours, so a system with no orthogonal pair
+root builds no Colour, and rho_matrix takes such a colour's row, when it
+is undoubled, straight from the node's pairings.
+
 A SphericalSystem keeps what it computes in a memo created on the first
 value it keeps; a system built and never asked, as most that the search
 returns are, shares one read-only empty memo with all the others.
@@ -170,6 +175,13 @@ def root_facts(d: Diagram, g) -> RootFacts:
     return facts
 
 
+def _sigma_facts(d: Diagram, sigma) -> list:
+    """The RootFacts of each root of sigma, a tuple of tuples, with one
+    lookup of the diagram's table for them all."""
+    table = _root_table(d)
+    return [table.get(g) or root_facts(d, g) for g in sigma]
+
+
 def pairwise_faults(sigma, roots):
     """The pairwise axioms on sigma, whose RootFacts are roots, as raw fault
     records: a root other than 2*alpha_i pairs with alpha_i to an even
@@ -303,6 +315,14 @@ class Colour(NamedTuple):
     __hash__ = tuple.__hash__
 
 
+@per_diagram
+def _one_node_colours(d: Diagram) -> tuple:
+    """Per node i of d, the one-node colours (Colour({i}, False),
+    Colour({i}, True)), indexed by doubled: every system on d shares them."""
+    return tuple((Colour(frozenset((i,)), False),
+                  Colour(frozenset((i,)), True)) for i in range(d.n_nodes))
+
+
 class _Faults(NamedTuple):
     pairwise_doubled: list      # axiom on 2*alpha roots
     pairwise_orthogonal: list   # axiom on alpha+beta roots
@@ -342,7 +362,7 @@ def validation_report(d: Diagram, sp: frozenset,
     normal form of SphericalSystem._from_normal: the records of
     sigma_faults and rank_one_faults, formatted.  SphericalSystem.validate
     caches it per system; the search reads the raw records instead."""
-    roots = tuple(root_facts(d, g) for g in sigma)
+    roots = tuple(_sigma_facts(d, sigma))
     report = ValidationReport()
     for fault in sigma_faults(sigma, roots):
         kind = fault[0]
@@ -465,22 +485,29 @@ class SphericalSystem:
 
     @property
     def colours(self) -> tuple[Colour, ...]:
+        """One colour per class of active nodes, in the order of each
+        class's least node; alpha_i + alpha_j in sigma joins the classes of
+        i and j.  A one-node colour is the shared one of _one_node_colours."""
         if "colours" not in self._cache:
-            d = self.diagram
-            roots = [root_facts(d, g) for g in self.sigma]
-            doubled = {f.doubled for f in roots}
-            # the class of each active node; alpha_i + alpha_j joins two
-            cls = {i: {i} for i in range(d.n_nodes) if i not in self.sp}
-            for f in roots:
+            d, sp = self.diagram, self.sp
+            doubled = set()
+            cls = {}        # the class of each node a pair root joins
+            for f in _sigma_facts(d, self.sigma):
+                doubled.add(f.doubled)
                 if f.pair is not None:
                     i, j = f.pair
-                    if i in cls and j in cls and cls[i] is not cls[j]:
-                        joined = cls[i] | cls[j]
-                        for k in joined:
-                            cls[k] = joined
-            self._memo()["colours"] = tuple(
-                Colour(frozenset(c), i in doubled)
-                for i, c in cls.items() if min(c) == i)
+                    if i not in sp and j not in sp:
+                        ci, cj = cls.get(i, {i}), cls.get(j, {j})
+                        if ci is not cj:
+                            joined = ci | cj
+                            for k in joined:
+                                cls[k] = joined
+            one = _one_node_colours(d)
+            self._memo()["colours"] = tuple([
+                one[i][i in doubled] if i not in cls
+                else Colour(frozenset(cls[i]), i in doubled)
+                for i in range(d.n_nodes)
+                if i not in sp and (i not in cls or min(cls[i]) == i)])
         return self._cache["colours"]
 
     @property
@@ -493,12 +520,15 @@ class SphericalSystem:
         if "rho" not in self._cache:
             d = self.diagram
             # per node, its pairings with the roots: one lookup per root
-            by_node = tuple(zip(*(root_facts(d, g).pairings
-                                  for g in self.sigma))) or ((),) * d.n_nodes
+            facts = _sigma_facts(d, self.sigma)
+            by_node = (tuple(zip(*[f.pairings for f in facts]))
+                       or ((),) * d.n_nodes)
             rows = []
             for c in self.colours:
                 row = by_node[min(c.nodes)]
-                if (any(by_node[a] != row for a in c.nodes)
+                # only a colour of two or more nodes needs the node scan
+                if (len(c.nodes) > 1 and any(by_node[a] != row
+                                             for a in c.nodes)
                         or c.doubled and any(v % 2 for v in row)):
                     bad = next(k for k, v in enumerate(row)
                                if c.doubled and v % 2

@@ -311,7 +311,8 @@ class TestDecompose:
                         continue
                     units = all(sum(x) == 1 for x in hilbert_basis(
                         [rho[c] for c in s], len(sys.sigma)))
-                    assert ops._smooth(sys, s) == units, (sys, s)
+                    mask = sum(1 << c for c in s)
+                    assert ops._smooth(sys, mask) == units, (sys, s)
                     assert ops.quotient(sys, s).smooth == units, (sys, s)
                     subsets += 1
                     singular += not units
@@ -400,6 +401,54 @@ class TestDecompose:
         assert count == 6600
         assert h.hexdigest() == \
             "eec941765b34be662332ecdff709134cd84ced2da3e26cbb280dcceebc33bd61"
+
+    def test_colours_rows_and_decompositions_pinned(self):
+        # sha256 over repr of each system with its colours, its rho rows
+        # and is_decomposable (a ValueError as its message): every cuspidal
+        # system of rank <= 5, seeded random systems, valid and invalid, and
+        # B3 with one root listed twice, whose answer is pinned on its own
+        def answer(f):
+            try:
+                return f()
+            except ValueError as exc:
+                return (type(exc).__name__, str(exc))
+        corpus = [sys for spec in diagrams_up_to_rank(5)
+                  for sys in search.enumerate_systems(spec,
+                                                      cuspidal_only=True)]
+        assert len(corpus) == 794
+        for seed in (10, 11, 12):
+            corpus += random_systems(seed, 60)
+        twice = make("B3", set(), [(1, 0, 0), (1, 0, 0)])
+        corpus.append(twice)
+        h = hashlib.sha256()
+        for sys in corpus:
+            h.update(repr((sys, sys.colours, answer(lambda: sys.rho_matrix),
+                           answer(lambda: ops.is_decomposable(sys))))
+                     .encode() + b"\n")
+        assert len(corpus) == 2775
+        assert h.hexdigest() == \
+            "cf6106000af159b579791d66bad629a3d5c82159401dbb4c5e529e7f9ed95cca"
+        assert ops.is_decomposable(twice) == ((0,), (2,))
+
+    def test_fewer_than_two_loose_colours_decide_nothing(self):
+        # a loose colour shares no moved root with some other colour; with
+        # fewer than two the call answers None and reads no sign mask and
+        # no ray of the system
+        few = 0
+        for spec in diagrams_up_to_rank(4):
+            for sys in search.enumerate_systems(spec, cuspidal_only=True):
+                moved = [{j for j, v in enumerate(row) if v}
+                         for row in sys.rho_matrix]
+                loose = [c for c, m in enumerate(moved)
+                         if any(not m & o for e, o in enumerate(moved)
+                                if e != c)]
+                if len(loose) >= 2:
+                    continue
+                few += 1
+                assert ops.is_decomposable(sys) is None, sys
+                assert "signs" not in sys._cache, sys
+                assert "rays" not in sys._cache, sys
+        assert few == 78
 
     def test_primitivity_builds_no_hilbert_basis(self, monkeypatch):
         # the smooth test reads extreme rays: only quotient() needs a basis

@@ -591,7 +591,8 @@ class TestVerifyCatalog:
 PER_DIAGRAM_CACHES = (dynkin._positive_roots, rankone.rank1_embeddings,
                       rankone._table, system._root_table, search._walk_table,
                       families._index, families._diag,
-                      tables._highest_roots, system._node_table)
+                      tables._highest_roots, system._node_table,
+                      system._one_node_colours)
 
 
 def test_sweep_keeps_the_bound_and_a_warm_pass_rebuilds_nothing():

@@ -228,6 +228,20 @@ class TestColours:
         assert [sorted(c.nodes) for c in sys.colours] == [[0], [1], [2]]
         assert sys.rho_matrix == ((2,), (-2,), (0,))
 
+    def test_one_node_colours_are_shared_per_diagram(self):
+        # a colour of one node is the diagram's own Colour object, in every
+        # system on the diagram; only a colour that a pair root joins is new
+        d = parse_diagram("A3")
+        one = system._one_node_colours(d)
+        plain = make("A3", set(), [(2, 0, 0)])
+        doubled = make("A3", {1}, [(0, 0, 2)])
+        joined = make("A3", set(), [(1, 0, 1), (0, 2, 0)])
+        assert all(c is one[i][i == 0] for i, c in enumerate(plain.colours))
+        assert doubled.colours[0] is one[0][False]
+        assert doubled.colours[1] is one[2][True]
+        assert joined.colours[1] is one[1][True]
+        assert joined.colours[0] == Colour(frozenset({0, 2}), False)
+
     def test_half_pairing(self):
         sys = make("G2", set(), [(2, 0), (0, 2)])
         assert sys.is_valid
